@@ -1,19 +1,24 @@
 """Coxeter systems from a Coxeter matrix, with a hard length budget.
 
 Elements are identified with their ShortLex-minimal reduced word (a tuple of
-generator indices).  The group is enumerated layer by layer up to the budget;
-each element stores its full set of reduced words (its braid-equivalence
-class), which solves the word problem by Matsumoto's theorem and makes
-descent sets, rex graphs and rex moves cheap to read off.  No geometric
-representation is used, so arbitrary Coxeter matrices (including infinite
-entries, encoded as 0) are supported uniformly.
+generator indices).  The group is stored as a right-multiplication table,
+built one length layer at a time up to the budget.  Besides w*s for every
+generator s, each element keeps its inverse and, for every pair {s, t}, the
+length of the W_{s,t} factor in its decomposition w = w^{st} w_{st} (w^{st}
+minimal in the coset w W_{s,t}).  Those lengths solve the word problem
+without searching: for x = w*s one layer up, t != s is a right descent of x
+exactly when the factor length of w for {s, t} is m_st - 1 (du Cloux's
+parabolic transducer, restricted to rank-2 parabolics).  Reduced words, rex
+graphs and rex moves are generated on demand by breadth-first search over
+braid moves.  No geometric representation is used, so arbitrary Coxeter
+matrices (including infinite entries, encoded as 0) are supported uniformly.
 """
 
 from __future__ import annotations
 
 import json
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Iterable, Sequence
 
 from .errors import (
@@ -85,15 +90,21 @@ class ParabolicData:
     d_J: int
 
 
-@dataclass
+@dataclass(slots=True)
 class _ElemData:
-    canonical: Word
-    words: frozenset[Word]  # all reduced words (braid class)
-    right_mult: dict[int, Word] = field(default_factory=dict)
+    # factor[s * rank + t]: length of the W_{s,t} factor of the element.
+    factor: tuple[int, ...]
+    right_mult: dict[int, Word]
+    inverse: Word = IDENTITY
 
-    @property
-    def length(self) -> int:
-        return len(self.canonical)
+
+class _Table(dict):
+    """Element data by canonical word; every lookup of another word fails."""
+
+    def __missing__(self, w):
+        raise PreconditionViolated(
+            f"{w} is not the canonical word of an element within the budget"
+        )
 
 
 def _alternating(a: int, b: int, length: int) -> Word:
@@ -108,8 +119,7 @@ class CoxeterSystem:
             raise InvalidMatrix("length budget must be nonnegative")
         self.matrix = matrix
         self.budget = length_budget
-        self._elems: dict[Word, _ElemData] = {}
-        self._word_index: dict[Word, Word] = {}  # any reduced word -> canonical
+        self._elems: dict[Word, _ElemData] = _Table()
         self._layers: list[list[Word]] = []
         self._closed = False
         self._bruhat_memo: dict[tuple[Word, Word], bool] = {}
@@ -117,77 +127,52 @@ class CoxeterSystem:
 
     # -- construction --------------------------------------------------------
 
-    def _register(self, words: frozenset[Word]) -> Word:
-        canon = min(words)
-        self._elems[canon] = _ElemData(canon, words)
-        for w in words:
-            self._word_index[w] = canon
-        return canon
-
-    def _braid_class(self, word: Word) -> frozenset[Word]:
-        """All words reachable from a reduced word by braid relations."""
-        seen = {word}
-        queue = deque([word])
-        while queue:
-            w = queue.popleft()
-            for nb in self._braid_neighbors(w):
-                if nb not in seen:
-                    seen.add(nb)
-                    queue.append(nb)
-        return frozenset(seen)
-
-    def _braid_neighbors(self, word: Word) -> list[Word]:
-        out = []
-        n = len(word)
-        for i in range(n - 1):
-            s, t = word[i], word[i + 1]
-            if s == t:
-                continue
-            m = self.matrix.order(s, t)
-            if m == INFINITY or i + m > n:
-                continue
-            if word[i : i + m] == _alternating(s, t, m):
-                out.append(word[:i] + _alternating(t, s, m) + word[i + m :])
-        return out
-
     def _build(self):
-        self._register(frozenset({IDENTITY}))
+        n = self.matrix.rank
+        self._elems[IDENTITY] = _ElemData((0,) * (n * n), {})
         self._layers.append([IDENTITY])
         for length in range(self.budget):
             layer: list[Word] = []
             for w in self._layers[length]:
-                data = self._elems[w]
-                rdesc = self.right_descents(w)
-                for s in range(self.matrix.rank):
-                    if s in data.right_mult:
-                        continue
-                    if s in rdesc:
-                        shorter = next(rw for rw in data.words if rw[-1] == s)
-                        data.right_mult[s] = self._word_index[shorter[:-1]]
-                    else:
-                        grown = w + (s,)
-                        canon = self._word_index.get(grown)
-                        if canon is None:
-                            canon = self._register(self._braid_class(grown))
-                            layer.append(canon)
-                        data.right_mult[s] = canon
+                for s in range(n):
+                    # An element's descents, and the products that reach it
+                    # from one layer down, are filled in when it is added;
+                    # so a missing w*s is an ascent to a new element.
+                    if s not in self._elems[w].right_mult:
+                        layer.append(self._add_product(w, s))
             if not layer:
-                self._closed = True
                 break
-            self._layers.append(sorted(layer))
-        else:
-            # Budget reached; check whether the top layer happens to close.
-            top = self._layers[-1]
-            self._closed = all(
-                self.right_descents(w) == set(range(self.matrix.rank)) for w in top
-            )
-            if self._closed:
-                for w in top:
-                    data = self._elems[w]
-                    for rw in data.words:
-                        s = rw[-1]
-                        if s not in data.right_mult:
-                            data.right_mult[s] = self._word_index[rw[:-1]]
+            layer.sort()
+            self._layers.append(layer)
+            for x in layer:
+                self._elems[x].inverse = self.mult(IDENTITY, x[::-1])
+        self._closed = all(
+            len(self._elems[w].right_mult) == n for w in self._layers[-1]
+        )
+
+    def _add_product(self, w: Word, s: int) -> Word:
+        """Add x = w*s, one layer above w, with all of its right descents."""
+        n = self.matrix.rank
+        factor = self._elems[w].factor
+        down = {s: w}  # right descent d of x -> x*d
+        for t in range(n):
+            m = self.matrix.order(s, t)
+            if t != s and factor[s * n + t] + 1 == m:
+                # The W_{s,t} factor of x is the longest element: walk it off
+                # to y = x^{st}, then x*t = y * (w_st t).
+                y = self.mult(w, _alternating(t, s, m - 1))
+                down[t] = self.mult(y, _alternating(s, t, m - 1)[::-1])
+        x = min(u + (d,) for d, u in down.items())
+        grown = [0] * (n * n)
+        for a in range(n):
+            for b in range(n):
+                d = a if a in down else b if b in down else None
+                if a != b and d is not None:
+                    grown[a * n + b] = self._elems[down[d]].factor[a * n + b] + 1
+        self._elems[x] = _ElemData(tuple(grown), down)
+        for d, u in down.items():
+            self._elems[u].right_mult[d] = x
+        return x
 
     # -- basic element operations --------------------------------------------
 
@@ -216,8 +201,7 @@ class CoxeterSystem:
 
     def right_mult(self, w: Word, s: int) -> Word:
         """Canonical word of w*s."""
-        data = self._elems[w]
-        out = data.right_mult.get(s)
+        out = self._elems[w].right_mult.get(s)
         if out is None:
             raise BudgetExceeded(
                 f"product of length {len(w) + 1} exceeds budget {self.budget}"
@@ -242,18 +226,25 @@ class CoxeterSystem:
         return w
 
     def inverse(self, w: Word) -> Word:
-        rev = tuple(reversed(w))
-        # The reverse of a reduced word is a reduced word of the inverse.
-        return self._word_index[rev]
+        return self._elems[w].inverse
 
     def reduced_words(self, w: Word) -> frozenset[Word]:
-        return self._elems[w].words
+        """All reduced words of w: its braid class, by Matsumoto's theorem."""
+        self._elems[w]  # rejects a word that is not canonical
+        seen = {w}
+        queue = deque([w])
+        while queue:
+            for nb, _ in self._braid_applications(queue.popleft()):
+                if nb not in seen:
+                    seen.add(nb)
+                    queue.append(nb)
+        return frozenset(seen)
 
     def right_descents(self, w: Word) -> set[int]:
-        return {rw[-1] for rw in self._elems[w].words if rw}
+        return {s for s, ws in self._elems[w].right_mult.items() if len(ws) < len(w)}
 
     def left_descents(self, w: Word) -> set[int]:
-        return {rw[0] for rw in self._elems[w].words if rw}
+        return self.right_descents(self.inverse(w))
 
     # -- Bruhat order ----------------------------------------------------------
 
@@ -268,35 +259,22 @@ class CoxeterSystem:
         if key in memo:
             return memo[key]
         s = y[0]  # left descent of y (canonical word starts with one)
-        sy = self._left_strip(y, s)
+        sy = self.left_mult(s, y)
         if s in self.left_descents(x):
-            out = self.bruhat_leq(self._left_strip(x, s), sy)
+            out = self.bruhat_leq(self.left_mult(s, x), sy)
         else:
             out = self.bruhat_leq(x, sy)
         memo[key] = out
         return out
 
-    def _left_strip(self, w: Word, s: int) -> Word:
-        """Canonical word of s*w when s is a left descent of w."""
-        rw = next(u for u in self._elems[w].words if u and u[0] == s)
-        return self._word_index[rw[1:]]
-
     def left_mult(self, s: int, w: Word) -> Word:
-        if s in self.left_descents(w):
-            return self._left_strip(w, s)
-        grown = (s,) + w
-        canon = self._word_index.get(grown)
-        if canon is None:
-            raise BudgetExceeded(
-                f"product of length {len(w) + 1} exceeds budget {self.budget}"
-            )
-        return canon
+        return self.inverse(self.right_mult(self.inverse(w), s))
 
     # -- rex graph --------------------------------------------------------------
 
     def rex_graph(self, w: Word) -> list[Word]:
         """All reduced words of w, sorted lexicographically."""
-        return sorted(self._elems[w].words)
+        return sorted(self.reduced_words(w))
 
     def rex_path(self, frm: Sequence[int], to: Sequence[int]) -> "RexMove":
         """A shortest braid-move path between two reduced words of one element.
@@ -306,11 +284,13 @@ class CoxeterSystem:
         """
         frm = tuple(frm)
         to = tuple(to)
+        elems = []
         for word in (frm, to):
-            _, reduced = self.normalize(word)
+            elem, reduced = self.normalize(word)
             if not reduced:
                 raise NotReduced(f"{word} is not reduced")
-        if self._word_index[frm] != self._word_index[to]:
+            elems.append(elem)
+        if elems[0] != elems[1]:
             raise DifferentElements(f"{frm} and {to} are different elements")
         return self.find_rex(frm, lambda word: word == to)
 
@@ -405,7 +385,7 @@ class CoxeterSystem:
                 break
             s = min(desc)
             stripped.append(s)
-            z = self._left_strip(z, s)
+            z = self.left_mult(s, z)
         u = IDENTITY
         for s in stripped:
             u = self.right_mult(u, s)

@@ -1,9 +1,11 @@
 import itertools
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from heckesphere import catalog
-from heckesphere.coxeter import IDENTITY, CoxeterMatrix, CoxeterSystem
+from heckesphere import catalog, verify
+from heckesphere.cli import main
+from heckesphere.coxeter import IDENTITY, INFINITY, CoxeterMatrix, CoxeterSystem
 from heckesphere.errors import (
     BudgetExceeded,
     DifferentElements,
@@ -207,3 +209,166 @@ class TestWords:
     def test_inverse(self, b2):
         for w in b2.elements():
             assert b2.mult(w, b2.inverse(w)) == IDENTITY
+
+
+class TestNonCanonicalWords:
+    def test_reduced_but_not_canonical(self, a2, a2_algebra):
+        alg = a2_algebra
+        for call in (
+            lambda: a2.right_descents((T, S, T)),
+            lambda: alg.multiply(alg.delta((T, S, T)), alg.b_s(S)),
+            lambda: a2.bruhat_leq((S,), (T, S, T)),
+        ):
+            with pytest.raises(PreconditionViolated, match=r"\(1, 0, 1\)"):
+                call()
+
+    def test_not_reduced(self, a2):
+        with pytest.raises(PreconditionViolated, match=r"\(0, 0\)"):
+            a2.inverse((S, S))
+
+
+def _alternating(a, b, length):
+    return tuple(a if i % 2 == 0 else b for i in range(length))
+
+
+def _braid_class_reference(matrix, budget):
+    """Reference enumeration: each element as the set of all its reduced words,
+    closed under braid moves (Matsumoto's theorem).  Returns the classes by
+    canonical word and the map from every reduced word to its canonical one."""
+
+    def braid_class(word):
+        seen, todo = {word}, [word]
+        while todo:
+            w = todo.pop()
+            for i in range(len(w) - 1):
+                s, t = w[i], w[i + 1]
+                m = matrix.order(s, t)
+                if s != t and m != INFINITY and w[i:i + m] == _alternating(s, t, m):
+                    nb = w[:i] + _alternating(t, s, m) + w[i + m:]
+                    if nb not in seen:
+                        seen.add(nb)
+                        todo.append(nb)
+        return frozenset(seen)
+
+    classes = {IDENTITY: frozenset({IDENTITY})}
+    index = {IDENTITY: IDENTITY}
+    layer = [IDENTITY]
+    for _ in range(budget):
+        grown = {w + (s,) for w in layer for s in range(matrix.rank)
+                 if not any(rw[-1:] == (s,) for rw in classes[w])}
+        layer = []
+        for word in sorted(grown):
+            if word not in index:
+                words = braid_class(word)
+                classes[min(words)] = words
+                index.update(dict.fromkeys(words, min(words)))
+                layer.append(min(words))
+    return classes, index
+
+
+def _check_against_reference(matrix, budget):
+    sys = CoxeterSystem(matrix, budget)
+    classes, index = _braid_class_reference(matrix, budget)
+    assert sys.elements() == sorted(classes, key=lambda w: (len(w), w))
+    for w, words in classes.items():
+        assert sys.reduced_words(w) == words
+        assert sys.right_descents(w) == {rw[-1] for rw in words if rw}
+        assert sys.left_descents(w) == {rw[0] for rw in words if rw}
+        assert sys.inverse(w) == index[w[::-1]]
+        for s in range(matrix.rank):
+            shorter = [rw[:-1] for rw in words if rw and rw[-1] == s]
+            want = index[shorter[0]] if shorter else index.get(w + (s,))
+            if want is None:
+                with pytest.raises(BudgetExceeded):
+                    sys.right_mult(w, s)
+            else:
+                assert sys.right_mult(w, s) == want
+
+
+_BONDS = st.sampled_from([2, 3, 4, 5, 6, INFINITY])
+
+
+@st.composite
+def _matrices(draw):
+    n = draw(st.integers(3, 4))
+    m = [[1] * n for _ in range(n)]
+    for i, j in itertools.combinations(range(n), 2):
+        m[i][j] = m[j][i] = draw(_BONDS)
+    return CoxeterMatrix(tuple("stuv"[:n]), tuple(map(tuple, m)))
+
+
+class TestTableAgainstBraidClasses:
+    @pytest.mark.parametrize("name", sorted(catalog.BUILTIN))
+    def test_builtin(self, name):
+        _check_against_reference(catalog.BUILTIN[name], 10)
+
+    @settings(max_examples=60, deadline=None)
+    @given(_matrices(), st.integers(0, 6))
+    def test_random_matrices(self, matrix, budget):
+        _check_against_reference(matrix, budget)
+
+
+class TestUnclosedBall:
+    def test_descent_of_top_layer_resolves(self, inf_dihedral, capsys):
+        top = _alternating(S, T, 8)
+        assert top in inf_dihedral.elements()
+        assert inf_dihedral.right_mult(top, T) == _alternating(S, T, 7)
+        assert inf_dihedral.element(top + (T,)) == _alternating(S, T, 7)
+        with pytest.raises(BudgetExceeded):
+            inf_dihedral.right_mult(top, S)
+        code = main(["kl", "--system", "infinite_dihedral", "--budget", "8",
+                     "-x", "ststststs"])
+        assert code == 3 and "budget" in capsys.readouterr().err
+
+    def test_wall_crossing_into_top_layer(self):
+        # H3 at budget 12 has z*s in the top layer for four wall-crossings;
+        # t = z*s*z^-1 is found by walking down from z*s.
+        h3 = CoxeterSystem(catalog.H3, 12)
+        z = (S, T, S, T, U, T, S, T, S, U, T)
+        assert h3.wall_cross(z, U, frozenset({T})) == T
+        assert verify.check_decomp_wallcross(h3) == []
+
+
+def _chain(*bonds):
+    """Coxeter matrix of a linear diagram with the given bond orders."""
+    n = len(bonds) + 1
+    m = [[1 if i == j else 2 for j in range(n)] for i in range(n)]
+    for i, b in enumerate(bonds):
+        m[i][i + 1] = m[i + 1][i] = b
+    return CoxeterMatrix(tuple("stuv"[:n]), tuple(map(tuple, m)))
+
+
+def _poincare(degrees):
+    """Coefficients of prod_i [d_i]_q, the length generating function."""
+    coeffs = [1]
+    for d in degrees:
+        out = [0] * (len(coeffs) + d - 1)
+        for i, c in enumerate(coeffs):
+            for j in range(d):
+                out[i + j] += c
+        coeffs = out
+    return coeffs
+
+
+class TestRankFourAnchors:
+    D4 = CoxeterMatrix(
+        ("s", "t", "u", "v"),
+        ((1, 3, 2, 2), (3, 1, 3, 3), (2, 3, 1, 2), (2, 3, 2, 1)),
+    )
+
+    @pytest.mark.parametrize("matrix,order,degrees", [
+        (_chain(3, 3, 3), 120, (2, 3, 4, 5)),
+        (_chain(4, 3, 3), 384, (2, 4, 6, 8)),
+        (D4, 192, (2, 4, 4, 6)),
+        (_chain(3, 4, 3), 1152, (2, 6, 8, 12)),
+        (_chain(5, 3, 3), 14400, (2, 12, 20, 30)),
+    ], ids=["A4", "B4", "D4", "F4", "H4"])
+    def test_order_and_poincare_polynomial(self, matrix, order, degrees):
+        sys = CoxeterSystem(matrix, sum(d - 1 for d in degrees))
+        assert sys.is_finite
+        elems = sys.elements()
+        assert len(elems) == order
+        counts = [0] * (max(map(len, elems)) + 1)
+        for w in elems:
+            counts[len(w)] += 1
+        assert counts == _poincare(degrees)
