@@ -11,6 +11,9 @@ Subcommands:
     nsll      non-spherical light-leaf recipe
     verify    run the identity-verification suites
 
+--format: kl, act, stroll and localize print text, json or csv; rank, sll,
+sdl and nsll print text or json; verify prints text.  Any other value exits 2.
+
 Exit codes: 0 success, 1 verification failure, 2 parse/configuration error,
 3 length budget exceeded, 4 endpoint mismatch.
 """
@@ -19,7 +22,6 @@ from __future__ import annotations
 
 import argparse
 import csv
-import io
 import json
 import sys
 
@@ -28,6 +30,10 @@ from .coxeter import CoxeterMatrix, CoxeterSystem
 from .errors import BudgetExceeded, EndpointMismatch, HeckesphereError
 from .hecke import HeckeAlgebra
 from .spherical import SphericalModule
+
+# The --format values a subcommand really produces; argparse rejects the rest.
+WITH_CSV = ("text", "json", "csv")
+NO_CSV = ("text", "json")
 
 
 def _load_system(args) -> CoxeterSystem:
@@ -67,20 +73,25 @@ def _print_csv(rows: list[dict]):
     writer.writerows(rows)
 
 
+def _print_element(args, system: CoxeterSystem, elt, text, to_json):
+    """Print a Hecke or module element as text, JSON, or elt,coeff CSV rows."""
+    if args.format == "json":
+        print(json.dumps(to_json(elt), indent=2))
+    elif args.format == "csv":
+        _print_csv([
+            {"elt": system.format_word(w) or "e", "coeff": str(c)}
+            for w, c in elt.items()
+        ])
+    else:
+        print(text(elt))
+
+
 def cmd_kl(args) -> int:
     system = _load_system(args)
     alg = HeckeAlgebra(system)
     x = system.element(system.parse_word(args.x))
     b = alg.kl_basis(x)
-    if args.format == "json":
-        print(json.dumps(b.to_json(system), indent=2))
-    elif args.format == "csv":
-        _print_csv([
-            {"elt": system.format_word(w) or "e", "coeff": str(c)}
-            for w, c in b.items()
-        ])
-    else:
-        print(alg.format(b))
+    _print_element(args, system, b, alg.format, lambda e: e.to_json(system))
     return 0
 
 
@@ -89,15 +100,7 @@ def cmd_act(args) -> int:
     J = _parse_J(system, args.J)
     mod = SphericalModule(HeckeAlgebra(system), J)
     m = mod.expand_expression(system.parse_word(args.x))
-    if args.format == "json":
-        print(json.dumps(mod.to_json(m), indent=2))
-    elif args.format == "csv":
-        _print_csv([
-            {"elt": system.format_word(w) or "e", "coeff": str(c)}
-            for w, c in m.items()
-        ])
-    else:
-        print(mod.format(m))
+    _print_element(args, system, m, mod.format, mod.to_json)
     return 0
 
 
@@ -154,19 +157,15 @@ def cmd_localize(args) -> int:
     system = _load_system(args)
     word = system.parse_word(args.x)
     counts = strolls.localized_summands(system, word)
-    items = sorted(counts.items(), key=lambda kv: (len(kv[0]), kv[0]))
+    rows = [{"elt": system.format_word(w) or "e", "multiplicity": n}
+            for w, n in sorted(counts.items(), key=lambda kv: (len(kv[0]), kv[0]))]
     if args.format == "json":
-        print(json.dumps(
-            [{"elt": system.format_word(w) or "e", "multiplicity": n}
-             for w, n in items], indent=2))
+        print(json.dumps(rows, indent=2))
     elif args.format == "csv":
-        _print_csv([
-            {"elt": system.format_word(w) or "e", "multiplicity": n}
-            for w, n in items
-        ])
+        _print_csv(rows)
     else:
-        for w, n in items:
-            print(f"{system.format_word(w) or 'e'}: {n}")
+        for r in rows:
+            print(f"{r['elt']}: {r['multiplicity']}")
     return 0
 
 
@@ -250,71 +249,58 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, needs_J=True):
+    def command(name, fn, help, formats, needs_J=True):
+        p = sub.add_parser(name, help=help)
+        p.set_defaults(fn=fn)
         p.add_argument("--system", required=True,
                        help="Coxeter matrix JSON file or a built-in name "
                             f"({', '.join(sorted(catalog.BUILTIN))})")
         p.add_argument("--budget", type=int, default=12,
                        help="length budget for group enumeration (default 12)")
-        p.add_argument("--format", choices=["text", "json", "csv"], default="text")
+        p.add_argument("--format", choices=formats, default="text")
         if needs_J:
             p.add_argument("--J", default="",
                            help="comma-separated generator names, e.g. 's' or 's,t'")
+        return p
 
-    p = sub.add_parser("kl", help="Kazhdan-Lusztig basis element")
-    common(p, needs_J=False)
+    p = command("kl", cmd_kl, "Kazhdan-Lusztig basis element", WITH_CSV, needs_J=False)
     p.add_argument("-x", required=True, help="group element as a word")
-    p.set_defaults(fn=cmd_kl)
 
-    p = sub.add_parser("act", help="expand 1 (x) b_expr in the spherical module")
-    common(p)
+    p = command("act", cmd_act, "expand 1 (x) b_expr in the spherical module", WITH_CSV)
     p.add_argument("-x", required=True, help="expression (word)")
-    p.set_defaults(fn=cmd_act)
 
-    p = sub.add_parser("rank", help="graded rank polynomial")
-    common(p)
+    p = command("rank", cmd_rank, "graded rank polynomial", NO_CSV)
     p.add_argument("-x", required=True)
     p.add_argument("-y", required=True)
-    p.set_defaults(fn=cmd_rank)
 
-    p = sub.add_parser("stroll", help="coset strolls and decorations")
-    common(p)
+    p = command("stroll", cmd_stroll, "coset strolls and decorations", WITH_CSV)
     p.add_argument("-x", required=True)
     p.add_argument("--bits", help="single subexpression (default: all)")
-    p.set_defaults(fn=cmd_stroll)
 
-    p = sub.add_parser("localize", help="subexpression product multiset")
-    common(p, needs_J=False)
+    p = command("localize", cmd_localize, "subexpression product multiset", WITH_CSV,
+                needs_J=False)
     p.add_argument("-x", required=True)
-    p.set_defaults(fn=cmd_localize)
 
-    p = sub.add_parser("sll", help="spherical light-leaf recipe")
-    common(p)
+    p = command("sll", cmd_sll, "spherical light-leaf recipe", NO_CSV)
     p.add_argument("-x", required=True)
     p.add_argument("--bits")
     p.add_argument("--all", action="store_true", help="all subexpressions")
-    p.set_defaults(fn=cmd_sll)
 
-    p = sub.add_parser("sdl", help="double-leaf recipe")
-    common(p)
+    p = command("sdl", cmd_sdl, "double-leaf recipe", NO_CSV)
     p.add_argument("-x", required=True)
     p.add_argument("-y", required=True)
     p.add_argument("--bits", help="bits for -x")
     p.add_argument("--bits2", help="bits for -y")
-    p.set_defaults(fn=cmd_sdl)
 
-    p = sub.add_parser("nsll", help="non-spherical light-leaf recipe")
-    common(p)
+    p = command("nsll", cmd_nsll, "non-spherical light-leaf recipe", NO_CSV)
     p.add_argument("-x", required=True)
     p.add_argument("--bits")
-    p.set_defaults(fn=cmd_nsll)
 
-    p = sub.add_parser("verify", help="run identity-verification suites")
-    common(p, needs_J=False)
+    p = command("verify", cmd_verify, "run identity-verification suites", ("text",),
+                needs_J=False)
     p.add_argument("--suite", action="append", required=True,
                    help="hecke, spherical, strolls, lightleaf, or all "
                         "(repeatable)")
-    p.set_defaults(fn=cmd_verify)
     return parser
 
 

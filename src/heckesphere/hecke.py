@@ -1,18 +1,17 @@
 """The Hecke algebra of a Coxeter system over Z[v, v^-1].
 
-Elements are stored in the standard basis: a HeckeElt wraps a map from group
-element (canonical reduced word) to nonzero LaurentPoly.  Multiplication uses
-the quadratic relation delta_s^2 = 1 + (v^-1 - v) delta_s one generator at a
-time.  The Kazhdan-Lusztig basis is computed by the usual recursion
-b_s * b_{sx} minus mu-corrections, where mu(z, y) is the coefficient of v in
-h_{z,y}; only the characterizing properties (bar-invariance, unitriangularity,
-coefficients in vZ[v]) are asserted.
+Elements are HeckeElt, the linear.Combo over the standard basis delta_x:
+a map from group element (canonical reduced word) to nonzero LaurentPoly.
+Multiplication uses the quadratic relation delta_s^2 = 1 + (v^-1 - v) delta_s
+one generator at a time.  The Kazhdan-Lusztig basis is computed by the usual
+recursion b_s * b_{sx} minus mu-corrections (linear.kl_correct, shared with
+the spherical module); only the characterizing properties (bar-invariance,
+unitriangularity, coefficients in vZ[v]) are asserted.
 """
 
 from __future__ import annotations
 
-import json
-from typing import Iterable, Mapping
+from typing import Iterable
 
 from . import linear
 from .coxeter import IDENTITY, CoxeterSystem, Word
@@ -20,67 +19,10 @@ from .errors import InternalInconsistency, NotDivisible
 from .laurent import LaurentPoly, ONE, V, VINV
 
 
-class HeckeElt:
-    """A finitely supported sum of standard basis elements delta_x."""
+class HeckeElt(linear.Combo):
+    """A finitely supported sum of standard basis elements delta_x, x in W."""
 
-    __slots__ = ("support",)
-
-    def __init__(self, support: Mapping[Word, LaurentPoly] | Iterable = ()):
-        self.support = linear.combo(support)
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, HeckeElt):
-            return NotImplemented
-        return self.support == other.support
-
-    def __hash__(self) -> int:
-        return hash(frozenset(self.support.items()))
-
-    def __bool__(self) -> bool:
-        return bool(self.support)
-
-    def __add__(self, other: "HeckeElt") -> "HeckeElt":
-        out = HeckeElt.__new__(HeckeElt)
-        out.support = linear.add(self.support, other.support)
-        return out
-
-    def __sub__(self, other: "HeckeElt") -> "HeckeElt":
-        out = HeckeElt.__new__(HeckeElt)
-        out.support = linear.sub(self.support, other.support)
-        return out
-
-    def __neg__(self) -> "HeckeElt":
-        return self.scale(-1)
-
-    def scale(self, c: LaurentPoly | int) -> "HeckeElt":
-        out = HeckeElt.__new__(HeckeElt)
-        out.support = linear.scale(self.support, c)
-        return out
-
-    def coeff(self, x: Word) -> LaurentPoly:
-        return self.support.get(x, LaurentPoly.zero())
-
-    def items(self):
-        """(element, coefficient) pairs sorted by (length, ShortLex)."""
-        return linear.sorted_items(self.support)
-
-    def __repr__(self) -> str:
-        return f"HeckeElt({dict(self.support)!r})"
-
-    def to_json(self, system: CoxeterSystem) -> dict:
-        return {
-            "terms": [
-                {"elt": system.format_word(x), "coeff": c.to_json()}
-                for x, c in self.items()
-            ]
-        }
-
-    @classmethod
-    def from_json(cls, data: dict, system: CoxeterSystem) -> "HeckeElt":
-        return cls(
-            (system.element(system.parse_word(t["elt"])), LaurentPoly.from_json(t["coeff"]))
-            for t in data["terms"]
-        )
+    __slots__ = ()
 
 
 class HeckeAlgebra:
@@ -122,9 +64,7 @@ class HeckeAlgebra:
             else:
                 linear.add_into(out, xs, c)
                 linear.add_into(out, x, c * (VINV - V))
-        elt = HeckeElt.__new__(HeckeElt)
-        elt.support = out
-        return elt
+        return HeckeElt.wrap(out)
 
     def multiply(self, a: HeckeElt, b: HeckeElt) -> HeckeElt:
         out = self.zero()
@@ -169,27 +109,12 @@ class HeckeAlgebra:
         if got is not None:
             return got
         if not x:
-            out = self.unit()
+            cand = self.unit()
         else:
             s = x[0]
             sx = self.system.left_mult(s, x)
             cand = self.multiply(self.b_s(s), self.kl_basis(sx))
-            # Remove lower KL terms whose coefficient has a constant term,
-            # largest length first so each correction is final.
-            for y, c in sorted(cand.support.items(), key=lambda kv: -len(kv[0])):
-                if y == x:
-                    continue
-                mu = cand.coeff(y)[0]
-                if mu:
-                    cand = cand - self.kl_basis(y).scale(mu)
-            out = cand
-        if out.coeff(x) != ONE:
-            raise InternalInconsistency(f"KL recursion lost unitriangularity at {x}")
-        for y, c in out.support.items():
-            if y != x and not c.in_v_times_nonneg():
-                raise InternalInconsistency(
-                    f"KL coefficient h_({y},{x}) = {c} escapes vZ[v]"
-                )
+        out = linear.kl_correct(cand, x, self.kl_basis, "KL")
         self._kl_memo[x] = out
         return out
 
@@ -211,13 +136,7 @@ class HeckeAlgebra:
 
     def pairing(self, a: HeckeElt, b: HeckeElt) -> LaurentPoly:
         """<a, b> computed coordinatewise (the standard basis is orthonormal)."""
-        out = LaurentPoly.zero()
-        small, large = (a, b) if len(a.support) <= len(b.support) else (b, a)
-        for x, c in small.support.items():
-            d = large.support.get(x)
-            if d is not None:
-                out = out + c * d
-        return out
+        return a.dot(b)
 
     # -- parabolic data ------------------------------------------------------------------
 
@@ -248,10 +167,4 @@ class HeckeAlgebra:
     # -- rendering -----------------------------------------------------------------------
 
     def format(self, a: HeckeElt) -> str:
-        if not a:
-            return "0"
-        parts = []
-        for x, c in a.items():
-            name = self.system.format_word(x) or "e"
-            parts.append(f"({c}) d_{name}")
-        return " + ".join(parts)
+        return a.format(self.system, "d")

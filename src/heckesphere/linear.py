@@ -1,34 +1,21 @@
 """Finitely supported linear combinations with LaurentPoly coefficients.
 
-Shared backing store for Hecke-algebra elements (keys: group elements) and
-spherical-module elements (keys: minimal coset representatives).  Keys are
-canonical reduced-word tuples throughout.
+`Combo` is the one element type: canonical reduced-word keys with nonzero
+coefficients.  Its subclass names the basis, `HeckeElt` (delta_x) or
+`SphericalElt` (m_x); elements of different bases never compare equal.
+`kl_correct` is the mu-correction both Kazhdan-Lusztig bases share.
 """
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator, Mapping
+from typing import Callable, Iterable, Iterator, Mapping
 
-from .laurent import LaurentPoly
+from .coxeter import CoxeterSystem, Word
+from .errors import InternalInconsistency
+from .laurent import LaurentPoly, ONE
 
 
 Coeffs = dict[tuple, LaurentPoly]
-
-
-def combo(items: Mapping | Iterable[tuple] = ()) -> Coeffs:
-    """Build a canonical coefficient dict, dropping zeros and merging keys."""
-    pairs = items.items() if isinstance(items, Mapping) else items
-    out: Coeffs = {}
-    for key, c in pairs:
-        if isinstance(c, int):
-            c = LaurentPoly.from_int(c)
-        if key in out:
-            c = out[key] + c
-        if c:
-            out[key] = c
-        elif key in out:
-            del out[key]
-    return out
 
 
 def add_into(acc: Coeffs, key: tuple, c: LaurentPoly):
@@ -46,28 +33,126 @@ def add_into(acc: Coeffs, key: tuple, c: LaurentPoly):
         del acc[key]
 
 
-def add(a: Coeffs, b: Coeffs) -> Coeffs:
-    out = dict(a)
-    for k, c in b.items():
-        add_into(out, k, c)
-    return out
+class Combo:
+    """A finitely supported sum of standard basis elements; the constructor
+    merges repeated keys and drops zeros, arithmetic keeps the left type."""
+
+    __slots__ = ("support",)
+
+    def __init__(self, support: Mapping[Word, LaurentPoly | int] | Iterable = ()):
+        pairs = support.items() if isinstance(support, Mapping) else support
+        out: Coeffs = {}
+        for key, c in pairs:
+            if isinstance(c, int):
+                c = LaurentPoly.from_int(c)
+            if key in out:
+                c = out[key] + c
+            if c:
+                out[key] = c
+            elif key in out:
+                del out[key]
+        self.support = out
+
+    @classmethod
+    def wrap(cls, coeffs: Coeffs):
+        """An element over `coeffs`, taken as is: it must already be canonical."""
+        out = cls.__new__(cls)
+        out.support = coeffs
+        return out
+
+    def __eq__(self, other) -> bool:
+        if type(other) is not type(self):
+            return NotImplemented
+        return self.support == other.support
+
+    def __hash__(self) -> int:
+        return hash(frozenset(self.support.items()))
+
+    def __bool__(self) -> bool:
+        return bool(self.support)
+
+    def __add__(self, other: "Combo"):
+        out = dict(self.support)
+        for k, c in other.support.items():
+            add_into(out, k, c)
+        return self.wrap(out)
+
+    def __sub__(self, other: "Combo"):
+        out = dict(self.support)
+        for k, c in other.support.items():
+            add_into(out, k, -c)
+        return self.wrap(out)
+
+    def __neg__(self):
+        return self.scale(-1)
+
+    def scale(self, c: LaurentPoly | int):
+        if isinstance(c, int):
+            c = LaurentPoly.from_int(c)
+        if not c:
+            return self.wrap({})
+        return self.wrap({k: x * c for k, x in self.support.items()})
+
+    def coeff(self, x: Word) -> LaurentPoly:
+        return self.support.get(x, LaurentPoly.zero())
+
+    def items(self) -> Iterator[tuple[Word, LaurentPoly]]:
+        """(key, coefficient) pairs sorted by (length, ShortLex) of the key."""
+        return iter(sorted(self.support.items(), key=lambda kv: (len(kv[0]), kv[0])))
+
+    def dot(self, other: "Combo") -> LaurentPoly:
+        """The form in which the standard basis is orthonormal."""
+        out = LaurentPoly.zero()
+        small, large = self.support, other.support
+        if len(small) > len(large):
+            small, large = large, small
+        for x, c in small.items():
+            d = large.get(x)
+            if d is not None:
+                out = out + c * d
+        return out
+
+    def __repr__(self) -> str:
+        return f"{type(self).__name__}({dict(self.support)!r})"
+
+    def format(self, system: CoxeterSystem, letter: str) -> str:
+        """Terms "(c) <letter>_<word>" joined by " + ", or "0" for zero."""
+        if not self.support:
+            return "0"
+        return " + ".join(f"({c}) {letter}_{system.format_word(x) or 'e'}"
+                          for x, c in self.items())
+
+    def to_json(self, system: CoxeterSystem) -> dict:
+        return {
+            "terms": [
+                {"elt": system.format_word(x), "coeff": c.to_json()}
+                for x, c in self.items()
+            ]
+        }
+
+    @classmethod
+    def from_json(cls, data: dict, system: CoxeterSystem):
+        return cls(
+            (system.element(system.parse_word(t["elt"])), LaurentPoly.from_json(t["coeff"]))
+            for t in data["terms"]
+        )
 
 
-def sub(a: Coeffs, b: Coeffs) -> Coeffs:
-    out = dict(a)
-    for k, c in b.items():
-        add_into(out, k, -c)
-    return out
-
-
-def scale(a: Coeffs, c: LaurentPoly | int) -> Coeffs:
-    if isinstance(c, int):
-        c = LaurentPoly.from_int(c)
-    if not c:
-        return {}
-    return {k: x * c for k, x in a.items()}
-
-
-def sorted_items(a: Coeffs) -> Iterator[tuple[tuple, LaurentPoly]]:
-    """(key, coeff) pairs sorted by (length, ShortLex) of the key."""
-    return iter(sorted(a.items(), key=lambda kv: (len(kv[0]), kv[0])))
+def kl_correct(cand: Combo, x: Word, lower: Callable[[Word], Combo], what: str) -> Combo:
+    """Subtract mu * lower(y) wherever cand's coefficient at y has constant
+    term mu, longest y first so each correction is final; then assert
+    coefficient 1 at x and coefficients in vZ[v] elsewhere."""
+    for y, c in sorted(cand.support.items(), key=lambda kv: -len(kv[0])):
+        if y == x:
+            continue
+        mu = cand.coeff(y)[0]
+        if mu:
+            cand = cand - lower(y).scale(mu)
+    if cand.coeff(x) != ONE:
+        raise InternalInconsistency(f"{what} recursion lost unitriangularity at {x}")
+    for y, c in cand.support.items():
+        if y != x and not c.in_v_times_nonneg():
+            raise InternalInconsistency(
+                f"{what} coefficient at {y} of the element at {x} = {c} escapes vZ[v]"
+            )
+    return cand

@@ -9,13 +9,15 @@ generator action is
 
 and delta_s acts as (b_s-action) - v * id.  The bar involution comes through
 the identification m_x = 1 (x) delta_x: bar(m_x) = m_e acted on by
-bar(delta_x).  The KL basis c_x is self-dualized by the same constant-term
-correction scheme as in the algebra.
+bar(delta_x).  Elements are SphericalElt, the linear.Combo over the basis
+m_x.  The KL basis c_x is self-dualized by linear.kl_correct, the same
+constant-term correction as in the algebra, and then checked to be
+bar-invariant.
 """
 
 from __future__ import annotations
 
-from typing import Iterable, Mapping
+from typing import Iterable
 
 from . import linear
 from .coxeter import IDENTITY, Word
@@ -24,51 +26,10 @@ from .hecke import HeckeAlgebra, HeckeElt
 from .laurent import LaurentPoly, ONE, V, VINV
 
 
-class SphericalElt:
+class SphericalElt(linear.Combo):
     """A finitely supported sum of standard basis elements m_x, x in ^J W."""
 
-    __slots__ = ("support",)
-
-    def __init__(self, support: Mapping[Word, LaurentPoly] | Iterable = ()):
-        self.support = linear.combo(support)
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, SphericalElt):
-            return NotImplemented
-        return self.support == other.support
-
-    def __hash__(self) -> int:
-        return hash(frozenset(self.support.items()))
-
-    def __bool__(self) -> bool:
-        return bool(self.support)
-
-    def __add__(self, other: "SphericalElt") -> "SphericalElt":
-        out = SphericalElt.__new__(SphericalElt)
-        out.support = linear.add(self.support, other.support)
-        return out
-
-    def __sub__(self, other: "SphericalElt") -> "SphericalElt":
-        out = SphericalElt.__new__(SphericalElt)
-        out.support = linear.sub(self.support, other.support)
-        return out
-
-    def __neg__(self) -> "SphericalElt":
-        return self.scale(-1)
-
-    def scale(self, c: LaurentPoly | int) -> "SphericalElt":
-        out = SphericalElt.__new__(SphericalElt)
-        out.support = linear.scale(self.support, c)
-        return out
-
-    def coeff(self, x: Word) -> LaurentPoly:
-        return self.support.get(x, LaurentPoly.zero())
-
-    def items(self):
-        return linear.sorted_items(self.support)
-
-    def __repr__(self) -> str:
-        return f"SphericalElt({dict(self.support)!r})"
+    __slots__ = ()
 
 
 class SphericalModule:
@@ -111,9 +72,7 @@ class SphericalModule:
             else:
                 linear.add_into(out, xs, c)
                 linear.add_into(out, x, c * VINV)
-        elt = SphericalElt.__new__(SphericalElt)
-        elt.support = out
-        return elt
+        return SphericalElt.wrap(out)
 
     def act_delta(self, a: SphericalElt, s: int) -> SphericalElt:
         return self.act_bs(a, s) - a.scale(V)
@@ -149,27 +108,14 @@ class SphericalModule:
         if got is not None:
             return got
         if not x:
-            out = self.unit()
+            cand = self.unit()
         else:
             s = x[-1]
             xs = self.system.right_mult(x, s)
             # xs < x; xs is automatically an mcr (a non-mcr neighbor across
             # the wall would be longer, not shorter).
             cand = self.act_bs(self.kl_c(xs), s)
-            for y, c in sorted(cand.support.items(), key=lambda kv: -len(kv[0])):
-                if y == x:
-                    continue
-                mu = cand.coeff(y)[0]
-                if mu:
-                    cand = cand - self.kl_c(y).scale(mu)
-            out = cand
-        if out.coeff(x) != ONE:
-            raise InternalInconsistency(f"spherical KL recursion lost unitriangularity at {x}")
-        for y, c in out.support.items():
-            if y != x and not c.in_v_times_nonneg():
-                raise InternalInconsistency(
-                    f"spherical KL coefficient at {y} of c_{x} = {c} escapes vZ[v]"
-                )
+        out = linear.kl_correct(cand, x, self.kl_c, "spherical KL")
         if self.bar(out) != out:
             raise InternalInconsistency(f"c_{x} is not self-dual")
         self._kl_memo[x] = out
@@ -189,12 +135,7 @@ class SphericalModule:
     def pairing(self, a: SphericalElt, b: SphericalElt) -> LaurentPoly:
         """<a, b>_M, coordinatewise (the m_x are orthonormal), cross-checked
         against the embedded formula v^{-d_J} trace(i(phi a) *_J phi b)."""
-        out = LaurentPoly.zero()
-        small, large = (a, b) if len(a.support) <= len(b.support) else (b, a)
-        for x, c in small.support.items():
-            d = large.support.get(x)
-            if d is not None:
-                out = out + c * d
+        out = a.dot(b)
         alg = self.algebra
         prod = alg.multiply(alg.anti_involution(self.phi_embed(a)), self.phi_embed(b))
         via_form = alg.trace(prod).divide_exact(self.pi).shift(-self.d_J)
@@ -207,20 +148,11 @@ class SphericalModule:
     # -- rendering ---------------------------------------------------------------------------
 
     def format(self, a: SphericalElt) -> str:
-        if not a:
-            return "0"
-        parts = []
-        for x, c in a.items():
-            name = self.system.format_word(x) or "e"
-            parts.append(f"({c}) m_{name}")
-        return " + ".join(parts)
+        return a.format(self.system, "m")
 
     def to_json(self, a: SphericalElt) -> dict:
         return {
             "basis": "spherical-standard",
             "J": [self.system.matrix.generators[s] for s in sorted(self.J)],
-            "terms": [
-                {"elt": self.system.format_word(x), "coeff": c.to_json()}
-                for x, c in a.items()
-            ],
+            **a.to_json(self.system),
         }

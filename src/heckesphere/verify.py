@@ -47,10 +47,14 @@ def finitary_subsets(system: CoxeterSystem) -> list[frozenset[int]]:
     return out
 
 
-def _enumerable(system: CoxeterSystem, max_length: int | None = None) -> list[Word]:
+def _enumerable(system: CoxeterSystem, max_length: int | None = None,
+                factors: int = 1) -> list[Word]:
     """All elements available without exceeding the budget (for infinite
-    systems, one layer below the horizon so products by a generator stay in)."""
-    cap = system.budget if system.is_finite else system.budget - 1
+    systems, one layer below the horizon so products by a generator stay in,
+    and short enough that products of `factors` of them stay in too)."""
+    cap = system.budget
+    if not system.is_finite:
+        cap = min(cap - 1, cap // factors)
     if max_length is not None:
         cap = min(cap, max_length)
     return system.elements(cap)
@@ -108,7 +112,7 @@ def check_bwj_pi(system: CoxeterSystem) -> list[str]:
 def check_hecke_orthonormal(system: CoxeterSystem) -> list[str]:
     alg = HeckeAlgebra(system)
     fails = []
-    pool = _enumerable(system, 4)
+    pool = _enumerable(system, 4, factors=2)
     for x in pool:
         for y in pool:
             got = alg.pairing_trace(alg.delta(x), alg.delta(y))
@@ -121,7 +125,7 @@ def check_hecke_orthonormal(system: CoxeterSystem) -> list[str]:
 def check_pairing_paths(system: CoxeterSystem) -> list[str]:
     alg = HeckeAlgebra(system)
     fails = []
-    pool = _enumerable(system, 3)
+    pool = _enumerable(system, 3, factors=2)
     for x in pool:
         for y in pool:
             a, b = alg.kl_basis(x), alg.kl_basis(y)
@@ -133,7 +137,7 @@ def check_pairing_paths(system: CoxeterSystem) -> list[str]:
 def check_associativity(system: CoxeterSystem) -> list[str]:
     alg = HeckeAlgebra(system)
     rng = random.Random(0)
-    pool = _enumerable(system, max(2, (system.budget - 1) // 3))
+    pool = _enumerable(system, max(2, (system.budget - 1) // 3), factors=3)
     fails = []
     for i in range(100):
         a, b, c = _random_elts(alg, rng, pool, 3)
@@ -147,7 +151,7 @@ def check_associativity(system: CoxeterSystem) -> list[str]:
 def check_anti_involution(system: CoxeterSystem) -> list[str]:
     alg = HeckeAlgebra(system)
     rng = random.Random(1)
-    pool = _enumerable(system, max(2, (system.budget - 1) // 2))
+    pool = _enumerable(system, max(2, (system.budget - 1) // 2), factors=2)
     fails = []
     for i in range(100):
         a, b = _random_elts(alg, rng, pool, 2)

@@ -1,8 +1,12 @@
+import csv
+import io
 import json
 
 import pytest
 
 from heckesphere.cli import main
+from heckesphere.hecke import HeckeAlgebra
+from heckesphere.spherical import SphericalModule
 
 
 def run(capsys, *argv):
@@ -46,6 +50,22 @@ class TestCompute:
             {"elt": "", "coeff": [[1, 1]]},
             {"elt": "t", "coeff": [[0, 1]]},
         ]
+
+    @pytest.mark.parametrize("argv", [
+        ("kl", "-x", "sts"),
+        ("act", "--J", "s", "-x", "tst"),
+    ])
+    def test_element_csv(self, capsys, a2, argv):
+        code, out, _ = run(capsys, *argv, "--system", "a2", "--format", "csv")
+        assert code == 0
+        rows = list(csv.reader(io.StringIO(out)))
+        alg = HeckeAlgebra(a2)
+        if argv[0] == "kl":
+            elt = alg.kl_basis((0, 1, 0))
+        else:
+            elt = SphericalModule(alg, {0}).expand_expression((1, 0, 1))
+        assert rows == [["elt", "coeff"]] + [
+            [a2.format_word(x) or "e", str(c)] for x, c in elt.items()]
 
     def test_stroll_csv(self, capsys, a2_file):
         code, out, _ = run(capsys, "stroll", "--system", a2_file, "--J", "s",
@@ -113,6 +133,26 @@ class TestErrors:
                            "--budget", "2", "-x", "stst")
         assert code == 3 and "budget" in err
 
+    @pytest.mark.parametrize("argv,fmt", [
+        (("rank", "--J", "s", "-x", "t", "-y", "t"), "csv"),
+        (("sll", "--J", "s", "-x", "tst", "--bits", "111"), "csv"),
+        (("sdl", "--J", "s", "-x", "tst", "--bits", "111", "-y", "ts", "--bits2", "11"),
+         "csv"),
+        (("nsll", "--J", "s", "-x", "tst", "--bits", "111"), "csv"),
+        (("verify", "--suite", "hecke"), "json"),
+        (("verify", "--suite", "hecke"), "csv"),
+    ], ids=["rank-csv", "sll-csv", "sdl-csv", "nsll-csv", "verify-json", "verify-csv"])
+    def test_unsupported_format_exits_2(self, capsys, argv, fmt):
+        # The same command line in text format succeeds.
+        assert main([*argv, "--system", "a2", "--budget", "8"]) == 0
+        capsys.readouterr()
+        with pytest.raises(SystemExit) as exc:
+            main([*argv, "--system", "a2", "--budget", "8", "--format", fmt])
+        assert exc.value.code == 2
+        out = capsys.readouterr()
+        assert not out.out
+        assert out.err.startswith("usage:") and "invalid choice: " + repr(fmt) in out.err
+
     def test_unknown_suite_exits_2(self, capsys, a2_file):
         code, _, err = run(capsys, "verify", "--system", a2_file,
                            "--suite", "nonsense")
@@ -127,6 +167,17 @@ class TestVerify:
         lines = out.strip().splitlines()
         assert all(line.startswith("PASS hecke/") for line in lines)
         assert len(lines) == 6
+
+    @pytest.mark.parametrize("system,budget", [
+        ("a3", 4), ("i2_7", 6), ("b3", 7), ("infinite_dihedral", 6), ("b2", 3),
+    ])
+    def test_hecke_suite_on_a_cut_ball(self, capsys, system, budget):
+        code, out, _ = run(capsys, "verify", "--system", system,
+                           "--budget", str(budget), "--suite", "hecke")
+        assert code == 0
+        lines = out.strip().splitlines()
+        assert len(lines) == 6
+        assert all(line.startswith("PASS hecke/") for line in lines)
 
     def test_deterministic_output(self, capsys, a2_file):
         args = ("stroll", "--system", a2_file, "--J", "s", "-x", "tst",

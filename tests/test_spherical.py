@@ -3,7 +3,8 @@ import itertools
 import pytest
 
 from heckesphere.coxeter import IDENTITY
-from heckesphere.errors import PreconditionViolated
+from heckesphere import linear
+from heckesphere.errors import InternalInconsistency, PreconditionViolated
 from heckesphere.hecke import HeckeAlgebra, HeckeElt
 from heckesphere.laurent import ONE, V, VINV, ZERO
 from heckesphere.spherical import SphericalElt, SphericalModule
@@ -76,6 +77,20 @@ class TestKLC:
     def test_c_ts(self, mod_a2_s):
         want = SphericalElt({(T, S): ONE, (T,): V, IDENTITY: V * V})
         assert mod_a2_s.kl_c((T, S)) == want
+
+    @pytest.mark.parametrize("basis", ["hecke", "spherical"])
+    def test_skipped_correction_is_caught(self, a2, monkeypatch, basis):
+        """b_sts = b_s b_ts - b_s and c_ts = c_t b_s - c_e each need one
+        mu-correction; leaving it out must trip the vZ[v] check."""
+        real = linear.kl_correct
+        monkeypatch.setattr(linear, "kl_correct", lambda cand, x, lower, what: real(
+            cand, x, lambda y: type(cand)(), what))
+        alg = HeckeAlgebra(a2)  # fresh memos
+        with pytest.raises(InternalInconsistency, match="escapes vZ"):
+            if basis == "hecke":
+                alg.kl_basis((S, T, S))
+            else:
+                SphericalModule(alg, {S}).kl_c((T, S))
 
     def test_characterizing_properties_b2(self, b2_algebra):
         for J in map(frozenset, [set(), {S}, {T}, {S, T}]):
@@ -152,3 +167,21 @@ class TestSerialization:
         assert data["basis"] == "spherical-standard"
         assert data["J"] == ["s"]
         assert data["terms"] == [{"elt": "t", "coeff": [[1, 1]]}]
+
+    def test_json_round_trip(self, mod_a2_s):
+        m = mod_a2_s.expand_expression((T, S, T))
+        data = mod_a2_s.to_json(m)
+        assert list(data) == ["basis", "J", "terms"]
+        assert SphericalElt.from_json(data, mod_a2_s.system) == m
+
+
+class TestBasisTag:
+    def test_hecke_and_module_elements_differ(self):
+        assert HeckeElt({IDENTITY: 1}) != SphericalElt({IDENTITY: 1})
+        assert SphericalElt({IDENTITY: 1}) != HeckeElt({IDENTITY: 1})
+        assert SphericalElt({IDENTITY: 1}) == SphericalElt({IDENTITY: ONE})
+
+    def test_arithmetic_keeps_the_type(self, mod_a2_s):
+        m = mod_a2_s.m((T,))
+        for got in (m + m, m - m, -m, m.scale(V), mod_a2_s.act_bs(m, S)):
+            assert type(got) is SphericalElt
