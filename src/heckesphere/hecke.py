@@ -2,11 +2,13 @@
 
 Elements are HeckeElt, the linear.Combo over the standard basis delta_x:
 a map from group element (canonical reduced word) to nonzero LaurentPoly.
-Multiplication uses the quadratic relation delta_s^2 = 1 + (v^-1 - v) delta_s
-one generator at a time.  The Kazhdan-Lusztig basis is computed by the usual
-recursion b_s * b_{sx} minus mu-corrections (linear.kl_correct, shared with
-the spherical module); only the characterizing properties (bar-invariance,
-unitriangularity, coefficients in vZ[v]) are asserted.
+a * b walks the prefix tree of b's support (linear.prefix_tree_product):
+a * delta_p is computed once per prefix p of a word in the support, one
+generator at a time by the quadratic relation
+delta_s^2 = 1 + (v^-1 - v) delta_s.  The Kazhdan-Lusztig basis is computed
+by the usual recursion b_s * b_{sx} minus mu-corrections (linear.kl_correct,
+shared with the spherical module); only the characterizing properties
+(bar-invariance, unitriangularity, coefficients in vZ[v]) are asserted.
 """
 
 from __future__ import annotations
@@ -59,21 +61,13 @@ class HeckeAlgebra:
         out: linear.Coeffs = {}
         for x, c in a.support.items():
             xs = sys.right_mult(x, s)
-            if len(xs) > len(x):
-                linear.add_into(out, xs, c)
-            else:
-                linear.add_into(out, xs, c)
-                linear.add_into(out, x, c * (VINV - V))
+            linear.add_into(out, xs, c)
+            if len(xs) < len(x):
+                linear.add_into(out, x, c.mul_vinv_minus_v())
         return HeckeElt.wrap(out)
 
     def multiply(self, a: HeckeElt, b: HeckeElt) -> HeckeElt:
-        out = self.zero()
-        for y, c in b.support.items():
-            part = a.scale(c)
-            for s in y:
-                part = self._mult_gen(part, s)
-            out = out + part
-        return out
+        return linear.prefix_tree_product(a, b, self._mult_gen)
 
     # -- bar involution ----------------------------------------------------------
 

@@ -153,6 +153,22 @@ class LaurentPoly:
         result.coeffs = {e + k: c for e, c in self.coeffs.items()}
         return result
 
+    def mul_vinv_minus_v(self) -> "LaurentPoly":
+        """Multiply by v^-1 - v (the quadratic relation's factor): shift
+        down, then subtract the shift up."""
+        src = self.coeffs
+        out = {e - 1: c for e, c in src.items()}
+        for e, c in src.items():
+            e += 1
+            d = out.get(e, 0) - c
+            if d:
+                out[e] = d
+            else:
+                del out[e]
+        result = LaurentPoly.__new__(LaurentPoly)
+        result.coeffs = out
+        return result
+
     # -- bar involution and division ---------------------------------------
 
     def bar(self) -> "LaurentPoly":

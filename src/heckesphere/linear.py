@@ -3,7 +3,10 @@
 `Combo` is the one element type: canonical reduced-word keys with nonzero
 coefficients.  Its subclass names the basis, `HeckeElt` (delta_x) or
 `SphericalElt` (m_x); elements of different bases never compare equal.
-`kl_correct` is the mu-correction both Kazhdan-Lusztig bases share.
+`kl_correct` is the mu-correction both Kazhdan-Lusztig bases share, and
+`prefix_tree_product` the product by a combination of delta_y, walked over the
+prefix tree of the y, that both the algebra's multiply and the module action
+share.
 """
 
 from __future__ import annotations
@@ -136,6 +139,31 @@ class Combo:
             (system.element(system.parse_word(t["elt"])), LaurentPoly.from_json(t["coeff"]))
             for t in data["terms"]
         )
+
+
+def prefix_tree_product(a: Combo, b: Combo, step: Callable[[Combo, int], Combo]) -> Combo:
+    """sum over y of b's coefficient at y times `a` stepped along the letters
+    of y, where step(e, s) is e times the generator s.
+
+    Sorted lexicographically, b's keys walk their prefix tree depth first.
+    path[k] is `a` stepped along y[:k]; it is cut back to the prefix y shares
+    with the previous key and extended one step per new letter, so each
+    prefix product is computed once.  The keys are reduced words, hence so
+    are their prefixes, and path[k] is exactly a * delta_{y[:k]}."""
+    out: Coeffs = {}
+    path = [a]
+    prev: Word = ()
+    for y, c in sorted(b.support.items()):
+        k = 0
+        while k < len(prev) and k < len(y) and prev[k] == y[k]:
+            k += 1
+        del path[k + 1:]
+        for s in y[k:]:
+            path.append(step(path[-1], s))
+        for x, d in path[-1].support.items():
+            add_into(out, x, d * c)
+        prev = y
+    return a.wrap(out)
 
 
 def kl_correct(cand: Combo, x: Word, lower: Callable[[Word], Combo], what: str) -> Combo:

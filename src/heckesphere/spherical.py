@@ -48,11 +48,14 @@ class SphericalModule:
         return SphericalElt()
 
     def m(self, x: Word, coeff: LaurentPoly | int = 1) -> SphericalElt:
+        self._check_mcr(x)
+        return SphericalElt({x: coeff})
+
+    def _check_mcr(self, x: Word):
         if not self.system.is_mcr(x, self.J):
             raise PreconditionViolated(
                 f"{x} is not a minimal coset representative for J={sorted(self.J)}"
             )
-        return SphericalElt({x: coeff})
 
     def unit(self) -> SphericalElt:
         return SphericalElt({IDENTITY: ONE})
@@ -78,13 +81,7 @@ class SphericalModule:
         return self.act_bs(a, s) - a.scale(V)
 
     def act(self, a: SphericalElt, h: HeckeElt) -> SphericalElt:
-        out = self.zero()
-        for y, c in h.support.items():
-            part = a.scale(c)
-            for s in y:
-                part = self.act_delta(part, s)
-            out = out + part
-        return out
+        return linear.prefix_tree_product(a, h, self.act_delta)
 
     def expand_expression(self, word: Iterable[int]) -> SphericalElt:
         """1 (x) b_{x_} = m_e b_{s_1} ... b_{s_n}."""
@@ -150,9 +147,28 @@ class SphericalModule:
     def format(self, a: SphericalElt) -> str:
         return a.format(self.system, "m")
 
+    def _j_names(self) -> list[str]:
+        return [self.system.matrix.generators[s] for s in sorted(self.J)]
+
     def to_json(self, a: SphericalElt) -> dict:
         return {
             "basis": "spherical-standard",
-            "J": [self.system.matrix.generators[s] for s in sorted(self.J)],
+            "J": self._j_names(),
             **a.to_json(self.system),
         }
+
+    def from_json(self, data: dict) -> SphericalElt:
+        """The inverse of to_json; JSON of another basis or another J, or
+        with a key that is not a minimal coset representative, is rejected."""
+        if data.get("basis") != "spherical-standard":
+            raise PreconditionViolated(
+                f"basis {data.get('basis')!r} is not 'spherical-standard'"
+            )
+        if data.get("J") != self._j_names():
+            raise PreconditionViolated(
+                f"J={data.get('J')!r} differs from the module's J={self._j_names()}"
+            )
+        out = SphericalElt.from_json(data, self.system)
+        for x in out.support:
+            self._check_mcr(x)
+        return out

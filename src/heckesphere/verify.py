@@ -171,7 +171,7 @@ def check_module_action(system: CoxeterSystem) -> list[str]:
     fails = []
     for J in finitary_subsets(system):
         mod = SphericalModule(alg, J)
-        mcrs = [w for w in _enumerable(system, max(2, (system.budget - 1) // 3))
+        mcrs = [w for w in _enumerable(system, max(2, (system.budget - 1) // 3), factors=3)
                 if system.is_mcr(w, J)]
         for i in range(34):
             m = mod.m(rng.choice(mcrs), LaurentPoly({rng.randint(-1, 1): 1}))

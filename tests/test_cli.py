@@ -179,6 +179,15 @@ class TestVerify:
         assert len(lines) == 6
         assert all(line.startswith("PASS hecke/") for line in lines)
 
+    @pytest.mark.parametrize("system,budget", [("a3", 4), ("b2", 3)])
+    def test_spherical_suite_on_a_cut_ball(self, capsys, system, budget):
+        code, out, _ = run(capsys, "verify", "--system", system,
+                           "--budget", str(budget), "--suite", "spherical")
+        assert code == 0
+        lines = out.strip().splitlines()
+        assert len(lines) == 6
+        assert all(line.startswith("PASS spherical/") for line in lines)
+
     def test_deterministic_output(self, capsys, a2_file):
         args = ("stroll", "--system", a2_file, "--J", "s", "-x", "tst",
                 "--format", "json")

@@ -1,9 +1,12 @@
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from heckesphere.coxeter import IDENTITY
-from heckesphere.errors import NotDivisible
-from heckesphere.hecke import HeckeElt
+from heckesphere import catalog
+from heckesphere.coxeter import IDENTITY, CoxeterMatrix, CoxeterSystem
+from heckesphere.errors import BudgetExceeded, NotDivisible
+from heckesphere.hecke import HeckeAlgebra, HeckeElt
 from heckesphere.laurent import LaurentPoly, ONE, V, VINV, ZERO
+from heckesphere.spherical import SphericalElt, SphericalModule
 
 S, T = 0, 1
 
@@ -139,3 +142,100 @@ class TestSerialization:
         data = b.to_json(alg.system)
         assert data["terms"][0]["elt"] == ""
         assert HeckeElt.from_json(data, alg.system) == b
+
+
+# -- the prefix-tree multiply against the per-word fold ---------------------------
+
+AFFINE_A2 = CoxeterMatrix(("s", "t", "u"), ((1, 3, 3), (3, 1, 3), (3, 3, 1)))
+
+COEFFS = st.sampled_from([ONE, -ONE, V, -V, VINV, -VINV, V + VINV, VINV - V])
+
+
+def per_word_fold(a, b, step):
+    """The reference: `a` stepped along every word of b's support from
+    scratch, scaled by its coefficient, and summed."""
+    out = a.wrap({})
+    for y, c in b.support.items():
+        part = a.scale(c)
+        for s in y:
+            part = step(part, s)
+        out = out + part
+    return out
+
+
+@st.composite
+def supports(draw, pool):
+    """HeckeElt over canonical words of `pool`: arbitrary ones (so prefixes
+    are mostly absent), plus siblings sharing a drawn prefix, with
+    coefficients from a small set so terms of the sum often cancel."""
+    keys = draw(st.lists(st.sampled_from(pool), min_size=1, max_size=6))
+    if draw(st.booleans()):
+        w = draw(st.sampled_from(pool))
+        p = w[:draw(st.integers(0, len(w)))]
+        siblings = [x for x in pool if x[:len(p)] == p]
+        keys += draw(st.lists(st.sampled_from(siblings), max_size=8))
+    return HeckeElt((x, draw(COEFFS)) for x in keys)
+
+
+# Two closed balls and two balls the budget cuts off.
+SYSTEMS = {
+    "h3": (catalog.H3, 18),
+    "b3": (catalog.B3, 12),
+    "affine_a2": (AFFINE_A2, 8),
+    "infinite_dihedral": (catalog.INF_DIHEDRAL, 8),
+}
+
+
+@pytest.fixture(scope="module", params=sorted(SYSTEMS))
+def algebra(request):
+    return HeckeAlgebra(CoxeterSystem(*SYSTEMS[request.param]))
+
+
+def _pool(system):
+    """All of a closed ball; on a cut one, words short enough that products
+    of two stay inside it."""
+    return system.elements(None if system.is_finite else system.budget // 2)
+
+
+class TestPrefixTreeProduct:
+    @settings(max_examples=40, deadline=None)
+    @given(data=st.data())
+    def test_multiply_matches_per_word_fold(self, algebra, data):
+        pool = _pool(algebra.system)
+        a, b = data.draw(supports(pool)), data.draw(supports(pool))
+        assert algebra.multiply(a, b) == per_word_fold(a, b, algebra._mult_gen)
+
+    @settings(max_examples=40, deadline=None)
+    @given(data=st.data())
+    def test_act_matches_per_word_fold(self, algebra, data):
+        mod = SphericalModule(algebra, {0})
+        pool = _pool(algebra.system)
+        mcrs = [w for w in pool if algebra.system.is_mcr(w, mod.J)]
+        m = SphericalElt(data.draw(supports(mcrs)).support)
+        h = data.draw(supports(pool))
+        assert mod.act(m, h) == per_word_fold(m, h, mod.act_delta)
+
+    @settings(max_examples=20, deadline=None)
+    @given(data=st.data())
+    def test_inverse_cancels_to_the_unit(self, algebra, data):
+        # delta_x * bar(delta_{x^-1}) = 1: every other term of the sum cancels.
+        sys = algebra.system
+        x = data.draw(st.sampled_from(sys.elements(sys.budget // 2)))
+        inv = algebra.bar(algebra.delta(sys.inverse(x)))
+        assert algebra.multiply(algebra.delta(x), inv) == algebra.unit()
+        assert per_word_fold(algebra.delta(x), inv, algebra._mult_gen) == algebra.unit()
+
+    @pytest.mark.parametrize("name,coxeter_element", [
+        ("affine_a2", (0, 1, 2)), ("infinite_dihedral", (S, T)),
+    ])
+    def test_product_past_the_budget_raises(self, name, coxeter_element):
+        # Powers of a Coxeter element of an infinite group are reduced, so
+        # x * y has length 10, past the budget of 8.
+        alg = HeckeAlgebra(CoxeterSystem(*SYSTEMS[name]))
+        word = coxeter_element * 5
+        x, y = alg.system.element(word[:5]), alg.system.element(word[5:10])
+        b = HeckeElt({IDENTITY: ONE, x[:1]: V, y: VINV})
+        with pytest.raises(BudgetExceeded):
+            alg.multiply(alg.delta(x), b)
+        with pytest.raises(BudgetExceeded):
+            per_word_fold(alg.delta(x), b, alg._mult_gen)

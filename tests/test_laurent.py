@@ -31,6 +31,12 @@ class TestRingOps:
         assert V - 1 == poly((1, 1), (0, -1))
         assert 1 - V == poly((0, 1), (1, -1))
 
+    @given(laurents)
+    def test_mul_vinv_minus_v(self, p):
+        # Includes cancelling neighbours: (v^-1 + v)(v^-1 - v) = v^-2 - v^2.
+        assert p.mul_vinv_minus_v() == p * (VINV - V)
+        assert (V + VINV).mul_vinv_minus_v() == poly((-2, 1), (2, -1))
+
 
 class TestBar:
     def test_v(self):

@@ -174,6 +174,31 @@ class TestSerialization:
         assert list(data) == ["basis", "J", "terms"]
         assert SphericalElt.from_json(data, mod_a2_s.system) == m
 
+    def test_module_json_round_trip(self, mod_a2_s):
+        for word in [(), (T,), (T, S, T), (S, T, S, T)]:
+            m = mod_a2_s.expand_expression(word).scale(V - 2)
+            assert mod_a2_s.from_json(mod_a2_s.to_json(m)) == m
+
+    def test_module_json_rejects_another_basis(self, mod_a2_s, a2_algebra):
+        hecke = a2_algebra.kl_basis((S, T, S)).to_json(a2_algebra.system)
+        with pytest.raises(PreconditionViolated, match="basis"):
+            mod_a2_s.from_json(hecke)
+        with pytest.raises(PreconditionViolated, match="basis"):
+            mod_a2_s.from_json({**hecke, "basis": "kl", "J": ["s"]})
+
+    def test_module_json_rejects_another_J(self, mod_a2_s, a2_algebra):
+        mod_t = SphericalModule(a2_algebra, {T})
+        with pytest.raises(PreconditionViolated, match="J="):
+            mod_a2_s.from_json(mod_t.to_json(mod_t.m((S,))))
+        with pytest.raises(PreconditionViolated, match="J="):
+            mod_a2_s.from_json({**mod_a2_s.to_json(mod_a2_s.unit()), "J": []})
+
+    def test_module_json_rejects_a_key_that_is_not_an_mcr(self, mod_a2_s):
+        data = mod_a2_s.to_json(mod_a2_s.m((T,)))
+        data["terms"].append({"elt": "st", "coeff": [[0, 1]]})
+        with pytest.raises(PreconditionViolated, match="minimal coset"):
+            mod_a2_s.from_json(data)
+
 
 class TestBasisTag:
     def test_hecke_and_module_elements_differ(self):
