@@ -14,7 +14,7 @@ from __future__ import annotations
 from typing import Callable, Iterable, Iterator, Mapping
 
 from .coxeter import CoxeterSystem, Word
-from .errors import InternalInconsistency
+from .errors import InternalInconsistency, PreconditionViolated
 from .laurent import LaurentPoly, ONE
 
 
@@ -135,9 +135,21 @@ class Combo:
 
     @classmethod
     def from_json(cls, data: dict, system: CoxeterSystem):
+        """The inverse of to_json; JSON of any other shape is rejected."""
+        terms = data.get("terms") if isinstance(data, dict) else None
+        if not isinstance(terms, list) or not all(
+            isinstance(t, dict) and isinstance(t.get("elt"), str) and "coeff" in t
+            for t in terms
+        ):
+            raise PreconditionViolated(
+                'expected {"terms": [{"elt": "<word>", "coeff": [[exp, coeff], ...]}, ...]}'
+            )
+        try:
+            coeffs = [LaurentPoly.from_json(t["coeff"]) for t in terms]
+        except (TypeError, ValueError) as exc:
+            raise PreconditionViolated(f"malformed coefficient: {exc}") from exc
         return cls(
-            (system.element(system.parse_word(t["elt"])), LaurentPoly.from_json(t["coeff"]))
-            for t in data["terms"]
+            (system.element(system.parse_word(t["elt"])), c) for t, c in zip(terms, coeffs)
         )
 
 

@@ -13,6 +13,13 @@ bar(delta_x).  Elements are SphericalElt, the linear.Combo over the basis
 m_x.  The KL basis c_x is self-dualized by linear.kl_correct, the same
 constant-term correction as in the algebra, and then checked to be
 bar-invariant.
+
+The pairing <a, b>_M is computed coordinatewise and cross-checked on every
+call against the embedding m_x -> b_{w_J} delta_x, under which it is the
+trace form divided by pi(J).  The cross-check is bilinear over a Gram memo:
+G(x, y) = trace(i(phi m_x) * phi m_y) is computed once per pair of minimal
+coset representatives by a real Hecke multiply, and each call then forms
+sum a_x b_y G(x, y), divides by pi(J) and compares.
 """
 
 from __future__ import annotations
@@ -21,7 +28,7 @@ from typing import Iterable
 
 from . import linear
 from .coxeter import IDENTITY, Word
-from .errors import InternalInconsistency, PreconditionViolated
+from .errors import InternalInconsistency, NotDivisible, PreconditionViolated
 from .hecke import HeckeAlgebra, HeckeElt
 from .laurent import LaurentPoly, ONE, V, VINV
 
@@ -41,6 +48,7 @@ class SphericalModule:
         self.b_wJ, self.pi = algebra.b_wJ_and_pi(self.J)
         self.d_J = max(len(w) for w in self.b_wJ.support)
         self._kl_memo: dict[Word, SphericalElt] = {}
+        self._gram_memo: dict[tuple[Word, Word], LaurentPoly] = {}
 
     # -- basis ------------------------------------------------------------------
 
@@ -129,13 +137,36 @@ class SphericalModule:
             out = out + alg.multiply(self.b_wJ, alg.delta(x)).scale(c)
         return out
 
+    def _gram(self, x: Word, y: Word) -> LaurentPoly:
+        """G(x, y) = trace(i(phi m_x) * phi m_y), memoized per pair of mcrs."""
+        got = self._gram_memo.get((x, y))
+        if got is None:
+            self._check_mcr(x)
+            self._check_mcr(y)
+            alg = self.algebra
+            got = alg.trace(alg.multiply(
+                alg.anti_involution(self.phi_embed(SphericalElt.wrap({x: ONE}))),
+                self.phi_embed(SphericalElt.wrap({y: ONE}))))
+            self._gram_memo[(x, y)] = got
+        return got
+
     def pairing(self, a: SphericalElt, b: SphericalElt) -> LaurentPoly:
         """<a, b>_M, coordinatewise (the m_x are orthonormal), cross-checked
-        against the embedded formula v^{-d_J} trace(i(phi a) *_J phi b)."""
+        against the embedded formula v^{-d_J} trace(i(phi a) phi b) / pi(J),
+        formed bilinearly as v^{-d_J} sum a_x b_y G(x, y) / pi(J)."""
         out = a.dot(b)
-        alg = self.algebra
-        prod = alg.multiply(alg.anti_involution(self.phi_embed(a)), self.phi_embed(b))
-        via_form = alg.trace(prod).divide_exact(self.pi).shift(-self.d_J)
+        total = LaurentPoly.zero()
+        for x, c in a.support.items():
+            for y, d in b.support.items():
+                g = self._gram(x, y)
+                if g:
+                    total = total + c * d * g
+        try:
+            via_form = total.divide_exact(self.pi).shift(-self.d_J)
+        except NotDivisible as exc:
+            raise InternalInconsistency(
+                f"spherical pairing paths disagree: {total} is not divisible by pi(J)"
+            ) from exc
         if via_form != out:
             raise InternalInconsistency(
                 f"spherical pairing paths disagree: {out} vs {via_form}"
@@ -160,6 +191,8 @@ class SphericalModule:
     def from_json(self, data: dict) -> SphericalElt:
         """The inverse of to_json; JSON of another basis or another J, or
         with a key that is not a minimal coset representative, is rejected."""
+        if not isinstance(data, dict):
+            raise PreconditionViolated(f"expected a JSON object, got {data!r}")
         if data.get("basis") != "spherical-standard":
             raise PreconditionViolated(
                 f"basis {data.get('basis')!r} is not 'spherical-standard'"

@@ -291,7 +291,10 @@ def check_decomp_wallcross(system: CoxeterSystem) -> list[str]:
 
 def _stroll_word_cap(system: CoxeterSystem, requested: int) -> int:
     # Subexpression sweeps are 2^n per word and (rank)^n words; keep desk scale.
-    return min(requested, 5 if system.matrix.rank == 2 else 3)
+    cap = min(requested, 5 if system.matrix.rank == 2 else 3)
+    # A word's subexpressions end at elements no longer than the word, so on
+    # a ball the budget cuts off the words stay within the budget.
+    return cap if system.is_finite else min(cap, system.budget)
 
 
 def check_1bx(system: CoxeterSystem, max_len: int = 5) -> list[str]:

@@ -188,6 +188,15 @@ class TestVerify:
         assert len(lines) == 6
         assert all(line.startswith("PASS spherical/") for line in lines)
 
+    @pytest.mark.parametrize("suite,checks", [("strolls", 6), ("lightleaf", 4)])
+    def test_word_suites_on_a_cut_ball(self, capsys, suite, checks):
+        code, out, _ = run(capsys, "verify", "--system", "b2",
+                           "--budget", "3", "--suite", suite)
+        assert code == 0
+        lines = out.strip().splitlines()
+        assert len(lines) == checks
+        assert all(line.startswith(f"PASS {suite}/") for line in lines)
+
     def test_deterministic_output(self, capsys, a2_file):
         args = ("stroll", "--system", a2_file, "--J", "s", "-x", "tst",
                 "--format", "json")

@@ -80,6 +80,32 @@ class TestKLBasis:
                     assert c.in_v_times_nonneg()
 
 
+class TestKLAnchors:
+    """Published Kazhdan-Lusztig polynomials, read through
+    b_w = sum_x v^(l(w)-l(x)) P_(x,w)(v^-2) delta_x."""
+
+    def test_a3_first_nontrivial_polynomial(self, a3):
+        # P_(e, s2 s1 s3 s2) = 1 + q, and P_(s2, s2 s1 s3 s2) = 1 + q.
+        alg = HeckeAlgebra(a3)
+        b = alg.kl_basis(a3.element((T, S, 2, T)))
+        assert b.coeff(IDENTITY) == V ** 4 + V ** 2
+        assert b.coeff((T,)) == V ** 3 + V
+
+    @pytest.mark.parametrize("matrix", [catalog.A2, catalog.B2, catalog.H2, catalog.I2_7],
+                             ids=["a2", "b2", "h2", "i2_7"])
+    def test_dihedral_polynomials_are_one(self, matrix):
+        # Every P_(x,w) = 1 in a dihedral group, and x <= w exactly when
+        # x = w or l(x) < l(w).
+        m = matrix.order(S, T)
+        alg = HeckeAlgebra(CoxeterSystem(matrix, m))
+        elements = alg.system.elements()
+        assert len(elements) == 2 * m
+        for w in elements:
+            want = HeckeElt((x, V ** (len(w) - len(x))) for x in elements
+                            if x == w or len(x) < len(w))
+            assert alg.kl_basis(w) == want
+
+
 class TestPairing:
     def test_standard_orthonormal(self, a2_algebra):
         alg = a2_algebra

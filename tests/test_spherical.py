@@ -1,12 +1,13 @@
 import itertools
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from heckesphere.coxeter import IDENTITY
 from heckesphere import linear
 from heckesphere.errors import InternalInconsistency, PreconditionViolated
 from heckesphere.hecke import HeckeAlgebra, HeckeElt
-from heckesphere.laurent import ONE, V, VINV, ZERO
+from heckesphere.laurent import LaurentPoly, ONE, V, VINV, ZERO
 from heckesphere.spherical import SphericalElt, SphericalModule
 
 S, T = 0, 1
@@ -121,6 +122,87 @@ class TestPairing:
         assert mod_a2_s.pairing(mod_a2_s.zero(), mod_a2_s.unit()) == ZERO
 
 
+def embedded_trace(mod, a, b):
+    """The reference: trace(i(phi a) phi b), one Hecke multiply of the whole
+    embedded elements."""
+    alg = mod.algebra
+    return alg.trace(alg.multiply(alg.anti_involution(mod.phi_embed(a)), mod.phi_embed(b)))
+
+
+COEFFS = st.sampled_from([ONE, -ONE, V, -V, VINV, -VINV, V + VINV, VINV - V])
+
+
+@st.composite
+def module_elements(draw, mcrs):
+    """SphericalElt over `mcrs` with repeated keys and coefficients from a
+    small set, so terms often cancel, down to zero at times."""
+    keys = draw(st.lists(st.sampled_from(mcrs), min_size=1, max_size=5))
+    keys += draw(st.lists(st.sampled_from(keys), max_size=3))
+    return SphericalElt((x, draw(COEFFS)) for x in keys)
+
+
+# Several J of each rank-3 group; H3 with J = S has the single mcr e.
+GRAM_CASES = [
+    ("a3", ()), ("a3", (S,)), ("a3", (S, 2)), ("a3", (S, T, 2)),
+    ("b3", (T,)), ("b3", (S, T)), ("b3", (T, 2)),
+    ("h3", (S,)), ("h3", (T, 2)), ("h3", (S, T)), ("h3", (S, T, 2)),
+]
+
+
+@pytest.fixture(scope="module", params=GRAM_CASES, ids=lambda c: f"{c[0]}-{c[1]}")
+def gram_module(request, a3, b3, h3):
+    name, J = request.param
+    system = {"a3": a3, "b3": b3, "h3": h3}[name]
+    mod = SphericalModule(HeckeAlgebra(system), J)
+    return mod, system.min_coset_reps(J, 4)
+
+
+class TestGramCrossCheck:
+    @settings(max_examples=15, deadline=None)
+    @given(data=st.data())
+    def test_memoized_form_matches_the_full_product(self, gram_module, data):
+        mod, mcrs = gram_module
+        a = data.draw(module_elements(mcrs))
+        b = data.draw(module_elements(mcrs))
+        gram = LaurentPoly.zero()
+        for x, c in a.support.items():
+            for y, d in b.support.items():
+                gram = gram + c * d * mod._gram(x, y)
+        want = embedded_trace(mod, a, b)
+        assert gram == want
+        assert mod.pairing(a, b) == want.divide_exact(mod.pi).shift(-mod.d_J) == a.dot(b)
+
+    def test_memo_keys_are_mcr_pairs(self, gram_module):
+        mod, mcrs = gram_module
+        a = SphericalElt((x, V) for x in mcrs[:6])
+        mod.pairing(a, a - SphericalElt({mcrs[-1]: VINV}))
+        assert mod._gram_memo
+        for x, y in mod._gram_memo:
+            assert mod.system.is_mcr(x, mod.J) and mod.system.is_mcr(y, mod.J)
+
+    def test_a_key_that_is_not_an_mcr_is_rejected(self, mod_a2_s):
+        raw = SphericalElt({(S,): ONE})
+        with pytest.raises(PreconditionViolated, match="minimal coset"):
+            mod_a2_s.pairing(raw, mod_a2_s.unit())
+        assert not any((S,) in key for key in mod_a2_s._gram_memo)
+
+    @pytest.mark.parametrize("corrupt", [lambda g, mod: g + mod.pi * V ** mod.d_J,
+                                         lambda g, mod: g + ONE],
+                             ids=["divisible", "not-divisible"])
+    def test_a_corrupted_entry_is_caught(self, a2_algebra, corrupt):
+        mod = SphericalModule(a2_algebra, {S})
+        a = mod.expand_expression((T, S, T))
+        assert mod.pairing(a, a) == embedded_trace(mod, a, a).divide_exact(mod.pi).shift(-1)
+        key = ((T,), (T,))
+        assert key in mod._gram_memo
+        mod._gram_memo[key] = corrupt(mod._gram_memo[key], mod)
+        mod.pairing(mod.m((T, S)), mod.m((T, S)))  # misses the entry
+        with pytest.raises(InternalInconsistency, match="pairing paths disagree"):
+            mod.pairing(a, a)
+        with pytest.raises(InternalInconsistency, match="pairing paths disagree"):
+            mod.pairing(mod.m((T,)), mod.m((T,)))
+
+
 class TestPhi:
     def test_unit_goes_to_bwj(self, mod_a2_s):
         assert mod_a2_s.phi_embed(mod_a2_s.unit()) == mod_a2_s.b_wJ
@@ -198,6 +280,34 @@ class TestSerialization:
         data["terms"].append({"elt": "st", "coeff": [[0, 1]]})
         with pytest.raises(PreconditionViolated, match="minimal coset"):
             mod_a2_s.from_json(data)
+
+    def test_json_without_terms_is_rejected(self, mod_a2_s):
+        data = {"basis": "spherical-standard", "J": ["s"]}
+        with pytest.raises(PreconditionViolated, match="terms"):
+            SphericalElt.from_json(data, mod_a2_s.system)
+        with pytest.raises(PreconditionViolated, match="terms"):
+            mod_a2_s.from_json(data)
+
+    def test_term_without_elt_is_rejected(self, mod_a2_s):
+        data = mod_a2_s.to_json(mod_a2_s.m((T,)))
+        data["terms"].append({"coeff": [[0, 1]]})
+        with pytest.raises(PreconditionViolated, match="elt"):
+            HeckeElt.from_json(data, mod_a2_s.system)
+        with pytest.raises(PreconditionViolated, match="elt"):
+            mod_a2_s.from_json(data)
+
+    @pytest.mark.parametrize("term", [{"elt": 5, "coeff": [[0, 1]]},
+                                      {"elt": "t", "coeff": "x"},
+                                      {"elt": "t", "coeff": [[0]]}],
+                             ids=["elt-not-a-string", "coeff-not-pairs", "short-pair"])
+    def test_malformed_term_is_rejected(self, mod_a2_s, term):
+        data = {**mod_a2_s.to_json(mod_a2_s.unit()), "terms": [term]}
+        with pytest.raises(PreconditionViolated):
+            mod_a2_s.from_json(data)
+
+    def test_json_that_is_not_an_object_is_rejected(self, mod_a2_s):
+        with pytest.raises(PreconditionViolated, match="JSON object"):
+            mod_a2_s.from_json(["x"])
 
 
 class TestBasisTag:
