@@ -191,9 +191,6 @@ class CoxeterSystem:
             out.extend(layer)
         return out
 
-    def length(self, w: Word) -> int:
-        return len(w)
-
     def check_letters(self, word: Sequence[int]):
         for s in word:
             if not 0 <= s < self.matrix.rank:
@@ -431,9 +428,6 @@ class CoxeterSystem:
         if all(len(g) == 1 for g in gens):
             return "".join(gens[s] for s in word)
         return ",".join(gens[s] for s in word)
-
-    def sort_key(self, w: Word) -> tuple[int, Word]:
-        return (len(w), w)
 
 
 @dataclass(frozen=True)

@@ -17,7 +17,7 @@ from typing import Iterable
 
 from . import linear
 from .coxeter import IDENTITY, CoxeterSystem, Word
-from .errors import InternalInconsistency, NotDivisible
+from .errors import InternalInconsistency
 from .laurent import LaurentPoly, ONE, V, VINV
 
 
@@ -46,13 +46,6 @@ class HeckeAlgebra:
 
     def b_s(self, s: int) -> HeckeElt:
         return HeckeElt({(s,): ONE, IDENTITY: V})
-
-    def from_word(self, word: Iterable[int]) -> HeckeElt:
-        """Product b_{s_1} ... b_{s_n} over a (not necessarily reduced) word."""
-        out = self.unit()
-        for s in word:
-            out = self.multiply(out, self.b_s(s))
-        return out
 
     # -- ring structure ---------------------------------------------------------
 

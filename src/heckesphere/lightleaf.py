@@ -26,7 +26,7 @@ sweep-based rex-move choices of the X0 case made explicit.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Sequence
 
 from .coxeter import IDENTITY, CoxeterSystem, RexMove, Word, _alternating
@@ -37,7 +37,7 @@ from .errors import (
     UnknownFormat,
     WordMismatch,
 )
-from .strolls import Bits, Decoration, decorate
+from .strolls import Bits, decorate
 
 STEP_DEGREE = {"U0": 1, "X0": 1, "D0": -1, "X1": -1, "U1": 0, "D1": 0}
 

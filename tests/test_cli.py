@@ -154,9 +154,12 @@ class TestErrors:
         assert out.err.startswith("usage:") and "invalid choice: " + repr(fmt) in out.err
 
     def test_unknown_suite_exits_2(self, capsys, a2_file):
-        code, _, err = run(capsys, "verify", "--system", a2_file,
-                           "--suite", "nonsense")
-        assert code == 2
+        with pytest.raises(SystemExit) as exc:
+            main(["verify", "--system", a2_file, "--suite", "nonsense"])
+        assert exc.value.code == 2
+        out = capsys.readouterr()
+        assert not out.out
+        assert out.err.startswith("usage:") and "invalid choice: 'nonsense'" in out.err
 
 
 class TestVerify:
@@ -196,6 +199,27 @@ class TestVerify:
         lines = out.strip().splitlines()
         assert len(lines) == checks
         assert all(line.startswith(f"PASS {suite}/") for line in lines)
+
+    @pytest.mark.parametrize("system,suite", [
+        ("a2", "hecke"), ("a2", "spherical"), ("infinite_dihedral", "all"),
+    ])
+    def test_budget_0_runs_without_a_crash(self, capsys, system, suite):
+        # Every pool of sampled elements is empty: no draw, no case, no failure.
+        code, out, err = run(capsys, "verify", "--system", system,
+                             "--budget", "0", "--suite", suite)
+        assert code == 0 and not err
+        lines = out.splitlines()
+        assert len(lines) == (22 if suite == "all" else 6)
+        assert all(line.split()[0] in ("PASS", "EMPTY") for line in lines)
+
+    def test_a_check_with_no_case_is_empty(self, capsys):
+        code, out, _ = run(capsys, "verify", "--system", "infinite_dihedral",
+                           "--budget", "0", "--suite", "hecke", "--suite", "spherical")
+        assert code == 0
+        lines = out.splitlines()
+        assert "EMPTY hecke/kl-wellformed" in lines
+        assert "EMPTY spherical/decomp-wallcross" in lines
+        assert "PASS hecke/bwj-pi-identity" in lines  # J = {} is certified
 
     def test_deterministic_output(self, capsys, a2_file):
         args = ("stroll", "--system", a2_file, "--J", "s", "-x", "tst",
