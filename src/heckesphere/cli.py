@@ -228,7 +228,7 @@ def cmd_verify(args) -> int:
     failed = False
     for res in verify.run_suites(system, names):
         print(f"{res.status} {res.suite}/{res.name}")
-        if not res.ok:
+        if res.status == "FAIL":
             failed = True
             for msg in res.failures[:5]:
                 print(f"  counterexample: {msg}")

@@ -37,10 +37,6 @@ class CheckResult:
     skipped_budget: int
 
     @property
-    def ok(self) -> bool:
-        return not self.failures
-
-    @property
     def status(self) -> str:
         if self.failures:
             return "FAIL"
@@ -284,12 +280,13 @@ def check_decomp_wallcross(run: Run) -> Iterator[str]:
                     yield f"J={sorted(J)}: decomposition fails at {w}"
                 if set(u) - J or not system.is_mcr(z, J):
                     yield f"J={sorted(J)}: wrong factors for {w}"
+        # z is one layer below the horizon, so z*s stays in the ball.
         for z in run.mcrs(J, None if system.is_finite else system.budget - 1):
             for s in range(system.matrix.rank):
+                zs = system.right_mult(z, s)
+                if system.is_mcr(zs, J):
+                    continue
                 with run.case():
-                    zs = system.right_mult(z, s)
-                    if system.is_mcr(zs, J):
-                        continue
                     if len(zs) <= len(z):
                         yield f"J={sorted(J)}: z*s < z leaves mcr set at ({z}, {s})"
                     try:
@@ -468,12 +465,13 @@ def check_nsll(run: Run, max_len: int = 4) -> Iterator[str]:
 def check_sweeps(run: Run) -> Iterator[str]:
     system = run.system
     rank = system.matrix.rank
+    # z is one layer below the horizon, so s*z and z*t stay in the ball.
     for z in run.elements(None if system.is_finite else system.budget - 1):
         for s, t in itertools.product(range(rank), repeat=2):
+            sz = system.left_mult(s, z)
+            if len(sz) <= len(z) or system.right_mult(z, t) != sz:
+                continue
             with run.case():
-                sz = system.left_mult(s, z)
-                if len(sz) <= len(z) or system.right_mult(z, t) != sz:
-                    continue
                 try:
                     z_tilde, sweep = find_sweep(system, s, z, t)
                 except Exception as exc:

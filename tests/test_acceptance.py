@@ -28,12 +28,15 @@ def _verdict(num, title, failures):
 
 def _failures(systems, names, suite, check, **kwargs):
     """The failures of one registered check on each named system, run through
-    verify.Run; every run must cover a case, so no criterion passes vacuously."""
+    verify.Run; every run must cover a case, so no criterion passes vacuously,
+    and skip none for the budget, so none passes by skipping cases its caps
+    should have kept inside the ball."""
     fn = dict(verify.SUITES[suite])[check]
     failures = []
     for name in names:
         res = verify.Run(systems[name]).check(suite, check, fn, **kwargs)
         assert res.cases > 0, f"{suite}/{check} covered no case on {name}"
+        assert res.skipped_budget == 0, f"{suite}/{check} left the ball on {name}"
         failures += [f"{name}: {m}" for m in res.failures]
     return failures
 

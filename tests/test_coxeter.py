@@ -328,7 +328,7 @@ class TestUnclosedBall:
         assert h3.wall_cross(z, U, frozenset({T})) == T
         res = verify.Run(h3).check("spherical", "decomp-wallcross",
                                    verify.check_decomp_wallcross)
-        assert res.failures == [] and res.cases > 0
+        assert res.failures == [] and res.cases > 0 and res.skipped_budget == 0
 
 
 def _chain(*bonds):

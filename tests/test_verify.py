@@ -64,6 +64,17 @@ def test_one_run_shares_one_algebra_and_one_module_per_J(monkeypatch):
     monkeypatch.setattr(verify, "finitary_subsets", counted_subsets)
     # B2 cut off at length 3: {s, t} is not certified finitary.
     results = verify.run_suites(CoxeterSystem(catalog.B2, 3), list(verify.SUITES))
-    assert [r.status for r in results] == ["PASS"] * 22
+    assert [(r.status, r.skipped_budget) for r in results] == [("PASS", 0)] * 22
     assert built["algebras"] == 1 and built["subsets"] == 1
     assert sorted(map(sorted, built["modules"])) == [[], [0], [1]]
+
+
+@pytest.mark.parametrize("matrix,budget", [
+    (catalog.I2_7, 3), (catalog.A3, 2), (catalog.INF_DIHEDRAL, 2),
+], ids=["i2_7@3", "a3@2", "inf@2"])
+def test_no_case_leaves_a_cut_ball(matrix, budget):
+    # Each check caps its elements and words so that its cases stay inside the
+    # ball; a case skipped for the budget means a cap lets one out, and the
+    # check passes without testing it.
+    for res in verify.run_suites(CoxeterSystem(matrix, budget), list(verify.SUITES)):
+        assert res.cases > 0 and res.skipped_budget == 0, res
