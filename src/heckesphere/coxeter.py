@@ -200,6 +200,7 @@ class CoxeterSystem:
         """Canonical word of w*s."""
         out = self._elems[w].right_mult.get(s)
         if out is None:
+            self.check_letters((s,))
             raise BudgetExceeded(
                 f"product of length {len(w) + 1} exceeds budget {self.budget}"
             )
@@ -344,6 +345,7 @@ class CoxeterSystem:
     def parabolic_elements(self, J: Iterable[int]) -> list[Word]:
         """All elements of W_J, certified finite within the budget."""
         J = frozenset(J)
+        self.check_letters(sorted(J))
         seen = {IDENTITY}
         frontier = [IDENTITY]
         while frontier:

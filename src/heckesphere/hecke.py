@@ -2,10 +2,10 @@
 
 Elements are HeckeElt, the linear.Combo over the standard basis delta_x:
 a map from group element (canonical reduced word) to nonzero LaurentPoly.
-a * b walks the prefix tree of b's support (linear.prefix_tree_product):
-a * delta_p is computed once per prefix p of a word in the support, one
-generator at a time by the quadratic relation
-delta_s^2 = 1 + (v^-1 - v) delta_s.  The Kazhdan-Lusztig basis is computed
+The multiply and the bar are linear's, shared with the spherical modules
+(the algebra is J = {}): a * b walks the prefix tree of b's support, one
+generator at a time by delta_s^2 = 1 + (v^-1 - v) delta_s, and bar(delta_x)
+is memoized per x.  The Kazhdan-Lusztig basis is computed
 by the usual recursion b_s * b_{sx} minus mu-corrections (linear.kl_correct,
 shared with the spherical module); only the characterizing properties
 (bar-invariance, unitriangularity, coefficients in vZ[v]) are asserted.
@@ -18,7 +18,9 @@ from typing import Iterable
 from . import linear
 from .coxeter import IDENTITY, CoxeterSystem, Word
 from .errors import InternalInconsistency
-from .laurent import LaurentPoly, ONE, V, VINV
+from .laurent import LaurentPoly, ONE, V
+
+NO_J: frozenset[int] = frozenset()  # the algebra's standard basis is indexed by all of W
 
 
 class HeckeElt(linear.Combo):
@@ -31,7 +33,7 @@ class HeckeAlgebra:
     def __init__(self, system: CoxeterSystem):
         self.system = system
         self._kl_memo: dict[Word, HeckeElt] = {}
-        self._bar_delta_memo: dict[Word, HeckeElt] = {IDENTITY: HeckeElt({IDENTITY: ONE})}
+        self._bar_memo: dict[Word, HeckeElt] = {IDENTITY: self.unit()}
 
     # -- basis elements -------------------------------------------------------
 
@@ -47,47 +49,13 @@ class HeckeAlgebra:
     def b_s(self, s: int) -> HeckeElt:
         return HeckeElt({(s,): ONE, IDENTITY: V})
 
-    # -- ring structure ---------------------------------------------------------
-
-    def _mult_gen(self, a: HeckeElt, s: int) -> HeckeElt:
-        sys = self.system
-        out: linear.Coeffs = {}
-        for x, c in a.support.items():
-            xs = sys.right_mult(x, s)
-            linear.add_into(out, xs, c)
-            if len(xs) < len(x):
-                linear.add_into(out, x, c.mul_vinv_minus_v())
-        return HeckeElt.wrap(out)
+    # -- ring structure and bar involution ------------------------------------------
 
     def multiply(self, a: HeckeElt, b: HeckeElt) -> HeckeElt:
-        return linear.prefix_tree_product(a, b, self._mult_gen)
-
-    # -- bar involution ----------------------------------------------------------
-
-    def _bar_delta(self, w: Word) -> HeckeElt:
-        """bar(delta_w) = delta_{w^-1}^{-1}, built along the reduced word.
-
-        delta_s^{-1} = delta_s + (v - v^-1) delta_e, and
-        delta_w^{-1} = delta_{s_n}^{-1} ... delta_{s_1}^{-1} for w = s_1...s_n;
-        since bar(delta_w) multiplies in the same letter order as w itself we
-        just fold left to right.
-        """
-        memo = self._bar_delta_memo
-        got = memo.get(w)
-        if got is not None:
-            return got
-        prefix = self._bar_delta(w[:-1])
-        s = w[-1]
-        inv_s = HeckeElt({(s,): ONE, IDENTITY: V - VINV})
-        out = self.multiply(prefix, inv_s)
-        memo[w] = out
-        return out
+        return linear.prefix_tree_product(self.system, NO_J, a, b)
 
     def bar(self, a: HeckeElt) -> HeckeElt:
-        out = self.zero()
-        for x, c in a.support.items():
-            out = out + self._bar_delta(x).scale(c.bar())
-        return out
+        return linear.bar(self.system, NO_J, self._bar_memo, a)
 
     # -- Kazhdan-Lusztig basis -----------------------------------------------------
 

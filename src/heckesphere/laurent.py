@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from typing import Iterable, Iterator, Mapping
 
-from .errors import DivisionByZero, NotDivisible
+from .errors import DivisionByZero, NotDivisible, PreconditionViolated
 
 
 class LaurentPoly:
@@ -245,8 +245,17 @@ class LaurentPoly:
         return [[e, c] for e, c in self.terms()]
 
     @classmethod
-    def from_json(cls, data: Iterable[Iterable[int]]) -> "LaurentPoly":
-        return cls({int(e): int(c) for e, c in data})
+    def from_json(cls, data: list[list[int]]) -> "LaurentPoly":
+        """The inverse of to_json; anything but a list of [exponent,
+        coefficient] pairs of integers is rejected."""
+        if not isinstance(data, list) or not all(
+            isinstance(p, list) and len(p) == 2 and all(type(n) is int for n in p)
+            for p in data
+        ):
+            raise PreconditionViolated(
+                f"expected [[exponent, coefficient], ...] of integers, got {data!r}"
+            )
+        return cls({e: c for e, c in data})
 
 
 ZERO = LaurentPoly.zero()

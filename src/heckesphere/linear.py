@@ -3,10 +3,11 @@
 `Combo` is the one element type: canonical reduced-word keys with nonzero
 coefficients.  Its subclass names the basis, `HeckeElt` (delta_x) or
 `SphericalElt` (m_x); elements of different bases never compare equal.
-`kl_correct` is the mu-correction both Kazhdan-Lusztig bases share, and
-`prefix_tree_product` the product by a combination of delta_y, walked over the
-prefix tree of the y, that both the algebra's multiply and the module action
-share.
+`delta_step` is the one right action of a generator on a standard basis
+indexed by ^J W (the algebra is J = {}); over it, `prefix_tree_product`
+multiplies by a combination of delta_y along the prefix tree of the y, and
+`bar` is the memoized bar involution.  `kl_correct` is the mu-correction
+both Kazhdan-Lusztig bases share.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ from typing import Callable, Iterable, Iterator, Mapping
 
 from .coxeter import CoxeterSystem, Word
 from .errors import InternalInconsistency, PreconditionViolated
-from .laurent import LaurentPoly, ONE
+from .laurent import LaurentPoly, ONE, V, VINV
 
 
 Coeffs = dict[tuple, LaurentPoly]
@@ -144,18 +145,32 @@ class Combo:
             raise PreconditionViolated(
                 'expected {"terms": [{"elt": "<word>", "coeff": [[exp, coeff], ...]}, ...]}'
             )
-        try:
-            coeffs = [LaurentPoly.from_json(t["coeff"]) for t in terms]
-        except (TypeError, ValueError) as exc:
-            raise PreconditionViolated(f"malformed coefficient: {exc}") from exc
+        coeffs = [LaurentPoly.from_json(t["coeff"]) for t in terms]
         return cls(
             (system.element(system.parse_word(t["elt"])), c) for t, c in zip(terms, coeffs)
         )
 
 
-def prefix_tree_product(a: Combo, b: Combo, step: Callable[[Combo, int], Combo]) -> Combo:
-    """sum over y of b's coefficient at y times `a` stepped along the letters
-    of y, where step(e, s) is e times the generator s.
+def delta_step(system: CoxeterSystem, J: frozenset[int], a: Combo, s: int) -> Combo:
+    """a * delta_s: e_x goes to e_{xs} if xs > x, to e_{xs} + (v^-1 - v) e_x
+    if xs < x, and to v^-1 e_x if xs leaves ^J W."""
+    out: Coeffs = {}
+    for x, c in a.support.items():
+        xs = system.right_mult(x, s)
+        if len(xs) < len(x):
+            add_into(out, xs, c)
+            add_into(out, x, c.mul_vinv_minus_v())
+        elif J and not system.is_mcr(xs, J):
+            add_into(out, x, c.shift(-1))
+        else:
+            add_into(out, xs, c)
+    return a.wrap(out)
+
+
+def prefix_tree_product(system: CoxeterSystem, J: frozenset[int], a: Combo,
+                        b: Combo) -> Combo:
+    """a * b, b in the algebra: sum over y of b's coefficient at y times `a`
+    stepped along the letters of y.
 
     Sorted lexicographically, b's keys walk their prefix tree depth first.
     path[k] is `a` stepped along y[:k]; it is cut back to the prefix y shares
@@ -171,10 +186,33 @@ def prefix_tree_product(a: Combo, b: Combo, step: Callable[[Combo, int], Combo])
             k += 1
         del path[k + 1:]
         for s in y[k:]:
-            path.append(step(path[-1], s))
+            path.append(delta_step(system, J, path[-1], s))
         for x, d in path[-1].support.items():
             add_into(out, x, d * c)
         prev = y
+    return a.wrap(out)
+
+
+def bar(system: CoxeterSystem, J: frozenset[int], memo: dict[Word, Combo],
+        a: Combo) -> Combo:
+    """The bar involution, semilinear over memo[x] = bar(e_x), which must
+    hold the identity: for x = x's along its canonical word, x' is in ^J W
+    and bar(e_x) = bar(e_{x'}) delta_s^-1 = bar(e_{x'}) (delta_s + v - v^-1).
+    A key that misses the memo and is not an mcr raises PreconditionViolated."""
+    out: Coeffs = {}
+    for x, c in a.support.items():
+        if x not in memo:
+            if not system.is_mcr(x, J):
+                raise PreconditionViolated(
+                    f"{x} is not a minimal coset representative for J={sorted(J)}"
+                )
+            for n in range(1, len(x) + 1):
+                if x[:n] not in memo:
+                    prev = memo[x[:n - 1]]
+                    memo[x[:n]] = delta_step(system, J, prev, x[n - 1]) + prev.scale(V - VINV)
+        cb = c.bar()
+        for y, d in memo[x].support.items():
+            add_into(out, y, d * cb)
     return a.wrap(out)
 
 

@@ -1,16 +1,18 @@
 """The spherical right H-module M(J) in its standard basis.
 
-M(J) has basis m_x indexed by the minimal coset representatives ^J W.  The
-generator action is
+M(J) has basis m_x indexed by the minimal coset representatives ^J W, and
+the right action of the generators is linear.delta_step on that basis, the
+one the algebra uses with J = {}:
 
-    m_x b_s = m_{xs} + v^-1 m_x   if xs < x and xs is an mcr,
-              m_{xs} + v    m_x   if xs > x and xs is an mcr,
-              (v + v^-1)    m_x   if xs is not an mcr,
+    m_x delta_s = m_{xs}                      if xs > x and xs is an mcr,
+                  m_{xs} + (v^-1 - v) m_x     if xs < x,
+                  v^-1 m_x                    if xs is not an mcr,
 
-and delta_s acts as (b_s-action) - v * id.  The bar involution comes through
-the identification m_x = 1 (x) delta_x: bar(m_x) = m_e acted on by
-bar(delta_x).  Elements are SphericalElt, the linear.Combo over the basis
-m_x.  The KL basis c_x is self-dualized by linear.kl_correct, the same
+and b_s = delta_s + v acts as delta_s plus v times the identity.  The bar
+involution is computed in the module (linear.bar): an mcr x = x's has x' an
+mcr and m_x = m_{x'} delta_s, so bar(m_x) = bar(m_{x'}) delta_s^-1, memoized
+per mcr.  Elements are SphericalElt, the linear.Combo over the basis m_x.
+The KL basis c_x is self-dualized by linear.kl_correct, the same
 constant-term correction as in the algebra, and then checked to be
 bar-invariant.
 
@@ -30,7 +32,7 @@ from . import linear
 from .coxeter import IDENTITY, Word
 from .errors import InternalInconsistency, NotDivisible, PreconditionViolated
 from .hecke import HeckeAlgebra, HeckeElt
-from .laurent import LaurentPoly, ONE, V, VINV
+from .laurent import LaurentPoly, ONE, V
 
 
 class SphericalElt(linear.Combo):
@@ -48,6 +50,7 @@ class SphericalModule:
         self.b_wJ, self.pi = algebra.b_wJ_and_pi(self.J)
         self.d_J = max(len(w) for w in self.b_wJ.support)
         self._kl_memo: dict[Word, SphericalElt] = {}
+        self._bar_memo: dict[Word, SphericalElt] = {IDENTITY: self.unit()}
         self._gram_memo: dict[tuple[Word, Word], LaurentPoly] = {}
 
     # -- basis ------------------------------------------------------------------
@@ -68,28 +71,13 @@ class SphericalModule:
     def unit(self) -> SphericalElt:
         return SphericalElt({IDENTITY: ONE})
 
-    # -- the action -----------------------------------------------------------------
+    # -- the action and the bar involution ------------------------------------------
 
     def act_bs(self, a: SphericalElt, s: int) -> SphericalElt:
-        sys = self.system
-        out: linear.Coeffs = {}
-        for x, c in a.support.items():
-            xs = sys.right_mult(x, s)
-            if not sys.is_mcr(xs, self.J):
-                linear.add_into(out, x, c * (V + VINV))
-            elif len(xs) > len(x):
-                linear.add_into(out, xs, c)
-                linear.add_into(out, x, c * V)
-            else:
-                linear.add_into(out, xs, c)
-                linear.add_into(out, x, c * VINV)
-        return SphericalElt.wrap(out)
-
-    def act_delta(self, a: SphericalElt, s: int) -> SphericalElt:
-        return self.act_bs(a, s) - a.scale(V)
+        return linear.delta_step(self.system, self.J, a, s) + a.scale(V)
 
     def act(self, a: SphericalElt, h: HeckeElt) -> SphericalElt:
-        return linear.prefix_tree_product(a, h, self.act_delta)
+        return linear.prefix_tree_product(self.system, self.J, a, h)
 
     def expand_expression(self, word: Iterable[int]) -> SphericalElt:
         """1 (x) b_{x_} = m_e b_{s_1} ... b_{s_n}."""
@@ -98,13 +86,8 @@ class SphericalModule:
             out = self.act_bs(out, s)
         return out
 
-    # -- bar involution ----------------------------------------------------------------
-
     def bar(self, a: SphericalElt) -> SphericalElt:
-        out = self.zero()
-        for x, c in a.support.items():
-            out = out + self.act(self.unit(), self.algebra._bar_delta(x)).scale(c.bar())
-        return out
+        return linear.bar(self.system, self.J, self._bar_memo, a)
 
     # -- KL basis ---------------------------------------------------------------------
 

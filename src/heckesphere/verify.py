@@ -5,8 +5,10 @@ generator of failure messages over a `Run`, which holds what the checks of
 one `run_suites` call share: one Hecke algebra, the finitary subsets of S,
 one spherical module per J, and the case counters of the running check.
 Each case a check covers is a `with run.case():` block; a case that leaves
-the length budget is counted as skipped there, and nowhere else.  A check
-that fails nowhere reports PASS, or EMPTY if it completed no case.  The CLI
+the length budget is counted as skipped there, and nowhere else, and any
+other package error a case raises is one of the check's counterexamples, so
+one faulty check cannot hide the others' results.  A check that fails
+nowhere reports PASS, or EMPTY if it completed no case.  The CLI
 and the test suite share these so a green `verify` run and a green pytest
 run mean the same thing.
 """
@@ -21,7 +23,7 @@ from typing import Callable, Iterable, Iterator
 
 from . import strolls
 from .coxeter import CoxeterSystem, Word
-from .errors import BudgetExceeded
+from .errors import BudgetExceeded, HeckesphereError
 from .hecke import HeckeAlgebra, HeckeElt
 from .laurent import LaurentPoly, ONE
 from .lightleaf import NSStep, build_nsll, build_sdl, build_sll, find_sweep
@@ -67,6 +69,7 @@ class Run:
         self.subsets = finitary_subsets(system)
         self._modules: dict[frozenset[int], SphericalModule] = {}
         self.cases = self.skipped_budget = 0
+        self.failures: list[str] = []
 
     def module(self, J: frozenset[int]) -> SphericalModule:
         """M(J), built on first use."""
@@ -104,20 +107,25 @@ class Run:
 
     @contextlib.contextmanager
     def case(self):
-        """One case of the running check; BudgetExceeded inside it skips the case."""
+        """One case of the running check; BudgetExceeded inside it skips the
+        case, and any other package error is a counterexample of the check."""
         try:
             yield
         except BudgetExceeded:
             self.skipped_budget += 1
-        else:
-            self.cases += 1
+            return
+        except HeckesphereError as exc:
+            self.failures.append(f"{type(exc).__name__}: {exc}")
+        self.cases += 1
 
     def check(self, suite: str, name: str, fn: Callable[..., Iterator[str]],
               **kwargs) -> CheckResult:
         """Run one check to the end, counting its cases."""
         self.cases = self.skipped_budget = 0
-        failures = list(fn(self, **kwargs))
-        return CheckResult(suite, name, failures, self.cases, self.skipped_budget)
+        self.failures = []
+        for msg in fn(self, **kwargs):
+            self.failures.append(msg)
+        return CheckResult(suite, name, self.failures, self.cases, self.skipped_budget)
 
 
 def _random_elts(rng: random.Random, pool: list[Word], count: int) -> list[HeckeElt]:
@@ -262,7 +270,7 @@ def check_spherical_orthonormal(run: Run) -> Iterator[str]:
 def check_bar_M_involutive(run: Run) -> Iterator[str]:
     for J in run.subsets:
         mod = run.module(J)
-        for x in run.mcrs(J, 4):
+        for x in run.mcrs(J):
             with run.case():
                 if mod.bar(mod.bar(mod.m(x))) != mod.m(x):
                     yield f"J={sorted(J)}: bar_M not involutive at m_{x}"

@@ -1,8 +1,32 @@
 import pytest
 
 from heckesphere import catalog
-from heckesphere.coxeter import CoxeterSystem
+from heckesphere.coxeter import CoxeterMatrix, CoxeterSystem
 from heckesphere.hecke import HeckeAlgebra
+
+
+# Groups for the tests only: an entry in `catalog` would also be a CLI
+# --system value.
+AFFINE_A2 = CoxeterMatrix(("s", "t", "u"), ((1, 3, 3), (3, 1, 3), (3, 3, 1)))
+H4 = CoxeterMatrix(("s", "t", "u", "v"),
+                   ((1, 5, 2, 2), (5, 1, 3, 2), (2, 3, 1, 3), (2, 2, 3, 1)))
+F4 = CoxeterMatrix(("s", "t", "u", "v"),
+                   ((1, 3, 2, 2), (3, 1, 4, 2), (2, 4, 1, 3), (2, 2, 3, 1)))
+
+
+@pytest.fixture(scope="session")
+def affine_a2():
+    return CoxeterSystem(AFFINE_A2, 8)
+
+
+@pytest.fixture(scope="session")
+def h4():
+    return CoxeterSystem(H4, 60)
+
+
+@pytest.fixture(scope="session")
+def f4():
+    return CoxeterSystem(F4, 24)
 
 
 @pytest.fixture(scope="session")

@@ -14,6 +14,8 @@ from heckesphere.errors import (
     PreconditionViolated,
 )
 
+from conftest import F4, H4
+
 S, T, U = 0, 1, 2
 
 
@@ -362,8 +364,8 @@ class TestRankFourAnchors:
         (_chain(3, 3, 3), 120, (2, 3, 4, 5)),
         (_chain(4, 3, 3), 384, (2, 4, 6, 8)),
         (D4, 192, (2, 4, 4, 6)),
-        (_chain(3, 4, 3), 1152, (2, 6, 8, 12)),
-        (_chain(5, 3, 3), 14400, (2, 12, 20, 30)),
+        (F4, 1152, (2, 6, 8, 12)),
+        (H4, 14400, (2, 12, 20, 30)),
     ], ids=["A4", "B4", "D4", "F4", "H4"])
     def test_order_and_poincare_polynomial(self, matrix, order, degrees):
         sys = CoxeterSystem(matrix, sum(d - 1 for d in degrees))

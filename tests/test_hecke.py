@@ -1,12 +1,14 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from heckesphere import catalog
-from heckesphere.coxeter import IDENTITY, CoxeterMatrix, CoxeterSystem
-from heckesphere.errors import BudgetExceeded, NotDivisible
+from heckesphere import catalog, linear
+from heckesphere.coxeter import IDENTITY, CoxeterSystem
+from heckesphere.errors import BudgetExceeded, InvalidMatrix, NotDivisible, PreconditionViolated
 from heckesphere.hecke import HeckeAlgebra, HeckeElt
 from heckesphere.laurent import LaurentPoly, ONE, V, VINV, ZERO
 from heckesphere.spherical import SphericalElt, SphericalModule
+
+from conftest import AFFINE_A2
 
 S, T = 0, 1
 
@@ -25,6 +27,10 @@ class TestMultiply:
         alg = a2_algebra
         bs = alg.b_s(S)
         assert alg.multiply(bs, bs) == bs.scale(V + VINV)
+
+    def test_a_letter_out_of_range_is_rejected(self, a2_algebra):
+        with pytest.raises(InvalidMatrix, match="letter 5"):
+            a2_algebra.multiply(a2_algebra.unit(), HeckeElt({(5,): 1}))
 
 
 class TestBar:
@@ -48,6 +54,10 @@ class TestBar:
         for x in alg.system.elements():
             d = alg.delta(x, V)
             assert alg.bar(alg.bar(d)) == d
+
+    def test_a_word_that_is_not_canonical_is_rejected(self, a2_algebra):
+        with pytest.raises(PreconditionViolated, match="canonical"):
+            a2_algebra.bar(HeckeElt({(T, S, T): 1}))
 
 
 class TestKLBasis:
@@ -172,9 +182,12 @@ class TestSerialization:
 
 # -- the prefix-tree multiply against the per-word fold ---------------------------
 
-AFFINE_A2 = CoxeterMatrix(("s", "t", "u"), ((1, 3, 3), (3, 1, 3), (3, 3, 1)))
-
 COEFFS = st.sampled_from([ONE, -ONE, V, -V, VINV, -VINV, V + VINV, VINV - V])
+
+
+def shared_step(system, J=frozenset()):
+    """The generator step that multiply and act share, as per_word_fold's step."""
+    return lambda e, s: linear.delta_step(system, J, e, s)
 
 
 def per_word_fold(a, b, step):
@@ -229,7 +242,7 @@ class TestPrefixTreeProduct:
     def test_multiply_matches_per_word_fold(self, algebra, data):
         pool = _pool(algebra.system)
         a, b = data.draw(supports(pool)), data.draw(supports(pool))
-        assert algebra.multiply(a, b) == per_word_fold(a, b, algebra._mult_gen)
+        assert algebra.multiply(a, b) == per_word_fold(a, b, shared_step(algebra.system))
 
     @settings(max_examples=40, deadline=None)
     @given(data=st.data())
@@ -239,7 +252,7 @@ class TestPrefixTreeProduct:
         mcrs = [w for w in pool if algebra.system.is_mcr(w, mod.J)]
         m = SphericalElt(data.draw(supports(mcrs)).support)
         h = data.draw(supports(pool))
-        assert mod.act(m, h) == per_word_fold(m, h, mod.act_delta)
+        assert mod.act(m, h) == per_word_fold(m, h, shared_step(mod.system, mod.J))
 
     @settings(max_examples=20, deadline=None)
     @given(data=st.data())
@@ -249,7 +262,7 @@ class TestPrefixTreeProduct:
         x = data.draw(st.sampled_from(sys.elements(sys.budget // 2)))
         inv = algebra.bar(algebra.delta(sys.inverse(x)))
         assert algebra.multiply(algebra.delta(x), inv) == algebra.unit()
-        assert per_word_fold(algebra.delta(x), inv, algebra._mult_gen) == algebra.unit()
+        assert per_word_fold(algebra.delta(x), inv, shared_step(sys)) == algebra.unit()
 
     @pytest.mark.parametrize("name,coxeter_element", [
         ("affine_a2", (0, 1, 2)), ("infinite_dihedral", (S, T)),
@@ -264,4 +277,4 @@ class TestPrefixTreeProduct:
         with pytest.raises(BudgetExceeded):
             alg.multiply(alg.delta(x), b)
         with pytest.raises(BudgetExceeded):
-            per_word_fold(alg.delta(x), b, alg._mult_gen)
+            per_word_fold(alg.delta(x), b, shared_step(alg.system))

@@ -1,7 +1,7 @@
 import pytest
 from hypothesis import given, strategies as st
 
-from heckesphere.errors import DivisionByZero, NotDivisible
+from heckesphere.errors import DivisionByZero, NotDivisible, PreconditionViolated
 from heckesphere.laurent import LaurentPoly, ONE, V, VINV, ZERO
 
 
@@ -100,6 +100,14 @@ class TestRendering:
     @given(laurents)
     def test_json_round_trip_random(self, p):
         assert LaurentPoly.from_json(p.to_json()) == p
+
+    @pytest.mark.parametrize("data", [[[1]], [[1, 2, 3]], "x", 5, [1, 2], [["1", 2]],
+                                      [[1.5, 2]], [[0, True]], None],
+                             ids=["short", "long", "string", "int", "flat", "str-exp",
+                                  "float-exp", "bool-coeff", "null"])
+    def test_malformed_json_is_rejected(self, data):
+        with pytest.raises(PreconditionViolated, match="exponent, coefficient"):
+            LaurentPoly.from_json(data)
 
     def test_getitem_and_exponents(self):
         p = poly((2, 3), (-1, 1))

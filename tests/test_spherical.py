@@ -5,10 +5,11 @@ from hypothesis import given, settings, strategies as st
 
 from heckesphere.coxeter import IDENTITY
 from heckesphere import linear
-from heckesphere.errors import InternalInconsistency, PreconditionViolated
+from heckesphere.errors import InternalInconsistency, InvalidMatrix, PreconditionViolated
 from heckesphere.hecke import HeckeAlgebra, HeckeElt
 from heckesphere.laurent import LaurentPoly, ONE, V, VINV, ZERO
 from heckesphere.spherical import SphericalElt, SphericalModule
+from heckesphere.verify import finitary_subsets
 
 S, T = 0, 1
 
@@ -50,6 +51,12 @@ class TestAction:
         with pytest.raises(PreconditionViolated):
             mod_a2_s.m((S,))
 
+    def test_a_letter_out_of_range_is_rejected(self, mod_a2_s, a2_algebra):
+        with pytest.raises(InvalidMatrix, match="letter 5"):
+            mod_a2_s.act_bs(mod_a2_s.m((T,)), 5)
+        with pytest.raises(InvalidMatrix, match="letter 5"):
+            SphericalModule(a2_algebra, {5})
+
 
 class TestBar:
     def test_fixes_unit(self, mod_a2_s):
@@ -66,6 +73,24 @@ class TestBar:
         for x in [IDENTITY, (T,), (T, S)]:
             m = mod_a2_s.m(x)
             assert mod_a2_s.bar(mod_a2_s.bar(m)) == m
+
+    def test_a_key_that_is_not_an_mcr_is_rejected(self, mod_a2_s):
+        with pytest.raises(PreconditionViolated, match="minimal coset"):
+            mod_a2_s.bar(SphericalElt({(S,): ONE}))
+        with pytest.raises(PreconditionViolated, match="canonical"):
+            mod_a2_s.bar(SphericalElt({(T, S, T): ONE}))
+
+
+@pytest.mark.parametrize("name", ["b3", "h3", "affine_a2", "inf_dihedral"])
+def test_bar_matches_the_route_through_the_algebra(request, name):
+    # The oracle: m_x = m_e delta_x, so bar(m_x) = m_e bar(delta_x), with the
+    # algebra's bar. The module computes it along x's canonical word instead.
+    system = request.getfixturevalue(name)
+    alg = HeckeAlgebra(system)
+    for J in finitary_subsets(system):
+        mod = SphericalModule(alg, J)
+        for x in system.min_coset_reps(J):
+            assert mod.bar(mod.m(x)) == mod.act(mod.unit(), alg.bar(alg.delta(x))), (J, x)
 
 
 class TestKLC:
@@ -104,6 +129,22 @@ class TestKLC:
                 for y, p in c.support.items():
                     if y != x:
                         assert p.in_v_times_nonneg()
+
+
+@pytest.mark.parametrize("name,J", [
+    ("h4", (0, 1, 2)), ("f4", (1, 2, 3)), ("f4", (0, 2, 3)), ("f4", (0, 1, 3)),
+    ("f4", (0, 1, 2)),
+], ids=["h4-h3", "f4-c3", "f4-a1a2", "f4-a2a1", "f4-b3"])
+def test_rank_4_kl_basis(request, name, J):
+    # Every c_x of M(J) for a maximal parabolic J of a rank-4 group: 120 for
+    # H4 and 24 + 96 + 96 + 24 for F4.
+    system = request.getfixturevalue(name)
+    mod = SphericalModule(HeckeAlgebra(system), J)
+    for x in system.min_coset_reps(J):
+        c = mod.kl_c(x)
+        assert c.coeff(x) == ONE and mod.bar(c) == c
+        for y, p in c.support.items():
+            assert y == x or (len(y) < len(x) and p.in_v_times_nonneg())
 
 
 class TestPairing:

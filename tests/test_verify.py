@@ -1,7 +1,8 @@
 import pytest
 
-from heckesphere import catalog, verify
+from heckesphere import catalog, cli, verify
 from heckesphere.coxeter import CoxeterSystem
+from heckesphere.errors import PreconditionViolated
 
 
 def test_a_case_past_the_budget_is_skipped(inf_dihedral):
@@ -26,6 +27,33 @@ def test_only_budget_errors_are_skipped(inf_dihedral):
 
     with pytest.raises(KeyError):
         verify.Run(inf_dihedral).check("suite", "name", check)
+
+
+def test_a_package_error_is_a_counterexample_in_its_place(inf_dihedral):
+    def check(run):
+        yield "before"
+        with run.case():
+            raise PreconditionViolated("a bug")
+        yield "after"
+
+    res = verify.Run(inf_dihedral).check("suite", "name", check)
+    assert res.failures == ["before", "PreconditionViolated: a bug", "after"]
+    assert (res.cases, res.skipped_budget, res.status) == (1, 0, "FAIL")
+
+
+def test_an_error_in_one_check_leaves_the_others_reported(monkeypatch, capsys):
+    # With wall_cross corrupted, decomp-wallcross reports it, and the light-leaf
+    # checks, whose constructions rely on it, raise DifferentElements.
+    monkeypatch.setattr(CoxeterSystem, "wall_cross", lambda self, z, s, J: min(J))
+    code = cli.main(["verify", "--system", "a3", "--budget", "2", "--suite", "all"])
+    out = capsys.readouterr().out
+    statuses = [line for line in out.splitlines() if not line.startswith("  ")]
+    assert code == 1
+    assert [line.split()[1] for line in statuses] == [
+        f"{suite}/{name}" for suite, checks in verify.SUITES.items() for name, _ in checks]
+    assert "FAIL spherical/decomp-wallcross" in statuses
+    assert "FAIL lightleaf/degree-law" in statuses
+    assert "  counterexample: DifferentElements: " in out
 
 
 @pytest.mark.parametrize("cases,failures,status", [
