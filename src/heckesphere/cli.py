@@ -14,7 +14,8 @@ Subcommands:
 
 --format: kl, act, stroll and localize print text, json or csv; rank, sll,
 sdl and nsll print text or json; verify prints text.  Any other value, and
-any unknown --suite, exits 2.
+any unknown --suite, exits 2, as does sll without exactly one of --bits and
+--all, nsll without --bits, and sdl without --bits and --bits2.
 
 Exit codes: 0 success (an EMPTY check is not a failure), 1 verification
 failure, 2 parse/configuration error, 3 length budget exceeded, 4 endpoint
@@ -179,8 +180,6 @@ def cmd_sll(args) -> int:
     if args.all:
         bit_lists = list(strolls.subexpressions(len(word)))
     else:
-        if args.bits is None:
-            raise HeckesphereError("sll needs --bits or --all")
         bit_lists = [_parse_bits(args.bits, len(word))]
     outputs = []
     for bits in bit_lists:
@@ -201,8 +200,6 @@ def cmd_sdl(args) -> int:
     J = _parse_J(system, args.J)
     x = system.parse_word(args.x)
     y = system.parse_word(args.y)
-    if args.bits is None or args.bits2 is None:
-        raise HeckesphereError("sdl needs --bits and --bits2")
     e = _parse_bits(args.bits, len(x))
     f = _parse_bits(args.bits2, len(y))
     dl = lightleaf.build_sdl(system, J, x, e, y, f)
@@ -214,8 +211,6 @@ def cmd_nsll(args) -> int:
     system = _load_system(args)
     J = _parse_J(system, args.J)
     word = system.parse_word(args.x)
-    if args.bits is None:
-        raise HeckesphereError("nsll needs --bits")
     bits = _parse_bits(args.bits, len(word))
     recipe = lightleaf.build_nsll(system, J, word, bits)
     print(lightleaf.render(system, recipe, args.format))
@@ -278,18 +273,19 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = command("sll", cmd_sll, "spherical light-leaf recipe", NO_CSV)
     p.add_argument("-x", required=True)
-    p.add_argument("--bits")
-    p.add_argument("--all", action="store_true", help="all subexpressions")
+    which = p.add_mutually_exclusive_group(required=True)
+    which.add_argument("--bits", help="single subexpression")
+    which.add_argument("--all", action="store_true", help="all subexpressions")
 
     p = command("sdl", cmd_sdl, "double-leaf recipe", NO_CSV)
     p.add_argument("-x", required=True)
     p.add_argument("-y", required=True)
-    p.add_argument("--bits", help="bits for -x")
-    p.add_argument("--bits2", help="bits for -y")
+    p.add_argument("--bits", required=True, help="bits for -x")
+    p.add_argument("--bits2", required=True, help="bits for -y")
 
     p = command("nsll", cmd_nsll, "non-spherical light-leaf recipe", NO_CSV)
     p.add_argument("-x", required=True)
-    p.add_argument("--bits")
+    p.add_argument("--bits", required=True)
 
     p = command("verify", cmd_verify, "run identity-verification suites", ("text",),
                 needs_J=False)

@@ -60,12 +60,12 @@ class LaurentPoly:
 
     def min_exp(self) -> int:
         if not self.coeffs:
-            raise ValueError("zero polynomial has no exponents")
+            raise PreconditionViolated("zero polynomial has no exponents")
         return min(self.coeffs)
 
     def max_exp(self) -> int:
         if not self.coeffs:
-            raise ValueError("zero polynomial has no exponents")
+            raise PreconditionViolated("zero polynomial has no exponents")
         return max(self.coeffs)
 
     def terms(self) -> Iterator[tuple[int, int]]:
@@ -137,7 +137,7 @@ class LaurentPoly:
 
     def __pow__(self, n: int) -> "LaurentPoly":
         if n < 0:
-            raise ValueError("negative powers not supported")
+            raise PreconditionViolated("negative powers not supported")
         out = LaurentPoly.one()
         base = self
         while n:

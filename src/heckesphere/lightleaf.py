@@ -17,16 +17,22 @@ Each step records a pre_rex (braid moves before the elementary operation), the
 elementary operation, and a post_rex normalizing to the chosen reduced word of
 z_k (ShortLex-minimal, unless a target expression pins the last one).  Degrees
 are +1 for U0/X0, -1 for D0/X1, 0 for U1/D1, summing to the spherical defect.
+The five steps without a wall plug-in are written once, in `_strand_op`.
 
 Non-spherical light-leaves keep the same shape but their intermediate words
-are concatenations (u_k, z_k) of the coset decomposition of the classical
-Bruhat stroll; wall plug-ins become transfers into the u-block, with the
-sweep-based rex-move choices of the X0 case made explicit.
+are concatenations (u_k, z_k) of the coset decomposition w_k = u_k z_k of the
+classical Bruhat stroll, whose z-block z_k is the spherical stroll.  A step
+whose classical and spherical labels agree, and an X0 going up (a plain U0),
+is the spherical step on the z-block.  Only the wall steps differ: X1 going
+up transfers t into the u-block, X1 going down caps after sliding t out of
+the u-block, and X0 going down merges through a sweep, whose rex-move
+choices are made explicit.  A double leaf is two spherical light-leaves
+with the same endpoint, the upper one flipped.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Sequence
 
 from .coxeter import IDENTITY, CoxeterSystem, RexMove, Word, _alternating
@@ -60,9 +66,6 @@ def _shift_move(move: RexMove, offset: int, full_source: Word) -> RexMove:
 
 def _compose_moves(*moves: RexMove) -> RexMove:
     """Concatenate rex moves; each must start where the previous ended."""
-    moves = [m for m in moves if m is not None]
-    if not moves:
-        raise ValueError("nothing to compose")
     apps: list = []
     for prev, cur in zip(moves, moves[1:]):
         if prev.target != cur.source:
@@ -121,6 +124,21 @@ class DoubleLeafRecipe:
 # -- spherical light-leaves ----------------------------------------------------
 
 
+def _strand_op(system: CoxeterSystem, label: str, cur: Word,
+               s: int) -> tuple[RexMove, str, Word]:
+    """The step of a non-wall label (U1, U0, X0, D0, D1) on a reduced word
+    cur of the stroll: (pre_rex, elementary, the word after the operation)."""
+    if label == "U1":
+        grown = cur + (s,)
+        return _identity_move(grown), "none", grown
+    if label in ("U0", "X0"):
+        return _identity_move(cur), "dot-kill", cur
+    pre = system.find_rex(cur, lambda w: bool(w) and w[-1] == s)
+    if label == "D0":
+        return pre, "trivalent-merge", pre.target
+    return pre, "cap", pre.target[:-1]  # D1
+
+
 def build_sll(system: CoxeterSystem, J: frozenset[int],
               word: Sequence[int], bits: Sequence[int],
               target_rex: Sequence[int] | None = None) -> LLRecipe:
@@ -141,31 +159,14 @@ def build_sll(system: CoxeterSystem, J: frozenset[int],
     for k in range(1, n + 1):
         s = word[k - 1]
         label = dec.labels[k - 1]
-        z_next = dec.stroll[k]
-        chosen = target_rex if (k == n and target_rex is not None) else z_next
-        if label == "U1":
-            grown = cur + (s,)
-            pre = _identity_move(grown)
-            elementary = "none"
-            mid = grown
-        elif label in ("U0", "X0"):
-            pre = _identity_move(cur)
-            elementary = "dot-kill"
-            mid = cur
-        elif label == "D0":
-            pre = system.find_rex(cur, lambda w: bool(w) and w[-1] == s)
-            elementary = "trivalent-merge"
-            mid = pre.target
-        elif label == "D1":
-            pre = system.find_rex(cur, lambda w: bool(w) and w[-1] == s)
-            elementary = "cap"
-            mid = pre.target[:-1]
-        else:  # X1
+        chosen = target_rex if (k == n and target_rex is not None) else dec.stroll[k]
+        if label == "X1":
             t = system.wall_cross(system.element(cur), s, J)
-            grown = cur + (s,)
-            pre = system.find_rex(grown, lambda w: w[0] == t)
+            pre = system.find_rex(cur + (s,), lambda w: w[0] == t)
             elementary = f"wall-plug:{system.matrix.generators[t]}"
             mid = pre.target[1:]
+        else:
+            pre, elementary, mid = _strand_op(system, label, cur, s)
         post = system.rex_path(mid, chosen)
         steps.append(LLStep(k, label, pre, elementary, post, chosen))
         cur = chosen
@@ -177,21 +178,12 @@ def build_sdl(system: CoxeterSystem, J: frozenset[int],
               y_word: Sequence[int], f_bits: Sequence[int]) -> DoubleLeafRecipe:
     """Double leaf: the light-leaf for (x_, e) followed by the flip of the
     light-leaf for (y_, f), glued through the ShortLex-minimal reduced word of
-    the common endpoint."""
-    dec_e = decorate(system, J, x_word, e_bits)
-    dec_f = decorate(system, J, y_word, f_bits)
-    if dec_e.endpoint != dec_f.endpoint:
-        raise EndpointMismatch(
-            f"endpoints differ: {dec_e.endpoint} vs {dec_f.endpoint}"
-        )
-    through = dec_e.endpoint  # canonical word of the shared mcr
-    lower = build_sll(system, J, x_word, e_bits, target_rex=through)
-    upper_raw = build_sll(system, J, y_word, f_bits, target_rex=through)
-    upper = LLRecipe(
-        upper_raw.word, upper_raw.bits, upper_raw.steps, upper_raw.target,
-        flipped=True,
-    )
-    return DoubleLeafRecipe(lower, upper, through)
+    the common endpoint, where both light leaves end."""
+    lower = build_sll(system, J, x_word, e_bits)
+    upper = build_sll(system, J, y_word, f_bits)
+    if lower.target != upper.target:
+        raise EndpointMismatch(f"endpoints differ: {lower.target} vs {upper.target}")
+    return DoubleLeafRecipe(lower, replace(upper, flipped=True), lower.target)
 
 
 # -- sweeps ---------------------------------------------------------------------
@@ -249,70 +241,34 @@ def build_nsll(system: CoxeterSystem, J: frozenset[int],
                word: Sequence[int], bits: Sequence[int]) -> LLRecipe:
     """Non-spherical light-leaf whose intermediate expressions are
     concatenations (u_k, z_k) of the coset decomposition w_k = u_k z_k of the
-    classical Bruhat stroll.  Wall plug-ins of the spherical construction
-    become transfers of the wall-crossing generator into the u-block."""
+    classical Bruhat stroll; z_k is the spherical stroll.  Wall plug-ins of
+    the spherical construction become transfers of the wall-crossing
+    generator into the u-block."""
     dec = decorate(system, J, word, bits)
-    word = dec.word
-    bits = dec.bits
     steps = []
     u: Word = IDENTITY  # canonical word of u_k
-    zw: Word = IDENTITY  # canonical word of z_k
-    for k in range(1, len(word) + 1):
-        s = word[k - 1]
-        d_spherical = dec.labels[k - 1]
-        b = bits[k - 1]
+    for k, (s, d_spherical, b) in enumerate(zip(dec.word, dec.labels, dec.bits), 1):
+        zw, z_after = dec.stroll[k - 1], dec.stroll[k]
         w_elem = system.mult(u, zw)
-        ws = system.right_mult(w_elem, s)
-        d_letter = "U" if len(ws) > len(w_elem) else "D"
+        d_letter = "U" if len(system.right_mult(w_elem, s)) > len(w_elem) else "D"
         d_classical = f"{d_letter}{b}"
         full = u + zw
-        off = len(u)
-        if d_spherical[0] != "X":
-            # Case 1: the classical and spherical labels agree; everything
-            # happens inside the z-block.
-            if d_spherical == "U1":
-                zw_next = system.right_mult(system.element(zw), s)
-                grown = full + (s,)
-                pre = _identity_move(grown)
-                elementary = "none"
-                mid = grown
-                z_after = zw_next
-            elif d_spherical == "U0":
-                pre = _identity_move(full)
-                elementary = "dot-kill"
-                mid = full
-                z_after = zw
-            elif d_spherical == "D0":
-                beta = system.find_rex(zw, lambda w: bool(w) and w[-1] == s)
-                pre = _shift_move(beta, off, full)
-                elementary = "trivalent-merge"
-                mid = pre.target
-                z_after = zw
-            else:  # D1
-                beta = system.find_rex(zw, lambda w: bool(w) and w[-1] == s)
-                pre = _shift_move(beta, off, full)
-                elementary = "cap"
-                mid = pre.target[:-1]
-                z_after = system.element(pre.target[off:-1])
-            u_after = u
+        u_after, post = u, None
+        if d_spherical[0] != "X" or d_classical == "U0":
+            # The classical and spherical steps agree (an X0 going up is a
+            # plain U0); everything happens inside the z-block.
+            beta, elementary, mid_z = _strand_op(system, d_spherical, zw, s)
+            pre = _shift_move(beta, len(u), u + beta.source)
+            mid = u + mid_z
         else:
             t_gen = system.wall_cross(system.element(zw), s, J)
-            t_name = system.matrix.generators[t_gen]
-            if d_classical == "U0":
-                # d' = X0 with the strand going up: identical to a plain U0.
-                pre = _identity_move(full)
-                elementary = "dot-kill"
-                mid = full
-                u_after, z_after = u, zw
-            elif d_classical == "U1":
+            if d_classical == "U1":
                 # d' = X1: pull t across the z-block and let it join u.
-                grown = full + (s,)
                 delta = system.rex_path(zw + (s,), (t_gen,) + zw)
-                pre = _shift_move(delta, off, grown)
-                elementary = f"wall-transfer:{t_name}"
+                pre = _shift_move(delta, len(u), full + (s,))
+                elementary = f"wall-transfer:{system.matrix.generators[t_gen]}"
                 mid = pre.target
                 u_after = system.right_mult(system.element(u), t_gen)
-                z_after = zw
             elif d_classical == "D1":
                 # d' = X1: t is a right descent of u; expose it, slide it
                 # across the z-block to the right, and cap the incoming strand.
@@ -324,50 +280,40 @@ def build_nsll(system: CoxeterSystem, J: frozenset[int],
                 elementary = "cap"
                 mid = pre.target[:-1]
                 u_after = system.element(gamma.target[:-1])
-                z_after = zw
             else:  # d_classical == "D0", d' = X0
                 # Sweep-based construction: expose t at the right of u, sweep
                 # it across a suitable rex of z, merge with the incoming
                 # strand, then sweep back.
                 gamma = system.find_rex(u, lambda w: bool(w) and w[-1] == t_gen)
                 pre1 = _shift_move(gamma, 0, full)
-                z_tilde, sweep = find_sweep(system, t_gen, system.element(zw), s)
-                delta1 = system.rex_path(zw, z_tilde)
-                pre2 = _shift_move(delta1, len(u), pre1.target)
+                z_tilde, sweep = find_sweep(system, t_gen, zw, s)
+                pre2 = _shift_move(system.rex_path(zw, z_tilde), len(u), pre1.target)
                 pre3 = _shift_move(sweep, len(u) - 1, pre2.target)
                 pre = _compose_moves(pre1, pre2, pre3)
                 elementary = "trivalent-merge"
                 mid = pre.target
-                u_after, z_after = u, zw
-                # The post moves reverse the sweep and renormalize each block.
+                # The post moves reverse the sweep and renormalize the z-block.
                 back = _shift_move(_reverse_move(sweep), len(u) - 1, mid)
                 gamma_back = _shift_move(_reverse_move(gamma), 0, back.target)
-                post_tail = _compose_moves(back, gamma_back)
-                chosen = u_after + z_after
                 norm = _shift_move(
-                    system.rex_path(post_tail.target[len(u_after):], z_after),
-                    len(u_after), post_tail.target,
+                    system.rex_path(gamma_back.target[len(u):], z_after),
+                    len(u), gamma_back.target,
                 )
-                post = _compose_moves(post_tail, norm)
-                steps.append(NSStep(k, d_spherical, pre, elementary, post, chosen,
-                                    classical_label=d_classical,
-                                    u_part=u_after, z_part=z_after))
-                u, zw = u_after, z_after
-                continue
-        # Normalize both blocks to their canonical words.
-        chosen = u_after + z_after
-        mid_u, mid_z = mid[: len(mid) - len(z_after)], mid[len(mid) - len(z_after):]
-        post_u = _shift_move(system.rex_path(mid_u, u_after), 0, mid)
-        post_z = _shift_move(
-            system.rex_path(post_u.target[len(u_after):], z_after),
-            len(u_after), post_u.target,
-        )
-        post = _compose_moves(post_u, post_z)
-        steps.append(NSStep(k, d_spherical, pre, elementary, post, chosen,
+                post = _compose_moves(back, gamma_back, norm)
+        if post is None:
+            # Normalize both blocks to their canonical words.
+            mid_u = mid[: len(mid) - len(z_after)]
+            post_u = _shift_move(system.rex_path(mid_u, u_after), 0, mid)
+            post_z = _shift_move(
+                system.rex_path(post_u.target[len(u_after):], z_after),
+                len(u_after), post_u.target,
+            )
+            post = _compose_moves(post_u, post_z)
+        steps.append(NSStep(k, d_spherical, pre, elementary, post, u_after + z_after,
                             classical_label=d_classical,
                             u_part=u_after, z_part=z_after))
-        u, zw = u_after, z_after
-    return LLRecipe(word, bits, tuple(steps), u + zw)
+        u = u_after
+    return LLRecipe(dec.word, dec.bits, tuple(steps), u + dec.endpoint)
 
 
 # -- rendering --------------------------------------------------------------------
@@ -398,16 +344,27 @@ def recipe_to_json(system: CoxeterSystem, recipe: LLRecipe) -> dict:
 
 def parse_recipe_json(system: CoxeterSystem, J: frozenset[int], data: dict) -> LLRecipe:
     """Rebuild a recipe from its JSON form (the steps are re-derived; the
-    serialized steps are checked to match, so parsing doubles as validation)."""
+    serialized steps are checked to match, so parsing doubles as validation);
+    JSON of any other shape is rejected."""
+    steps = data.get("steps") if isinstance(data, dict) else None
+    if not (
+        isinstance(steps, list)
+        and isinstance(data.get("word"), str)
+        and isinstance(data.get("bits"), list)
+        and all(b in (0, 1) for b in data["bits"])
+        and all(isinstance(st, dict) and isinstance(st.get("intermediate"), str)
+                for st in steps)
+    ):
+        raise PreconditionViolated(
+            'expected {"word": "<word>", "bits": [0 or 1, ...], '
+            '"steps": [{"intermediate": "<word>", ...}, ...], ...}'
+        )
     word = system.parse_word(data["word"])
     bits = tuple(int(b) for b in data["bits"])
-    target = None
-    if data["steps"]:
-        target = system.parse_word(data["steps"][-1]["intermediate"])
+    target = system.parse_word(steps[-1]["intermediate"]) if steps else None
     recipe = build_sll(system, J, word, bits, target_rex=target)
     if bool(data.get("flipped", False)):
-        recipe = LLRecipe(recipe.word, recipe.bits, recipe.steps, recipe.target,
-                          flipped=True)
+        recipe = replace(recipe, flipped=True)
     if recipe_to_json(system, recipe) != data:
         raise WordMismatch("serialized recipe does not match its reconstruction")
     return recipe

@@ -4,7 +4,7 @@ Each suite is a list of named checks over one Coxeter system.  A check is a
 generator of failure messages over a `Run`, which holds what the checks of
 one `run_suites` call share: one Hecke algebra, the finitary subsets of S,
 one spherical module per J, and the case counters of the running check.
-Each case a check covers is a `with run.case():` block; a case that leaves
+Each case a check covers is a `with run.case(...)` block; a case that leaves
 the length budget is counted as skipped there, and nowhere else, and any
 other package error a case raises is one of the check's counterexamples, so
 one faulty check cannot hide the others' results.  A check that fails
@@ -106,16 +106,19 @@ class Run:
         return [w for n in range(cap + 1) for w in itertools.product(letters, repeat=n)]
 
     @contextlib.contextmanager
-    def case(self):
+    def case(self, *where):
         """One case of the running check; BudgetExceeded inside it skips the
-        case, and any other package error is a counterexample of the check."""
+        case, and any other package error is a counterexample of the check.
+        `where` is the case's coordinates: J first if it has one, then its
+        elements, words, bits or sample number.  They are formatted only
+        when the case fails, as "J=[0], (1, 0)/(1, 1): <ErrorType>: ..."."""
         try:
             yield
         except BudgetExceeded:
             self.skipped_budget += 1
             return
         except HeckesphereError as exc:
-            self.failures.append(f"{type(exc).__name__}: {exc}")
+            self.failures.append(f"{_case_name(where)}{type(exc).__name__}: {exc}")
         self.cases += 1
 
     def check(self, suite: str, name: str, fn: Callable[..., Iterator[str]],
@@ -126,6 +129,18 @@ class Run:
         for msg in fn(self, **kwargs):
             self.failures.append(msg)
         return CheckResult(suite, name, self.failures, self.cases, self.skipped_budget)
+
+
+def _case_name(where: tuple) -> str:
+    """The prefix of a failed case's counterexample: 'J=[0], (1, 0)/(1, 1): '
+    for where = (J, word, bits), and '' for a case without coordinates."""
+    parts = []
+    if where and isinstance(where[0], frozenset):
+        parts.append(f"J={sorted(where[0])}")
+        where = where[1:]
+    if where:
+        parts.append("/".join(map(str, where)))
+    return ", ".join(parts) + ": " if parts else ""
 
 
 def _random_elts(rng: random.Random, pool: list[Word], count: int) -> list[HeckeElt]:
@@ -146,7 +161,7 @@ def _random_elts(rng: random.Random, pool: list[Word], count: int) -> list[Hecke
 def check_kl_wellformed(run: Run) -> Iterator[str]:
     alg = run.algebra
     for x in run.elements():
-        with run.case():
+        with run.case(x):
             b = alg.kl_basis(x)
             if alg.bar(b) != b:
                 yield f"b_{x} is not bar-invariant"
@@ -157,7 +172,7 @@ def check_kl_wellformed(run: Run) -> Iterator[str]:
 
 def check_bwj_pi(run: Run) -> Iterator[str]:
     for J in run.subsets:
-        with run.case():
+        with run.case(J):
             try:
                 run.algebra.b_wJ_and_pi(J)  # raises InternalInconsistency on any mismatch
             except Exception as exc:  # reported, not raised: this is a check
@@ -167,7 +182,7 @@ def check_bwj_pi(run: Run) -> Iterator[str]:
 def check_hecke_orthonormal(run: Run) -> Iterator[str]:
     alg = run.algebra
     for x, y in itertools.product(run.elements(4, factors=2), repeat=2):
-        with run.case():
+        with run.case(x, y):
             got = alg.pairing_trace(alg.delta(x), alg.delta(y))
             if got != (ONE if x == y else LaurentPoly.zero()):
                 yield f"<d_{x}, d_{y}> = {got}"
@@ -176,7 +191,7 @@ def check_hecke_orthonormal(run: Run) -> Iterator[str]:
 def check_pairing_paths(run: Run) -> Iterator[str]:
     alg = run.algebra
     for x, y in itertools.product(run.elements(3, factors=2), repeat=2):
-        with run.case():
+        with run.case(x, y):
             a, b = alg.kl_basis(x), alg.kl_basis(y)
             if alg.pairing(a, b) != alg.pairing_trace(a, b):
                 yield f"pairing paths disagree on (b_{x}, b_{y})"
@@ -189,7 +204,7 @@ def check_associativity(run: Run) -> Iterator[str]:
     if not pool:
         return
     for i in range(100):
-        with run.case():
+        with run.case(i):
             a, b, c = _random_elts(rng, pool, 3)
             if alg.multiply(alg.multiply(a, b), c) != alg.multiply(a, alg.multiply(b, c)):
                 yield f"associativity fails on random triple #{i}"
@@ -202,7 +217,7 @@ def check_anti_involution(run: Run) -> Iterator[str]:
     if not pool:
         return
     for i in range(100):
-        with run.case():
+        with run.case(i):
             a, b = _random_elts(rng, pool, 2)
             if alg.anti_involution(alg.multiply(a, b)) != alg.multiply(
                 alg.anti_involution(b), alg.anti_involution(a)
@@ -221,7 +236,7 @@ def check_module_action(run: Run) -> Iterator[str]:
         if not mcrs:
             continue
         for i in range(34):
-            with run.case():
+            with run.case(J, i):
                 m = mod.m(rng.choice(mcrs), LaurentPoly({rng.randint(-1, 1): 1}))
                 h1, h2 = _random_elts(rng, mcrs, 2)
                 if mod.act(mod.act(m, h1), h2) != mod.act(m, run.algebra.multiply(h1, h2)):
@@ -235,7 +250,7 @@ def check_phi_equivariance(run: Run) -> Iterator[str]:
         for x in run.mcrs(J, run.system.budget - mod.d_J - 1):
             m = mod.m(x)
             for s in range(run.system.matrix.rank):
-                with run.case():
+                with run.case(J, x, s):
                     lhs = mod.phi_embed(mod.act_bs(m, s))
                     if lhs != alg.multiply(mod.phi_embed(m), alg.b_s(s)):
                         yield f"J={sorted(J)}: phi not equivariant at (m_{x}, s={s})"
@@ -245,7 +260,7 @@ def check_spherical_kl(run: Run) -> Iterator[str]:
     for J in run.subsets:
         mod = run.module(J)
         for x in run.mcrs(J):
-            with run.case():
+            with run.case(J, x):
                 try:
                     mod.kl_c(x)  # self-duality and degree bounds checked inside
                 except BudgetExceeded:
@@ -261,7 +276,7 @@ def check_spherical_orthonormal(run: Run) -> Iterator[str]:
         # add; keep the ball small enough for infinite systems.
         cap = None if run.system.is_finite else run.system.budget // 2 - mod.d_J
         for x, y in itertools.product(run.mcrs(J, cap), repeat=2):
-            with run.case():
+            with run.case(J, x, y):
                 got = mod.pairing(mod.m(x), mod.m(y))
                 if got != (ONE if x == y else LaurentPoly.zero()):
                     yield f"J={sorted(J)}: <m_{x}, m_{y}> = {got}"
@@ -271,7 +286,7 @@ def check_bar_M_involutive(run: Run) -> Iterator[str]:
     for J in run.subsets:
         mod = run.module(J)
         for x in run.mcrs(J):
-            with run.case():
+            with run.case(J, x):
                 if mod.bar(mod.bar(mod.m(x))) != mod.m(x):
                     yield f"J={sorted(J)}: bar_M not involutive at m_{x}"
 
@@ -282,7 +297,7 @@ def check_decomp_wallcross(run: Run) -> Iterator[str]:
     system = run.system
     for J in run.subsets:
         for w in run.elements():
-            with run.case():
+            with run.case(J, w):
                 u, z = system.coset_decompose(w, J)
                 if system.mult(u, z) != w or len(u) + len(z) != len(w):
                     yield f"J={sorted(J)}: decomposition fails at {w}"
@@ -294,7 +309,7 @@ def check_decomp_wallcross(run: Run) -> Iterator[str]:
                 zs = system.right_mult(z, s)
                 if system.is_mcr(zs, J):
                     continue
-                with run.case():
+                with run.case(J, z, s):
                     if len(zs) <= len(z):
                         yield f"J={sorted(J)}: z*s < z leaves mcr set at ({z}, {s})"
                     try:
@@ -314,7 +329,7 @@ def check_1bx(run: Run, max_len: int = 5) -> Iterator[str]:
     for J in run.subsets:
         mod = run.module(J)
         for word in run.words(max_len):
-            with run.case():
+            with run.case(J, word):
                 want = mod.zero()
                 for bits in strolls.subexpressions(len(word)):
                     dec = strolls.decorate(system, J, word, bits)
@@ -329,7 +344,7 @@ def check_rank_matching(run: Run, max_len: int = 4) -> Iterator[str]:
         mod = run.module(J)
         cap = max_len if system.is_finite else min(max_len, system.budget // 2 - mod.d_J)
         for x_word, y_word in itertools.product(run.words(cap), repeat=2):
-            with run.case():
+            with run.case(J, x_word, y_word):
                 lhs = strolls.rank_poly(system, J, x_word, y_word)
                 rhs = mod.pairing(mod.expand_expression(x_word),
                                   mod.expand_expression(y_word))
@@ -341,7 +356,7 @@ def check_partial_order(run: Run, max_len: int = 5) -> Iterator[str]:
     system = run.system
     for J in run.subsets:
         for word in run.words(max_len):
-            with run.case():
+            with run.case(J, word):
                 decs = [strolls.decorate(system, J, word, bits)
                         for bits in strolls.subexpressions(len(word))]
                 rel = {}
@@ -369,7 +384,7 @@ def check_partial_order(run: Run, max_len: int = 5) -> Iterator[str]:
 def check_empty_J_classical(run: Run, max_len: int = 4) -> Iterator[str]:
     for word in run.words(max_len):
         for bits in strolls.subexpressions(len(word)):
-            with run.case():
+            with run.case(word, bits):
                 dec = strolls.decorate(run.system, frozenset(), word, bits)
                 if any(lbl[0] == "X" for lbl in dec.labels):
                     yield f"X label with empty J on {word}/{bits}"
@@ -382,7 +397,7 @@ def check_rank_symmetry(run: Run, max_len: int = 3) -> Iterator[str]:
     system = run.system
     for J in run.subsets:
         for x_word, y_word in itertools.product(run.words(max_len), repeat=2):
-            with run.case():
+            with run.case(J, x_word, y_word):
                 if strolls.rank_poly(system, J, x_word, y_word) != strolls.rank_poly(
                     system, J, y_word, x_word
                 ):
@@ -391,7 +406,7 @@ def check_rank_symmetry(run: Run, max_len: int = 3) -> Iterator[str]:
 
 def check_localized_count(run: Run, max_len: int = 5) -> Iterator[str]:
     for word in run.words(max_len):
-        with run.case():
+        with run.case(word):
             counts = strolls.localized_summands(run.system, word)
             if sum(counts.values()) != 2 ** len(word):
                 yield f"summand multiset of {word} has wrong cardinality"
@@ -425,7 +440,7 @@ def check_ll_degree_law(run: Run, max_len: int = 5) -> Iterator[str]:
     for J in run.subsets:
         for word in run.words(max_len):
             for bits in strolls.subexpressions(len(word)):
-                with run.case():
+                with run.case(J, word, bits):
                     dec = strolls.decorate(system, J, word, bits)
                     recipe = build_sll(system, J, word, bits)
                     if recipe.degree != dec.sdef:
@@ -439,7 +454,7 @@ def check_double_leaves(run: Run, max_len: int = 4) -> Iterator[str]:
     system = run.system
     for J in run.subsets:
         for x_word, y_word in itertools.product(run.words(min(max_len, 4)), repeat=2):
-            with run.case():
+            with run.case(J, x_word, y_word):
                 for pair in strolls.double_leaf_index(system, J, x_word, y_word):
                     try:
                         dl = build_sdl(system, J, x_word, pair.e.bits,
@@ -458,7 +473,7 @@ def check_nsll(run: Run, max_len: int = 4) -> Iterator[str]:
     for J in run.subsets:
         for word in run.words(max_len):
             for bits in strolls.subexpressions(len(word)):
-                with run.case():
+                with run.case(J, word, bits):
                     recipe = build_nsll(system, J, word, bits)
                     for msg in _replay_failures(system, J, recipe):
                         yield f"J={sorted(J)}, {word}/{bits}: {msg}"
@@ -479,7 +494,7 @@ def check_sweeps(run: Run) -> Iterator[str]:
             sz = system.left_mult(s, z)
             if len(sz) <= len(z) or system.right_mult(z, t) != sz:
                 continue
-            with run.case():
+            with run.case(s, z, t):
                 try:
                     z_tilde, sweep = find_sweep(system, s, z, t)
                 except Exception as exc:

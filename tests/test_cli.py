@@ -153,6 +153,22 @@ class TestErrors:
         assert not out.out
         assert out.err.startswith("usage:") and "invalid choice: " + repr(fmt) in out.err
 
+    @pytest.mark.parametrize("argv,complaint", [
+        (("sll", "-x", "ts", "--bits", "1", "--all"),
+         "argument --all: not allowed with argument --bits"),
+        (("sll", "-x", "ts"), "one of the arguments --bits --all is required"),
+        (("nsll", "-x", "ts"), "the following arguments are required: --bits"),
+        (("sdl", "-x", "ts", "--bits", "11", "-y", "ts"),
+         "the following arguments are required: --bits2"),
+    ], ids=["sll-bits-and-all", "sll-no-bits", "nsll-no-bits", "sdl-no-bits2"])
+    def test_missing_or_clashing_bits_exit_2(self, capsys, argv, complaint):
+        with pytest.raises(SystemExit) as exc:
+            main([*argv, "--system", "a2", "--J", "s"])
+        assert exc.value.code == 2
+        out = capsys.readouterr()
+        assert not out.out
+        assert out.err.startswith("usage:") and complaint in out.err
+
     def test_unknown_suite_exits_2(self, capsys, a2_file):
         with pytest.raises(SystemExit) as exc:
             main(["verify", "--system", a2_file, "--suite", "nonsense"])

@@ -109,6 +109,15 @@ class TestRendering:
         with pytest.raises(PreconditionViolated, match="exponent, coefficient"):
             LaurentPoly.from_json(data)
 
+    @pytest.mark.parametrize("call", [
+        lambda: LaurentPoly.zero().min_exp(),
+        lambda: LaurentPoly.zero().max_exp(),
+        lambda: V ** -1,
+    ], ids=["min_exp-of-zero", "max_exp-of-zero", "negative-power"])
+    def test_out_of_domain_calls_raise_a_typed_error(self, call):
+        with pytest.raises(PreconditionViolated):
+            call()
+
     def test_getitem_and_exponents(self):
         p = poly((2, 3), (-1, 1))
         assert p[2] == 3 and p[0] == 0

@@ -1,9 +1,10 @@
+import hashlib
 import itertools
 import json
 
 import pytest
 
-from heckesphere import catalog, lightleaf, strolls
+from heckesphere import catalog, lightleaf, strolls, verify
 from heckesphere.coxeter import IDENTITY, CoxeterSystem, RexMove
 from heckesphere.errors import EndpointMismatch, PreconditionViolated, TargetMismatch
 from heckesphere.lightleaf import (
@@ -225,8 +226,77 @@ class TestRender:
         }
         assert parse_recipe_json(a2, J_S, data) == recipe
 
+    @pytest.mark.parametrize("mutate", [
+        lambda data: {},
+        lambda data: [],
+        lambda data: {**data, "bits": ["x"]},
+        lambda data: {**data, "steps": [{**st, "intermediate": None} for st in data["steps"]]},
+        lambda data: {**data, "steps": [{k: v for k, v in st.items() if k != "intermediate"}
+                                        for st in data["steps"]]},
+    ], ids=["empty-object", "list", "bad-bit", "null-intermediate", "no-intermediate"])
+    def test_malformed_json_is_rejected(self, a2, mutate):
+        data = recipe_to_json(a2, build_sll(a2, J_S, (T, S, T), (1, 1, 1)))
+        with pytest.raises(PreconditionViolated, match="expected"):
+            parse_recipe_json(a2, J_S, mutate(data))
+
+    def test_flipped_round_trip(self, a2):
+        upper = build_sdl(a2, J_S, (T, S), (1, 1), (T, S, T), (1, 1, 1)).upper
+        assert parse_recipe_json(a2, J_S, recipe_to_json(a2, upper)) == upper
+
     def test_unknown_format(self, a2):
         from heckesphere.errors import UnknownFormat
         recipe = build_sll(a2, J_S, (), ())
         with pytest.raises(UnknownFormat):
             render(a2, recipe, "svg")
+
+
+# -- the leaves byte for byte ---------------------------------------------------------
+
+# sha256 of the renders below, recorded from the construction they pin.
+RECIPES_SHA256 = "0c26e2cc30e6e895cd0e6c276d3eb425a248c69a2901c67d808efe58c25553c7"
+
+
+def _pinned_systems(a2, b2, a3):
+    """(system, longest light-leaf word, longest double-leaf word) of the pinned domain."""
+    return ((a2, 4, 2), (b2, 4, 2), (a3, 3, 1))
+
+
+def _words(system, max_len):
+    letters = range(system.matrix.rank)
+    return [w for n in range(max_len + 1) for w in itertools.product(letters, repeat=n)]
+
+
+def _light_leaf_domain(a2, b2, a3):
+    for system, max_len, _ in _pinned_systems(a2, b2, a3):
+        for J in verify.finitary_subsets(system):
+            for word in _words(system, max_len):
+                for bits in strolls.subexpressions(len(word)):
+                    yield system, J, word, bits
+
+
+def test_recipes_match_recorded_digest(a2, b2, a3):
+    digest = hashlib.sha256()
+    kinds = set()
+    for system, J, word, bits in _light_leaf_domain(a2, b2, a3):
+        nsll = build_nsll(system, J, word, bits)
+        kinds.update((st.label, st.classical_label) for st in nsll.steps)
+        for recipe in (build_sll(system, J, word, bits), nsll):
+            digest.update(render(system, recipe, "json").encode() + b"\n")
+    for system, _, max_len in _pinned_systems(a2, b2, a3):
+        words = _words(system, max_len)
+        for J in verify.finitary_subsets(system):
+            for x, y in itertools.product(words, repeat=2):
+                for pair in strolls.double_leaf_index(system, J, x, y):
+                    dl = build_sdl(system, J, x, pair.e.bits, y, pair.f.bits)
+                    digest.update(render(system, dl, "text").encode() + b"\n")
+    # Every (spherical, classical) step kind of the non-spherical leaf is pinned.
+    assert kinds == {("U1", "U1"), ("U0", "U0"), ("D0", "D0"), ("D1", "D1"),
+                     ("X0", "U0"), ("X1", "U1"), ("X1", "D1"), ("X0", "D0")}
+    assert digest.hexdigest() == RECIPES_SHA256
+
+
+def test_nsll_z_block_is_the_spherical_stroll(a2, b2, a3):
+    for system, J, word, bits in _light_leaf_domain(a2, b2, a3):
+        stroll = strolls.decorate(system, J, word, bits).stroll
+        recipe = build_nsll(system, J, word, bits)
+        assert [st.z_part for st in recipe.steps] == list(stroll[1:])

@@ -1,3 +1,5 @@
+import itertools
+
 import pytest
 
 from heckesphere import catalog, cli, verify
@@ -41,6 +43,19 @@ def test_a_package_error_is_a_counterexample_in_its_place(inf_dihedral):
     assert (res.cases, res.skipped_budget, res.status) == (1, 0, "FAIL")
 
 
+def test_a_failing_case_is_named_by_its_coordinates(inf_dihedral):
+    def check(run):
+        with run.case(frozenset({1, 0}), (1, 0), (1, 1)):
+            raise PreconditionViolated("a bug")
+        with run.case((0,), 1):
+            raise PreconditionViolated("another")
+        yield from ()
+
+    res = verify.Run(inf_dihedral).check("suite", "name", check)
+    assert res.failures == ["J=[0, 1], (1, 0)/(1, 1): PreconditionViolated: a bug",
+                            "(0,)/1: PreconditionViolated: another"]
+
+
 def test_an_error_in_one_check_leaves_the_others_reported(monkeypatch, capsys):
     # With wall_cross corrupted, decomp-wallcross reports it, and the light-leaf
     # checks, whose constructions rely on it, raise DifferentElements.
@@ -53,7 +68,14 @@ def test_an_error_in_one_check_leaves_the_others_reported(monkeypatch, capsys):
         f"{suite}/{name}" for suite, checks in verify.SUITES.items() for name, _ in checks]
     assert "FAIL spherical/decomp-wallcross" in statuses
     assert "FAIL lightleaf/degree-law" in statuses
-    assert "  counterexample: DifferentElements: " in out
+    # Each counterexample names its case: J, then the word and its bits.
+    lines = out.splitlines()
+    start = lines.index("FAIL lightleaf/degree-law") + 1
+    shown = list(itertools.takewhile(lambda line: line.startswith("  counterexample: "),
+                                     lines[start:]))
+    assert len(shown) == 5 and len(set(shown)) == 5
+    for line in shown:
+        assert line.startswith("  counterexample: J=") and ": DifferentElements: " in line
 
 
 @pytest.mark.parametrize("cases,failures,status", [
