@@ -62,10 +62,10 @@ def _parse_J(system: CoxeterSystem, spec: str | None) -> frozenset[int]:
     return frozenset(out)
 
 
-def _parse_bits(spec: str, n: int) -> tuple[int, ...]:
+def _parse_bits(spec: str, n: int, flag: str) -> tuple[int, ...]:
     spec = spec.strip()
     if len(spec) != n or any(ch not in "01" for ch in spec):
-        raise HeckesphereError(f"--bits must be a 0/1 string of length {n}")
+        raise HeckesphereError(f"{flag} must be a 0/1 string of length {n}")
     return tuple(int(ch) for ch in spec)
 
 
@@ -126,7 +126,7 @@ def cmd_stroll(args) -> int:
     J = _parse_J(system, args.J)
     word = system.parse_word(args.x)
     if args.bits is not None:
-        bit_lists = [_parse_bits(args.bits, len(word))]
+        bit_lists = [_parse_bits(args.bits, len(word), "--bits")]
     else:
         bit_lists = list(strolls.subexpressions(len(word)))
     rows = [
@@ -180,7 +180,7 @@ def cmd_sll(args) -> int:
     if args.all:
         bit_lists = list(strolls.subexpressions(len(word)))
     else:
-        bit_lists = [_parse_bits(args.bits, len(word))]
+        bit_lists = [_parse_bits(args.bits, len(word), "--bits")]
     outputs = []
     for bits in bit_lists:
         recipe = lightleaf.build_sll(system, J, word, bits)
@@ -200,8 +200,8 @@ def cmd_sdl(args) -> int:
     J = _parse_J(system, args.J)
     x = system.parse_word(args.x)
     y = system.parse_word(args.y)
-    e = _parse_bits(args.bits, len(x))
-    f = _parse_bits(args.bits2, len(y))
+    e = _parse_bits(args.bits, len(x), "--bits")
+    f = _parse_bits(args.bits2, len(y), "--bits2")
     dl = lightleaf.build_sdl(system, J, x, e, y, f)
     print(lightleaf.render(system, dl, args.format))
     return 0
@@ -211,7 +211,7 @@ def cmd_nsll(args) -> int:
     system = _load_system(args)
     J = _parse_J(system, args.J)
     word = system.parse_word(args.x)
-    bits = _parse_bits(args.bits, len(word))
+    bits = _parse_bits(args.bits, len(word), "--bits")
     recipe = lightleaf.build_nsll(system, J, word, bits)
     print(lightleaf.render(system, recipe, args.format))
     return 0

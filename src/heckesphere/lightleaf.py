@@ -43,9 +43,7 @@ from .errors import (
     UnknownFormat,
     WordMismatch,
 )
-from .strolls import Bits, decorate
-
-STEP_DEGREE = {"U0": 1, "X0": 1, "D0": -1, "X1": -1, "U1": 0, "D1": 0}
+from .strolls import STEP_DEGREE, Bits, decorate
 
 CONVENTIONS = {"rex": "shortlex-bfs"}
 
@@ -176,11 +174,15 @@ def build_sll(system: CoxeterSystem, J: frozenset[int],
 def build_sdl(system: CoxeterSystem, J: frozenset[int],
               x_word: Sequence[int], e_bits: Sequence[int],
               y_word: Sequence[int], f_bits: Sequence[int]) -> DoubleLeafRecipe:
-    """Double leaf: the light-leaf for (x_, e) followed by the flip of the
-    light-leaf for (y_, f), glued through the ShortLex-minimal reduced word of
-    the common endpoint, where both light leaves end."""
-    lower = build_sll(system, J, x_word, e_bits)
-    upper = build_sll(system, J, y_word, f_bits)
+    """Double leaf: the light-leaf for (x_, e) glued to the light-leaf for
+    (y_, f)."""
+    return glue(build_sll(system, J, x_word, e_bits), build_sll(system, J, y_word, f_bits))
+
+
+def glue(lower: LLRecipe, upper: LLRecipe) -> DoubleLeafRecipe:
+    """The double leaf of two light leaves: `lower` followed by the flip of
+    `upper`, glued through the ShortLex-minimal reduced word of the common
+    endpoint, where both light leaves end."""
     if lower.target != upper.target:
         raise EndpointMismatch(f"endpoints differ: {lower.target} vs {upper.target}")
     return DoubleLeafRecipe(lower, replace(upper, flipped=True), lower.target)

@@ -26,6 +26,9 @@ from .laurent import LaurentPoly
 
 Bits = tuple[int, ...]
 
+# The degree of each step label; they sum to the spherical defect.
+STEP_DEGREE = {"U0": 1, "X0": 1, "D0": -1, "X1": -1, "U1": 0, "D1": 0}
+
 
 @dataclass(frozen=True)
 class Decoration:
@@ -40,8 +43,7 @@ class Decoration:
 
     @property
     def sdef(self) -> int:
-        counts = Counter(self.labels)
-        return counts["U0"] + counts["X0"] - counts["D0"] - counts["X1"]
+        return sum(map(STEP_DEGREE.__getitem__, self.labels))
 
 
 def decorate(system: CoxeterSystem, J: frozenset[int],

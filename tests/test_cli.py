@@ -119,6 +119,11 @@ class TestErrors:
                            "-x", "tst", "--bits", "11")
         assert code == 2 and err
 
+    def test_bad_bits2_names_its_flag(self, capsys):
+        code, _, err = run(capsys, "sdl", "--system", "a2", "--J", "s",
+                           "-x", "t", "--bits", "1", "-y", "t", "--bits2", "11")
+        assert code == 2 and "--bits2" in err
+
     def test_unknown_generator(self, capsys, a2_file):
         code, _, err = run(capsys, "rank", "--system", a2_file, "--J", "q",
                            "-x", "t", "-y", "t")

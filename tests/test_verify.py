@@ -4,7 +4,7 @@ import pytest
 
 from heckesphere import catalog, cli, verify
 from heckesphere.coxeter import CoxeterSystem
-from heckesphere.errors import PreconditionViolated
+from heckesphere.errors import InternalInconsistency, PreconditionViolated
 
 
 def test_a_case_past_the_budget_is_skipped(inf_dihedral):
@@ -49,11 +49,32 @@ def test_a_failing_case_is_named_by_its_coordinates(inf_dihedral):
             raise PreconditionViolated("a bug")
         with run.case((0,), 1):
             raise PreconditionViolated("another")
-        yield from ()
+        with run.case(frozenset({0}), (1,)):
+            yield "a yielded failure"
+        yield "outside any case"
 
     res = verify.Run(inf_dihedral).check("suite", "name", check)
     assert res.failures == ["J=[0, 1], (1, 0)/(1, 1): PreconditionViolated: a bug",
-                            "(0,)/1: PreconditionViolated: another"]
+                            "(0,)/1: PreconditionViolated: another",
+                            "J=[0], (1,): a yielded failure",
+                            "outside any case"]
+
+
+@pytest.mark.parametrize("target,attr,suite,check,first", [
+    # A check that never yields: its only counterexamples are raised.
+    (verify.HeckeAlgebra, "b_wJ_and_pi", "hecke", "bwj-pi-identity", "J=[]"),
+    # The index set a check enumerates its cases from.
+    (verify.strolls, "double_leaf_index", "lightleaf", "double-leaves", "J=[], ()/()"),
+], ids=["bwj-pi-identity", "double-leaves"])
+def test_a_raised_package_error_is_named_by_its_case(monkeypatch, a2, target, attr,
+                                                     suite, check, first):
+    def broken(*args):
+        raise InternalInconsistency("broken")
+
+    monkeypatch.setattr(target, attr, broken)
+    res = verify.Run(a2).check(suite, check, dict(verify.SUITES[suite])[check])
+    assert res.status == "FAIL"
+    assert res.failures[0] == f"{first}: InternalInconsistency: broken"
 
 
 def test_an_error_in_one_check_leaves_the_others_reported(monkeypatch, capsys):
