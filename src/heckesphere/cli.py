@@ -15,7 +15,9 @@ Subcommands:
 --format: kl, act, stroll and localize print text, json or csv; rank, sll,
 sdl and nsll print text or json; verify prints text.  Any other value, and
 any unknown --suite, exits 2, as does sll without exactly one of --bits and
---all, nsll without --bits, and sdl without --bits and --bits2.
+--all, nsll without --bits, and sdl without --bits and --bits2.  Every
+subcommand but verify builds its JSON document, its text and, where csv is
+accepted, its rows, and `_emit` prints the one --format asks for.
 
 Exit codes: 0 success (an EMPTY check is not a failure), 1 verification
 failure, 2 parse/configuration error, 3 length budget exceeded, 4 endpoint
@@ -69,156 +71,111 @@ def _parse_bits(spec: str, n: int, flag: str) -> tuple[int, ...]:
     return tuple(int(ch) for ch in spec)
 
 
-def _print_csv(rows: list[dict]):
-    if not rows:
-        return
-    writer = csv.DictWriter(sys.stdout, fieldnames=list(rows[0].keys()))
-    writer.writeheader()
-    writer.writerows(rows)
-
-
-def _print_element(args, system: CoxeterSystem, elt, text, to_json):
-    """Print a Hecke or module element as text, JSON, or elt,coeff CSV rows."""
+def _emit(args, doc, text: str, rows: list[dict] | None = None, indent: int | None = 2) -> int:
+    """Print a result in its --format: `doc` as JSON, `rows` as CSV with a
+    header from the first row's keys, or `text`.  The one reader of --format."""
     if args.format == "json":
-        print(json.dumps(to_json(elt), indent=2))
+        print(json.dumps(doc, indent=indent))
     elif args.format == "csv":
-        _print_csv([
-            {"elt": system.format_word(w) or "e", "coeff": str(c)}
-            for w, c in elt.items()
-        ])
+        if rows:
+            writer = csv.DictWriter(sys.stdout, fieldnames=list(rows[0]))
+            writer.writeheader()
+            writer.writerows(rows)
     else:
-        print(text(elt))
+        print(text)
+    return 0
 
 
-def cmd_kl(args) -> int:
-    system = _load_system(args)
+def _element_rows(system: CoxeterSystem, elt) -> list[dict]:
+    return [{"elt": system.format_word(w) or "e", "coeff": str(c)} for w, c in elt.items()]
+
+
+def cmd_kl(args, system: CoxeterSystem) -> int:
     alg = HeckeAlgebra(system)
-    x = system.element(system.parse_word(args.x))
-    b = alg.kl_basis(x)
-    _print_element(args, system, b, alg.format, lambda e: e.to_json(system))
-    return 0
+    b = alg.kl_basis(system.element(system.parse_word(args.x)))
+    return _emit(args, b.to_json(system), alg.format(b), _element_rows(system, b))
 
 
-def cmd_act(args) -> int:
-    system = _load_system(args)
-    J = _parse_J(system, args.J)
-    mod = SphericalModule(HeckeAlgebra(system), J)
+def cmd_act(args, system: CoxeterSystem) -> int:
+    mod = SphericalModule(HeckeAlgebra(system), _parse_J(system, args.J))
     m = mod.expand_expression(system.parse_word(args.x))
-    _print_element(args, system, m, mod.format, mod.to_json)
-    return 0
+    return _emit(args, mod.to_json(m), mod.format(m), _element_rows(system, m))
 
 
-def cmd_rank(args) -> int:
-    system = _load_system(args)
+def cmd_rank(args, system: CoxeterSystem) -> int:
     J = _parse_J(system, args.J)
-    x = system.parse_word(args.x)
-    y = system.parse_word(args.y)
-    poly = strolls.rank_poly(system, J, x, y)
-    if args.format == "json":
-        print(json.dumps(poly.to_json()))
-    else:
-        print(poly)
-    return 0
+    poly = strolls.rank_poly(system, J, system.parse_word(args.x), system.parse_word(args.y))
+    return _emit(args, poly.to_json(), str(poly), indent=None)
 
 
-def cmd_stroll(args) -> int:
-    system = _load_system(args)
+def cmd_stroll(args, system: CoxeterSystem) -> int:
     J = _parse_J(system, args.J)
     word = system.parse_word(args.x)
     if args.bits is not None:
         bit_lists = [_parse_bits(args.bits, len(word), "--bits")]
     else:
         bit_lists = list(strolls.subexpressions(len(word)))
-    rows = [
+    doc = [
         strolls.decoration_json(system, strolls.decorate(system, J, word, bits))
         for bits in bit_lists
     ]
-    if args.format == "json":
-        print(json.dumps(rows, indent=2))
-    elif args.format == "csv":
-        _print_csv([
-            {
-                "bits": "".join(map(str, r["bits"])),
-                "labels": " ".join(r["labels"]),
-                "stroll": " ".join(z or "e" for z in r["stroll"]),
-                "endpoint": r["endpoint"] or "e",
-                "sdef": r["sdef"],
-            }
-            for r in rows
-        ])
-    else:
-        for r in rows:
-            print(
-                f"bits={''.join(map(str, r['bits']))} "
-                f"labels={','.join(r['labels'])} "
-                f"stroll={','.join(z or 'e' for z in r['stroll'])} "
-                f"sdef={r['sdef']}"
-            )
-    return 0
+    rows = [
+        {
+            "bits": "".join(map(str, r["bits"])),
+            "labels": " ".join(r["labels"]),
+            "stroll": " ".join(z or "e" for z in r["stroll"]),
+            "endpoint": r["endpoint"] or "e",
+            "sdef": r["sdef"],
+        }
+        for r in doc
+    ]
+    text = "\n".join(
+        f"bits={''.join(map(str, r['bits']))} labels={','.join(r['labels'])} "
+        f"stroll={','.join(z or 'e' for z in r['stroll'])} sdef={r['sdef']}"
+        for r in doc
+    )
+    return _emit(args, doc, text, rows)
 
 
-def cmd_localize(args) -> int:
-    system = _load_system(args)
-    word = system.parse_word(args.x)
-    counts = strolls.localized_summands(system, word)
+def cmd_localize(args, system: CoxeterSystem) -> int:
+    counts = strolls.localized_summands(system, system.parse_word(args.x))
     rows = [{"elt": system.format_word(w) or "e", "multiplicity": n}
             for w, n in sorted(counts.items(), key=lambda kv: (len(kv[0]), kv[0]))]
-    if args.format == "json":
-        print(json.dumps(rows, indent=2))
-    elif args.format == "csv":
-        _print_csv(rows)
-    else:
-        for r in rows:
-            print(f"{r['elt']}: {r['multiplicity']}")
-    return 0
+    text = "\n".join(f"{r['elt']}: {r['multiplicity']}" for r in rows)
+    return _emit(args, rows, text, rows)
 
 
-def cmd_sll(args) -> int:
-    system = _load_system(args)
+def cmd_sll(args, system: CoxeterSystem) -> int:
     J = _parse_J(system, args.J)
     word = system.parse_word(args.x)
     if args.all:
         bit_lists = list(strolls.subexpressions(len(word)))
     else:
         bit_lists = [_parse_bits(args.bits, len(word), "--bits")]
-    outputs = []
-    for bits in bit_lists:
-        recipe = lightleaf.build_sll(system, J, word, bits)
-        outputs.append(recipe)
-    if args.format == "json":
-        print(json.dumps(
-            [lightleaf.recipe_to_json(system, r) for r in outputs]
-            if args.all else lightleaf.recipe_to_json(system, outputs[0]),
-            indent=2))
-    else:
-        print("\n\n".join(lightleaf.render(system, r, args.format) for r in outputs))
-    return 0
+    recipes = [lightleaf.build_sll(system, J, word, bits) for bits in bit_lists]
+    docs = [lightleaf.recipe_to_json(system, r) for r in recipes]
+    text = "\n\n".join(lightleaf.render(system, r) for r in recipes)
+    return _emit(args, docs if args.all else docs[0], text)
 
 
-def cmd_sdl(args) -> int:
-    system = _load_system(args)
+def cmd_sdl(args, system: CoxeterSystem) -> int:
     J = _parse_J(system, args.J)
     x = system.parse_word(args.x)
     y = system.parse_word(args.y)
     e = _parse_bits(args.bits, len(x), "--bits")
     f = _parse_bits(args.bits2, len(y), "--bits2")
     dl = lightleaf.build_sdl(system, J, x, e, y, f)
-    print(lightleaf.render(system, dl, args.format))
-    return 0
+    return _emit(args, lightleaf.double_leaf_to_json(system, dl), lightleaf.render(system, dl))
 
 
-def cmd_nsll(args) -> int:
-    system = _load_system(args)
+def cmd_nsll(args, system: CoxeterSystem) -> int:
     J = _parse_J(system, args.J)
     word = system.parse_word(args.x)
-    bits = _parse_bits(args.bits, len(word), "--bits")
-    recipe = lightleaf.build_nsll(system, J, word, bits)
-    print(lightleaf.render(system, recipe, args.format))
-    return 0
+    recipe = lightleaf.build_nsll(system, J, word, _parse_bits(args.bits, len(word), "--bits"))
+    return _emit(args, lightleaf.recipe_to_json(system, recipe), lightleaf.render(system, recipe))
 
 
-def cmd_verify(args) -> int:
-    system = _load_system(args)
+def cmd_verify(args, system: CoxeterSystem) -> int:
     names = list(verify.SUITES) if "all" in args.suite else args.suite
     failed = False
     for res in verify.run_suites(system, names):
@@ -299,7 +256,7 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.fn(args)
+        return args.fn(args, _load_system(args))
     except BudgetExceeded as exc:
         print(f"budget exceeded: {exc}", file=sys.stderr)
         return 3

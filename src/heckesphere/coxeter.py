@@ -95,6 +95,7 @@ class _ElemData:
     # factor[s * rank + t]: length of the W_{s,t} factor of the element.
     factor: tuple[int, ...]
     right_mult: dict[int, Word]
+    descents: frozenset[int]  # right descents
     inverse: Word = IDENTITY
 
 
@@ -129,7 +130,7 @@ class CoxeterSystem:
 
     def _build(self):
         n = self.matrix.rank
-        self._elems[IDENTITY] = _ElemData((0,) * (n * n), {})
+        self._elems[IDENTITY] = _ElemData((0,) * (n * n), {}, frozenset())
         self._layers.append([IDENTITY])
         for length in range(self.budget):
             layer: list[Word] = []
@@ -169,7 +170,7 @@ class CoxeterSystem:
                 d = a if a in down else b if b in down else None
                 if a != b and d is not None:
                     grown[a * n + b] = self._elems[down[d]].factor[a * n + b] + 1
-        self._elems[x] = _ElemData(tuple(grown), down)
+        self._elems[x] = _ElemData(tuple(grown), down, frozenset(down))
         for d, u in down.items():
             self._elems[u].right_mult[d] = x
         return x
@@ -238,11 +239,11 @@ class CoxeterSystem:
                     queue.append(nb)
         return frozenset(seen)
 
-    def right_descents(self, w: Word) -> set[int]:
-        return {s for s, ws in self._elems[w].right_mult.items() if len(ws) < len(w)}
+    def right_descents(self, w: Word) -> frozenset[int]:
+        return self._elems[w].descents
 
-    def left_descents(self, w: Word) -> set[int]:
-        return self.right_descents(self.inverse(w))
+    def left_descents(self, w: Word) -> frozenset[int]:
+        return self._elems[self._elems[w].inverse].descents
 
     # -- Bruhat order ----------------------------------------------------------
 
@@ -367,7 +368,7 @@ class CoxeterSystem:
 
     def is_mcr(self, w: Word, J: frozenset[int]) -> bool:
         """True iff w is the minimal representative of its coset W_J w."""
-        return not (self.left_descents(w) & J)
+        return J.isdisjoint(self.left_descents(w))
 
     def min_coset_reps(self, J: Iterable[int], max_length: int | None = None) -> list[Word]:
         J = frozenset(J)

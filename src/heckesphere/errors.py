@@ -51,7 +51,3 @@ class TargetMismatch(HeckesphereError):
 
 class InternalInconsistency(HeckesphereError):
     """Two independent computation paths disagreed; signals a bug."""
-
-
-class UnknownFormat(HeckesphereError):
-    """Unrecognized rendering format."""

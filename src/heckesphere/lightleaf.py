@@ -40,7 +40,6 @@ from .errors import (
     EndpointMismatch,
     PreconditionViolated,
     TargetMismatch,
-    UnknownFormat,
     WordMismatch,
 )
 from .strolls import STEP_DEGREE, Bits, decorate
@@ -395,7 +394,16 @@ def _render_move(system: CoxeterSystem, move: RexMove) -> str:
     return " ".join(parts)
 
 
-def render_text(system: CoxeterSystem, recipe: LLRecipe) -> str:
+def render(system: CoxeterSystem, recipe: LLRecipe | DoubleLeafRecipe) -> str:
+    """The text form of a light leaf, one line per step, or of a double leaf."""
+    if isinstance(recipe, DoubleLeafRecipe):
+        return "\n".join([
+            "lower:",
+            render(system, recipe.lower),
+            "upper:",
+            render(system, recipe.upper),
+            f"through={_fmt_word(system, recipe.through)} degree={recipe.degree}",
+        ])
     lines = []
     head = f"word={_fmt_word(system, recipe.word)} bits={''.join(map(str, recipe.bits))}"
     if recipe.flipped:
@@ -410,23 +418,3 @@ def render_text(system: CoxeterSystem, recipe: LLRecipe) -> str:
         )
     lines.append(f"target={_fmt_word(system, recipe.target)} degree={recipe.degree}")
     return "\n".join(lines)
-
-
-def render(system: CoxeterSystem, recipe, fmt: str = "text") -> str:
-    import json as _json
-
-    if fmt == "text":
-        if isinstance(recipe, DoubleLeafRecipe):
-            return "\n".join([
-                "lower:",
-                render_text(system, recipe.lower),
-                "upper:",
-                render_text(system, recipe.upper),
-                f"through={_fmt_word(system, recipe.through)} degree={recipe.degree}",
-            ])
-        return render_text(system, recipe)
-    if fmt == "json":
-        if isinstance(recipe, DoubleLeafRecipe):
-            return _json.dumps(double_leaf_to_json(system, recipe), indent=2)
-        return _json.dumps(recipe_to_json(system, recipe), indent=2)
-    raise UnknownFormat(f"unknown recipe format {fmt!r}")

@@ -114,11 +114,7 @@ class SphericalModule:
     def phi_embed(self, a: SphericalElt) -> HeckeElt:
         """m_x -> b_{w_J} delta_x, extended linearly (injective: the leading
         term delta_{w_J x} of each image is distinct)."""
-        alg = self.algebra
-        out = alg.zero()
-        for x, c in a.support.items():
-            out = out + alg.multiply(self.b_wJ, alg.delta(x)).scale(c)
-        return out
+        return self.algebra.multiply(self.b_wJ, HeckeElt.wrap(a.support))
 
     def _gram(self, x: Word, y: Word) -> LaurentPoly:
         """G(x, y) = trace(i(phi m_x) * phi m_y), memoized per pair of mcrs."""
@@ -126,10 +122,8 @@ class SphericalModule:
         if got is None:
             self._check_mcr(x)
             self._check_mcr(y)
-            alg = self.algebra
-            got = alg.trace(alg.multiply(
-                alg.anti_involution(self.phi_embed(SphericalElt.wrap({x: ONE}))),
-                self.phi_embed(SphericalElt.wrap({y: ONE}))))
+            got = self.algebra.pairing_trace(self.phi_embed(SphericalElt.wrap({x: ONE})),
+                                             self.phi_embed(SphericalElt.wrap({y: ONE})))
             self._gram_memo[(x, y)] = got
         return got
 

@@ -5,14 +5,16 @@ function of a `Run` that yields failure messages, or only raises; the `Run`
 holds what the checks of one `run_suites` call share: one Hecke algebra,
 the finitary subsets of S, one spherical module per J, and the case
 counters of the running check.  Each case a check covers is a
-`with run.case(*where)` block, the one place that names a counterexample
-and the one place that catches an error: a case that leaves the length
-budget is counted as skipped, any other package error it raises is one of
-the check's counterexamples, so one faulty check cannot hide the others'
-results, and every counterexample starts with the case's coordinates
-`where`.  A check that fails nowhere reports PASS, or EMPTY if it
-completed no case.  The CLI and the test suite share these so
-a green `verify` run and a green pytest run mean the same thing.
+`with run.case(*where)` block, the one place that names a counterexample:
+a case that leaves the length budget is counted as skipped, any other
+package error it raises is one of the check's counterexamples, and every
+counterexample starts with the case's coordinates `where`.  A package error
+raised outside every case, while the check enumerates its cases, is one
+bare counterexample that ends that check only (BudgetExceeded there still
+ends the run), so one faulty check cannot hide the others' results.  A
+check that fails nowhere reports PASS, or EMPTY if it completed no case.
+The CLI and the test suite share these so a green `verify` run and a green
+pytest run mean the same thing.
 """
 
 from __future__ import annotations
@@ -134,11 +136,19 @@ class Run:
 
     def check(self, suite: str, name: str, fn: Check) -> CheckResult:
         """Run one check to the end, counting its cases and naming each
-        message it yields by the case it yields it in."""
+        message it yields by the case it yields it in.  A package error
+        other than BudgetExceeded that the check raises outside every case,
+        while it enumerates its cases, is one more counterexample and ends
+        only this check."""
         self.cases = self.skipped_budget = 0
         self.failures = []
-        for msg in fn(self) or ():
-            self.failures.append(_case_name(self.where) + msg)
+        try:
+            for msg in fn(self) or ():
+                self.failures.append(_case_name(self.where) + msg)
+        except BudgetExceeded:
+            raise
+        except HeckesphereError as exc:
+            self.failures.append(f"{type(exc).__name__}: {exc}")
         return CheckResult(suite, name, self.failures, self.cases, self.skipped_budget)
 
 

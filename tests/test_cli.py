@@ -1,9 +1,11 @@
 import csv
+import hashlib
 import io
 import json
 
 import pytest
 
+from conftest import AFFINE_A2
 from heckesphere.cli import main
 from heckesphere.hecke import HeckeAlgebra
 from heckesphere.spherical import SphericalModule
@@ -248,3 +250,56 @@ class TestVerify:
         _, first, _ = run(capsys, *args)
         _, second, _ = run(capsys, *args)
         assert first == second
+
+
+# -- every --format of every subcommand, byte for byte ------------------------------
+
+# One fixed command line per subcommand; AFFINE stands for affine A2 loaded
+# from a JSON file.
+RECORDED_CALLS = {
+    "kl": ("--system", "a3", "--budget", "12", "-x", "tsuts"),
+    "act": ("--system", "b2", "--budget", "10", "--J", "s", "-x", "tstst"),
+    "rank": ("--system", "AFFINE", "--budget", "8", "--J", "s,t", "-x", "ustu", "-y", "uts"),
+    "stroll": ("--system", "a2", "--J", "s", "-x", "tsts"),
+    "localize": ("--system", "AFFINE", "--budget", "8", "-x", "stus"),
+    "sll": ("--system", "b2", "--budget", "10", "--J", "t", "-x", "stst", "--all"),
+    "sdl": ("--system", "a3", "--budget", "12", "--J", "s", "-x", "tsut", "--bits", "1101",
+            "-y", "tsu", "--bits2", "110"),
+    "nsll": ("--system", "AFFINE", "--budget", "8", "--J", "s", "-x", "tsuts",
+             "--bits", "11011"),
+}
+
+# (exit code, sha256 of stdout) for each (subcommand, --format) it accepts.
+RECORDED_OUTPUT = {
+    ("kl", "text"): (0, "886d905c734329626715fa586a4fcc69fbd23e18353bb01589e9d3393ff47bb7"),
+    ("kl", "json"): (0, "d13f017af0fd67b51461bb5f1849721c28023cc53f0298ce130145300df49bd6"),
+    ("kl", "csv"): (0, "fc2c3488019aff21edf58920e26aeb5a918bcbd5d4adf99c8120a89a95adc2dd"),
+    ("act", "text"): (0, "9fa7557f3882df607ada855091f4cffcd8accb0daae7d948f76579d9c6640823"),
+    ("act", "json"): (0, "b522600569a42cf2ea764fe03a73190f3ad97415d7f9e9907f4dfa09a5eb88df"),
+    ("act", "csv"): (0, "4996e1cb44c02c89ebd3a1ebacb789f85a23b0ae3267858f8d3562b106508dc0"),
+    ("rank", "text"): (0, "2b9354796a8cdca6ae1ecb3ff773a924f3e4611d6a6130e0ee7e95bbc75548eb"),
+    ("rank", "json"): (0, "deae5eb9ad91bbbe8184fba5662a79c807f0a9cb6a05fb005deef1fbf3f8cf22"),
+    ("stroll", "text"): (0, "2ef1a44a0ed2818438d190efc291700b3df86a35e2297575714d6d2716e64f55"),
+    ("stroll", "json"): (0, "ba85a0b02c3c54625577d58ff7887e64a83f91f79cdb7344e2cff35469b6af91"),
+    ("stroll", "csv"): (0, "9cbeff566e17098c1d2bc748a60200cc3b55ffda27e4654f9baabc8b19fb8e71"),
+    ("localize", "text"): (0, "3dd271ed62df71af06e85330ed2553b038a22cdb6c4189f7cd5c2972c902f1c0"),
+    ("localize", "json"): (0, "5be37e06f38ba254a62be950050aa0fcfba26428ee652222b4b8ae7b7d91983b"),
+    ("localize", "csv"): (0, "60ef1760e2d319ede1ebb363acea6cd2826cca78e90172a77c6ebcab8605729c"),
+    ("sll", "text"): (0, "4bc13ccfd3f5f11dd519a6100765cc98122a6c0359e871f78667f1ac05024189"),
+    ("sll", "json"): (0, "a163e98b85d3b7d8296cdd9f9d4aec7819fcd47d965e6e603a630929d3ed2594"),
+    ("sdl", "text"): (0, "2871119336fe182731d9d634fe9b935c744d6df3e4de5ca16c7e6f2b2aa613ae"),
+    ("sdl", "json"): (0, "97f831ab61645083880dd9f0252ec1c1b7f2f1e815a05b3395f9e95436652ec5"),
+    ("nsll", "text"): (0, "9b4b5e4557317efbd5416c62abb4d5bf20288110b0aaf3c403cda9f349791022"),
+    ("nsll", "json"): (0, "02c2526056cb0a16c99872b276c88e50c02fdce477a3dbc9a945de58217b9bce"),
+}
+
+
+@pytest.mark.parametrize("cmd,fmt", list(RECORDED_OUTPUT),
+                         ids=[f"{cmd}-{fmt}" for cmd, fmt in RECORDED_OUTPUT])
+def test_output_matches_recorded_digest(capsys, tmp_path, cmd, fmt):
+    path = tmp_path / "affine_a2.json"
+    path.write_text(json.dumps(AFFINE_A2.to_json()))
+    argv = [str(path) if a == "AFFINE" else a for a in RECORDED_CALLS[cmd]]
+    code = main([cmd, *argv, "--format", fmt])
+    out = capsys.readouterr().out
+    assert (code, hashlib.sha256(out.encode()).hexdigest()) == RECORDED_OUTPUT[cmd, fmt]

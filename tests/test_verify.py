@@ -99,6 +99,29 @@ def test_an_error_in_one_check_leaves_the_others_reported(monkeypatch, capsys):
         assert line.startswith("  counterexample: J=") and ": DifferentElements: " in line
 
 
+def test_an_error_outside_every_case_fails_only_its_check(monkeypatch, capsys):
+    # Every spherical check but decomp-wallcross builds M(J) for each J
+    # before its cases, outside any of them.
+    build = verify.SphericalModule.__init__
+
+    def broken(self, algebra, J):
+        if J:
+            raise InternalInconsistency("no module")
+        build(self, algebra, J)
+
+    monkeypatch.setattr(verify.SphericalModule, "__init__", broken)
+    code = cli.main(["verify", "--system", "b2", "--budget", "3",
+                     "--suite", "hecke", "--suite", "spherical"])
+    lines = capsys.readouterr().out.splitlines()
+    failing = [name for name, _ in verify.SUITES["spherical"] if name != "decomp-wallcross"]
+    assert code == 1
+    assert lines == (
+        [f"PASS hecke/{name}" for name, _ in verify.SUITES["hecke"]]
+        + [line for name in failing for line in (
+            f"FAIL spherical/{name}", "  counterexample: InternalInconsistency: no module")]
+        + ["PASS spherical/decomp-wallcross"])
+
+
 @pytest.mark.parametrize("cases,failures,status", [
     (0, [], "EMPTY"), (3, [], "PASS"), (3, ["x"], "FAIL"), (0, ["x"], "FAIL"),
 ])
