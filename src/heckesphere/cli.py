@@ -28,6 +28,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import json
 import sys
 
@@ -189,7 +190,10 @@ def cmd_verify(args, system: CoxeterSystem) -> int:
     return 1 if failed else 0
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The parser, built on first use and shared by every later call; each
+    parse_args call returns a fresh Namespace."""
     parser = argparse.ArgumentParser(
         prog="heckesphere",
         description="Exact Hecke-algebra and spherical-module computations",
@@ -253,8 +257,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         return args.fn(args, _load_system(args))
     except BudgetExceeded as exc:

@@ -5,7 +5,8 @@ a map from group element (canonical reduced word) to nonzero LaurentPoly.
 The multiply and the bar are linear's, shared with the spherical modules
 (the algebra is J = {}): a * b walks the prefix tree of b's support, one
 generator at a time by delta_s^2 = 1 + (v^-1 - v) delta_s, and bar(delta_x)
-is memoized per x.  The Kazhdan-Lusztig basis is computed
+is memoized per x.  The trace form walks the same tree for the delta_e
+coefficient alone.  The Kazhdan-Lusztig basis is computed
 by the usual recursion b_s * b_{sx} minus mu-corrections (linear.kl_correct,
 shared with the spherical module); only the characterizing properties
 (bar-invariance, unitriangularity, coefficients in vZ[v]) are asserted.
@@ -86,8 +87,11 @@ class HeckeAlgebra:
         )
 
     def pairing_trace(self, a: HeckeElt, b: HeckeElt) -> LaurentPoly:
-        """<a, b> = trace(i(a) * b), the defining formula."""
-        return self.trace(self.multiply(self.anti_involution(a), b))
+        """<a, b> = trace(i(a) * b), the defining formula.  Only the delta_e
+        coefficient of i(a) * b is computed: the prefix-tree product in its
+        trace_only mode drops each term too long to reach e."""
+        return self.trace(linear.prefix_tree_product(
+            self.system, NO_J, self.anti_involution(a), b, trace_only=True))
 
     def pairing(self, a: HeckeElt, b: HeckeElt) -> LaurentPoly:
         """<a, b> computed coordinatewise (the standard basis is orthonormal)."""

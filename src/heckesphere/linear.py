@@ -5,8 +5,10 @@ coefficients.  Its subclass names the basis, `HeckeElt` (delta_x) or
 `SphericalElt` (m_x); elements of different bases never compare equal.
 `delta_step` is the one right action of a generator on a standard basis
 indexed by ^J W (the algebra is J = {}); over it, `prefix_tree_product`
-multiplies by a combination of delta_y along the prefix tree of the y, and
-`bar` is the memoized bar involution.  `kl_correct` is the mu-correction
+multiplies by a combination of delta_y along the prefix tree of the y, or,
+with trace_only, computes only the product's coefficient at the identity,
+dropping along the tree each term too long to reach it; `bar` is the
+memoized bar involution.  `kl_correct` is the mu-correction
 both Kazhdan-Lusztig bases share.
 """
 
@@ -14,7 +16,7 @@ from __future__ import annotations
 
 from typing import Callable, Iterable, Iterator, Mapping
 
-from .coxeter import CoxeterSystem, Word
+from .coxeter import IDENTITY, CoxeterSystem, Word
 from .errors import InternalInconsistency, PreconditionViolated
 from .laurent import LaurentPoly, ONE, V, VINV
 
@@ -167,8 +169,37 @@ def delta_step(system: CoxeterSystem, J: frozenset[int], a: Combo, s: int) -> Co
     return a.wrap(out)
 
 
+def _shared_prefix(u: Word, v: Word) -> int:
+    k = 0
+    while k < len(u) and k < len(v) and u[k] == v[k]:
+        k += 1
+    return k
+
+
+def _longest_below(keys: list[Word], shared: list[int]) -> list[list[int]]:
+    """For each sorted key y, [R(y[:j]) for j in 0..len(y)], where R(p) is the
+    length of the longest key that starts with p and shared[i] is the prefix
+    key i shares with key i-1.  Keys that share a prefix are contiguous in
+    sorted order, so one backward pass carries R from each key to the one
+    before it: the prefixes they share gain the earlier key, the others are
+    new."""
+    out = []
+    longest: list[int] = []
+    k = -1  # no later key, so no prefix is shared with one
+    for i in range(len(keys) - 1, -1, -1):
+        n = len(keys[i])
+        longest = [max(r, n) for r in longest[:k + 1]] + [n] * (n - k)
+        out.append(longest)
+        k = shared[i]
+    return out[::-1]
+
+
+def _no_longer_than(a: Combo, n: int) -> Combo:
+    return a.wrap({x: c for x, c in a.support.items() if len(x) <= n})
+
+
 def prefix_tree_product(system: CoxeterSystem, J: frozenset[int], a: Combo,
-                        b: Combo) -> Combo:
+                        b: Combo, trace_only: bool = False) -> Combo:
     """a * b, b in the algebra: sum over y of b's coefficient at y times `a`
     stepped along the letters of y.
 
@@ -176,20 +207,35 @@ def prefix_tree_product(system: CoxeterSystem, J: frozenset[int], a: Combo,
     path[k] is `a` stepped along y[:k]; it is cut back to the prefix y shares
     with the previous key and extended one step per new letter, so each
     prefix product is computed once.  The keys are reduced words, hence so
-    are their prefixes, and path[k] is exactly a * delta_{y[:k]}."""
-    out: Coeffs = {}
+    are their prefixes, and path[k] is exactly a * delta_{y[:k]}.
+
+    With trace_only, only the coefficient at the identity is computed, and
+    the product returned has no other key.  A step changes length by at most
+    1, so a term of path[k] longer than R(y[:k]) - k, R(p) the longest key
+    of b that starts with p, reaches the identity under no key and is
+    dropped.  This is still the product by the quadratic relation, read at
+    one coefficient."""
+    items = sorted(b.support.items())
+    if not items:
+        return a.wrap({})
+    keys = [y for y, _ in items]
+    shared = [0] + [_shared_prefix(u, v) for u, v in zip(keys, keys[1:])]
     path = [a]
-    prev: Word = ()
-    for y, c in sorted(b.support.items()):
-        k = 0
-        while k < len(prev) and k < len(y) and prev[k] == y[k]:
-            k += 1
-        del path[k + 1:]
-        for s in y[k:]:
-            path.append(delta_step(system, J, path[-1], s))
-        for x, d in path[-1].support.items():
-            add_into(out, x, d * c)
-        prev = y
+    if trace_only:
+        longest = _longest_below(keys, shared)
+        path = [_no_longer_than(a, longest[0][0])]
+    out: Coeffs = {}
+    for i, (y, c) in enumerate(items):
+        del path[shared[i] + 1:]
+        for k in range(shared[i], len(y)):
+            node = delta_step(system, J, path[-1], y[k])
+            path.append(_no_longer_than(node, longest[i][k + 1] - k - 1) if trace_only
+                        else node)
+        if not trace_only:
+            for x, d in path[-1].support.items():
+                add_into(out, x, d * c)
+        elif IDENTITY in path[-1].support:
+            add_into(out, IDENTITY, path[-1].support[IDENTITY] * c)
     return a.wrap(out)
 
 

@@ -20,7 +20,8 @@ The pairing <a, b>_M is computed coordinatewise and cross-checked on every
 call against the embedding m_x -> b_{w_J} delta_x, under which it is the
 trace form divided by pi(J).  The cross-check is bilinear over a Gram memo:
 G(x, y) = trace(i(phi m_x) * phi m_y) is computed once per pair of minimal
-coset representatives by a real Hecke multiply, and each call then forms
+coset representatives by HeckeAlgebra.pairing_trace, the Hecke product by
+the quadratic relation read at delta_e alone, and each call then forms
 sum a_x b_y G(x, y), divides by pi(J) and compares.
 """
 

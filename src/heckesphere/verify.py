@@ -351,11 +351,14 @@ def check_rank_matching(run: Run) -> Iterator[str]:
     for J in run.subsets:
         mod = run.module(J)
         cap = 4 if system.is_finite else min(4, system.budget // 2 - mod.d_J)
+        # Each word's P_w and 1 (x) b_w are computed once per J and paired
+        # with every partner; every pair still runs the pairing cross-check.
+        polys = functools.cache(functools.partial(strolls.endpoint_polys, system, J))
+        expand = functools.cache(mod.expand_expression)
         for x_word, y_word in itertools.product(run.words(cap), repeat=2):
             with run.case(J, x_word, y_word):
-                lhs = strolls.rank_poly(system, J, x_word, y_word)
-                rhs = mod.pairing(mod.expand_expression(x_word),
-                                  mod.expand_expression(y_word))
+                lhs = strolls.pair_by_endpoint(polys(x_word), polys(y_word))
+                rhs = mod.pairing(expand(x_word), expand(y_word))
                 if lhs != rhs:
                     yield "rank mismatch"
 
@@ -400,11 +403,14 @@ def check_empty_J_classical(run: Run) -> Iterator[str]:
 
 
 def check_rank_symmetry(run: Run) -> Iterator[str]:
+    """The double-leaf pairs of (x, y), counted one by one, against the rank
+    polynomial of (y, x) summed by endpoint."""
     system = run.system
     for J in run.subsets:
         for x_word, y_word in itertools.product(run.words(3), repeat=2):
             with run.case(J, x_word, y_word):
-                if strolls.rank_poly(system, J, x_word, y_word) != strolls.rank_poly(
+                pairs = strolls.double_leaf_index(system, J, x_word, y_word)
+                if LaurentPoly((p.degree, 1) for p in pairs) != strolls.rank_poly(
                     system, J, y_word, x_word
                 ):
                     yield "asymmetric rank polynomial"

@@ -6,7 +6,7 @@ import json
 import pytest
 
 from conftest import AFFINE_A2
-from heckesphere.cli import main
+from heckesphere.cli import build_parser, main
 from heckesphere.hecke import HeckeAlgebra
 from heckesphere.spherical import SphericalModule
 
@@ -251,6 +251,34 @@ class TestVerify:
         _, second, _ = run(capsys, *args)
         assert first == second
 
+
+
+class TestOneParser:
+    """main builds its parser once; each call still parses into a fresh
+    Namespace."""
+
+    def test_a_second_call_sees_none_of_the_first(self, capsys):
+        assert build_parser() is build_parser()
+        code, out, _ = run(capsys, "rank", "--system", "a2", "--J", "s",
+                           "-x", "s", "-y", "s", "--format", "json")
+        assert (code, out) == (0, "[[-2, 1], [0, 2], [2, 1]]\n")
+        # No --J and no --format: J = {} and text, not the first call's J = {s}.
+        code, out, _ = run(capsys, "act", "--system", "a2", "-x", "s")
+        assert (code, out) == (0, "(v) m_e + (1) m_s\n")
+        code, out, _ = run(capsys, "act", "--system", "a2", "--J", "s", "-x", "s",
+                           "--format", "csv")
+        assert (code, out.splitlines()) == (0, ["elt,coeff", "e,v^-1 + v"])
+        code, out, _ = run(capsys, "rank", "--system", "a2", "-x", "s", "-y", "s")
+        assert (code, out) == (0, "1 + v^2\n")
+
+    def test_a_rejection_exits_2_on_every_call(self, capsys):
+        for _ in range(2):
+            with pytest.raises(SystemExit) as exc:
+                main(["kl", "--system", "a2", "-x", "s", "--format", "yaml"])
+            assert exc.value.code == 2
+            assert "invalid choice: 'yaml'" in capsys.readouterr().err
+            code, out, _ = run(capsys, "kl", "--system", "a2", "-x", "s")
+            assert (code, out) == (0, "(v) d_e + (1) d_s\n")
 
 # -- every --format of every subcommand, byte for byte ------------------------------
 

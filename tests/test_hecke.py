@@ -278,3 +278,37 @@ class TestPrefixTreeProduct:
             alg.multiply(alg.delta(x), b)
         with pytest.raises(BudgetExceeded):
             per_word_fold(alg.delta(x), b, shared_step(alg.system))
+
+
+class TestTraceOnlyProduct:
+    """pairing_trace walks the prefix tree for the delta_e coefficient
+    alone, dropping terms too long to reach it; the full product read at
+    delta_e is the reference."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(data=st.data())
+    def test_matches_the_full_product(self, algebra, data):
+        # On a cut ball the pool goes one layer past half the budget, so some
+        # full products leave the ball; there pruning may avoid the
+        # BudgetExceeded, but it may never add one.
+        sys = algebra.system
+        pool = sys.elements(None if sys.is_finite else sys.budget // 2 + 1)
+        a, b = data.draw(supports(pool)), data.draw(supports(pool))
+        try:
+            want = algebra.trace(algebra.multiply(algebra.anti_involution(a), b))
+        except BudgetExceeded:
+            return
+        assert algebra.pairing_trace(a, b) == want
+        only = linear.prefix_tree_product(algebra.system, frozenset(),
+                                          algebra.anti_involution(a), b, trace_only=True)
+        assert set(only.support) <= {IDENTITY}
+
+    def test_a_node_keeps_what_its_longest_key_needs(self, a2_algebra):
+        # The keys s and st share the node s.  delta_ts * delta_s = delta_t +
+        # (v^-1 - v) delta_ts; cut by the length of s alone the node would
+        # lose delta_t, which st steps down to delta_e.
+        alg = a2_algebra
+        b = HeckeElt({(S,): ONE, (S, T): ONE})
+        assert alg.pairing_trace(alg.delta((S, T)), b) == ONE
+        assert alg.pairing_trace(alg.delta((S,)), b) == ONE
+        assert alg.pairing_trace(alg.delta((T,)), b) == ZERO

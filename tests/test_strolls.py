@@ -1,3 +1,5 @@
+import itertools
+
 import pytest
 
 from heckesphere import strolls
@@ -111,6 +113,22 @@ class TestRankPoly:
                     )
 
 
+class TestRankByEndpoint:
+    @pytest.mark.parametrize("system", ["b2", "a3"])
+    def test_matches_the_double_leaf_pairs(self, request, system):
+        # Every J and every pair of words up to length 3.
+        system = request.getfixturevalue(system)
+        letters = range(system.matrix.rank)
+        words = [w for n in range(4) for w in itertools.product(letters, repeat=n)]
+        for r in range(system.matrix.rank + 1):
+            for J in map(frozenset, itertools.combinations(letters, r)):
+                for x in words:
+                    for y in words:
+                        pairs = strolls.double_leaf_index(system, J, x, y)
+                        assert strolls.rank_poly(system, J, x, y) == LaurentPoly(
+                            (p.degree, 1) for p in pairs)
+
+
 class TestDefectExpansion:
     def test_1bx_a2(self, a2):
         import itertools
@@ -123,6 +141,7 @@ class TestDefectExpansion:
                     dec = strolls.decorate(a2, J_S, word, bits)
                     want = want + mod.m(dec.endpoint, LaurentPoly.monomial(dec.sdef))
                 assert mod.expand_expression(word) == want
+                assert strolls.endpoint_polys(a2, J_S, word) == want.support
 
 
 class TestLocalize:
