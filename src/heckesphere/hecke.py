@@ -6,10 +6,10 @@ The multiply and the bar are linear's, shared with the spherical modules
 (the algebra is J = {}): a * b walks the prefix tree of b's support, one
 generator at a time by delta_s^2 = 1 + (v^-1 - v) delta_s, and bar(delta_x)
 is memoized per x.  The trace form walks the same tree for the delta_e
-coefficient alone.  The Kazhdan-Lusztig basis is computed
-by the usual recursion b_s * b_{sx} minus mu-corrections (linear.kl_correct,
-shared with the spherical module); only the characterizing properties
-(bar-invariance, unitriangularity, coefficients in vZ[v]) are asserted.
+coefficient alone.  The Kazhdan-Lusztig basis is linear.kl_step,
+the recursion b_{xs} * b_s minus mu-corrections that every spherical module
+shares; only the characterizing properties (bar-invariance,
+unitriangularity, coefficients in vZ[v]) are asserted.
 """
 
 from __future__ import annotations
@@ -33,7 +33,7 @@ class HeckeElt(linear.Combo):
 class HeckeAlgebra:
     def __init__(self, system: CoxeterSystem):
         self.system = system
-        self._kl_memo: dict[Word, HeckeElt] = {}
+        self._kl_memo: dict[Word, HeckeElt] = {IDENTITY: self.unit()}
         self._bar_memo: dict[Word, HeckeElt] = {IDENTITY: self.unit()}
 
     # -- basis elements -------------------------------------------------------
@@ -62,17 +62,10 @@ class HeckeAlgebra:
 
     def kl_basis(self, x: Word) -> HeckeElt:
         got = self._kl_memo.get(x)
-        if got is not None:
-            return got
-        if not x:
-            cand = self.unit()
-        else:
-            s = x[0]
-            sx = self.system.left_mult(s, x)
-            cand = self.multiply(self.b_s(s), self.kl_basis(sx))
-        out = linear.kl_correct(cand, x, self.kl_basis, "KL")
-        self._kl_memo[x] = out
-        return out
+        if got is None:
+            got = linear.kl_step(self.system, NO_J, x, self.kl_basis, "KL")
+            self._kl_memo[x] = got
+        return got
 
     # -- trace, anti-involution, bilinear form -----------------------------------------
 

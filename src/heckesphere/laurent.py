@@ -7,7 +7,7 @@ Python ints and therefore arbitrary precision.
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator, Mapping
+from collections.abc import Iterable, Iterator, Mapping
 
 from .errors import DivisionByZero, NotDivisible, PreconditionViolated
 

@@ -8,13 +8,14 @@ indexed by ^J W (the algebra is J = {}); over it, `prefix_tree_product`
 multiplies by a combination of delta_y along the prefix tree of the y, or,
 with trace_only, computes only the product's coefficient at the identity,
 dropping along the tree each term too long to reach it; `bar` is the
-memoized bar involution.  `kl_correct` is the mu-correction
-both Kazhdan-Lusztig bases share.
+memoized bar involution.  `kl_step` is the one Kazhdan-Lusztig recursion,
+for the algebra's basis b_x and every module's basis c_x: the element below
+times b_s, mu-corrected by `kl_correct`.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Iterable, Iterator, Mapping
+from collections.abc import Callable, Iterable, Iterator, Mapping
 
 from .coxeter import IDENTITY, CoxeterSystem, Word
 from .errors import InternalInconsistency, PreconditionViolated
@@ -280,3 +281,14 @@ def kl_correct(cand: Combo, x: Word, lower: Callable[[Word], Combo], what: str) 
                 f"{what} coefficient at {y} of the element at {x} = {c} escapes vZ[v]"
             )
     return cand
+
+
+def kl_step(system: CoxeterSystem, J: frozenset[int], x: Word,
+            lower: Callable[[Word], Combo], what: str) -> Combo:
+    """The KL element at x != e from the elements below it: with s = x[-1]
+    and prev = lower(xs), the candidate prev * b_s = prev delta_s + v prev,
+    mu-corrected.  xs < x is an mcr whenever x is; a non-canonical x fails
+    the table lookup with PreconditionViolated."""
+    s = x[-1]
+    prev = lower(system.right_mult(x, s))
+    return kl_correct(delta_step(system, J, prev, s) + prev.scale(V), x, lower, what)

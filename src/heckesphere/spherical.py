@@ -12,9 +12,9 @@ and b_s = delta_s + v acts as delta_s plus v times the identity.  The bar
 involution is computed in the module (linear.bar): an mcr x = x's has x' an
 mcr and m_x = m_{x'} delta_s, so bar(m_x) = bar(m_{x'}) delta_s^-1, memoized
 per mcr.  Elements are SphericalElt, the linear.Combo over the basis m_x.
-The KL basis c_x is self-dualized by linear.kl_correct, the same
-constant-term correction as in the algebra, and then checked to be
-bar-invariant.
+The KL basis c_x is linear.kl_step, the recursion c_{xs} * b_s minus
+mu-corrections that the algebra's KL basis also uses, and each c_x is then
+checked to be bar-invariant.
 
 The pairing <a, b>_M is computed coordinatewise and cross-checked on every
 call against the embedding m_x -> b_{w_J} delta_x, under which it is the
@@ -50,7 +50,7 @@ class SphericalModule:
         # Certifies J is finitary (BudgetExceeded otherwise) and caches pi(J).
         self.b_wJ, self.pi = algebra.b_wJ_and_pi(self.J)
         self.d_J = max(len(w) for w in self.b_wJ.support)
-        self._kl_memo: dict[Word, SphericalElt] = {}
+        self._kl_memo: dict[Word, SphericalElt] = {IDENTITY: self.unit()}
         self._bar_memo: dict[Word, SphericalElt] = {IDENTITY: self.unit()}
         self._gram_memo: dict[tuple[Word, Word], LaurentPoly] = {}
 
@@ -94,21 +94,13 @@ class SphericalModule:
 
     def kl_c(self, x: Word) -> SphericalElt:
         got = self._kl_memo.get(x)
-        if got is not None:
-            return got
-        if not x:
-            cand = self.unit()
-        else:
-            s = x[-1]
-            xs = self.system.right_mult(x, s)
-            # xs < x; xs is automatically an mcr (a non-mcr neighbor across
-            # the wall would be longer, not shorter).
-            cand = self.act_bs(self.kl_c(xs), s)
-        out = linear.kl_correct(cand, x, self.kl_c, "spherical KL")
-        if self.bar(out) != out:
-            raise InternalInconsistency(f"c_{x} is not self-dual")
-        self._kl_memo[x] = out
-        return out
+        if got is None:
+            self._check_mcr(x)
+            got = linear.kl_step(self.system, self.J, x, self.kl_c, "spherical KL")
+            if self.bar(got) != got:
+                raise InternalInconsistency(f"c_{x} is not self-dual")
+            self._kl_memo[x] = got
+        return got
 
     # -- form and embedding ---------------------------------------------------------------
 

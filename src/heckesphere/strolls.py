@@ -15,7 +15,8 @@ by a wall-crossing generator on the left, which does not change the coset).
 
 The graded rank of a pair of expressions sums v^{deg} over the double-leaf
 index pairs, the pairs of subexpressions with a common endpoint; rank_poly
-groups that sum by endpoint, so each subexpression is decorated once.
+groups that sum by endpoint, as the form of two defect expansions
+(endpoint_polys, an element of M(J)), so each subexpression is decorated once.
 """
 
 from __future__ import annotations
@@ -27,6 +28,7 @@ from typing import Iterator, Sequence
 from .coxeter import IDENTITY, CoxeterSystem, Word
 from .errors import WordMismatch
 from .laurent import LaurentPoly
+from .spherical import SphericalElt
 
 Bits = tuple[int, ...]
 
@@ -147,35 +149,25 @@ def double_leaf_index(system: CoxeterSystem, J: frozenset[int],
 
 
 def endpoint_polys(system: CoxeterSystem, J: frozenset[int],
-                   word: Sequence[int]) -> dict[Word, LaurentPoly]:
-    """z -> P_w(z), the sum of v^{sdef(e)} over the subexpressions e of w
-    that end at z; each subexpression is decorated once.  This is the defect
-    expansion 1 (x) b_w = sum_z P_w(z) m_z, which `strolls/defect-expansion`
-    checks against the module action."""
+                   word: Sequence[int]) -> SphericalElt:
+    """The defect expansion 1 (x) b_w = sum_z P_w(z) m_z in M(J), P_w(z) the
+    sum of v^{sdef(e)} over the subexpressions e of w that end at z; each
+    subexpression is decorated once.  `strolls/defect-expansion` checks it
+    against the module action."""
     word = tuple(word)
     degrees: dict[Word, Counter] = {}
     for bits in subexpressions(len(word)):
         dec = decorate(system, J, word, bits)
         degrees.setdefault(dec.endpoint, Counter())[dec.sdef] += 1
-    return {z: LaurentPoly(c) for z, c in degrees.items()}
-
-
-def pair_by_endpoint(px: dict[Word, LaurentPoly], py: dict[Word, LaurentPoly]) -> LaurentPoly:
-    """sum over z of px(z) py(z)."""
-    out = LaurentPoly.zero()
-    for z, p in px.items():
-        q = py.get(z)
-        if q is not None:
-            out = out + p * q
-    return out
+    return SphericalElt.wrap({z: LaurentPoly(c) for z, c in degrees.items()})
 
 
 def rank_poly(system: CoxeterSystem, J: frozenset[int],
               x_word: Sequence[int], y_word: Sequence[int]) -> LaurentPoly:
     """The graded rank: v^{deg} summed over the double-leaf index pairs
-    (e, f), grouped by their common endpoint z as sum_z P_x(z) P_y(z)."""
-    return pair_by_endpoint(endpoint_polys(system, J, x_word),
-                            endpoint_polys(system, J, y_word))
+    (e, f), grouped by their common endpoint z as sum_z P_x(z) P_y(z), the
+    coordinatewise form of the two defect expansions."""
+    return endpoint_polys(system, J, x_word).dot(endpoint_polys(system, J, y_word))
 
 
 def localized_summands(system: CoxeterSystem, word: Sequence[int]) -> Counter:

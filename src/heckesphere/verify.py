@@ -338,11 +338,7 @@ def check_1bx(run: Run) -> Iterator[str]:
         mod = run.module(J)
         for word in run.words(5):
             with run.case(J, word):
-                want = mod.zero()
-                for bits in strolls.subexpressions(len(word)):
-                    dec = strolls.decorate(system, J, word, bits)
-                    want = want + mod.m(dec.endpoint, LaurentPoly.monomial(dec.sdef))
-                if mod.expand_expression(word) != want:
+                if mod.expand_expression(word) != strolls.endpoint_polys(system, J, word):
                     yield "defect expansion fails"
 
 
@@ -357,7 +353,7 @@ def check_rank_matching(run: Run) -> Iterator[str]:
         expand = functools.cache(mod.expand_expression)
         for x_word, y_word in itertools.product(run.words(cap), repeat=2):
             with run.case(J, x_word, y_word):
-                lhs = strolls.pair_by_endpoint(polys(x_word), polys(y_word))
+                lhs = polys(x_word).dot(polys(y_word))
                 rhs = mod.pairing(expand(x_word), expand(y_word))
                 if lhs != rhs:
                     yield "rank mismatch"
@@ -417,11 +413,16 @@ def check_rank_symmetry(run: Run) -> Iterator[str]:
 
 
 def check_localized_count(run: Run) -> Iterator[str]:
+    """At v = 1, delta_s^2 = 1 and 1 (x) b_w in M({}) = H becomes
+    prod (1 + s_i) in Z[W]: the multiplicity of z is the sum of the
+    coefficients of m_z."""
+    mod = run.module(frozenset())
     for word in run.words(5):
         with run.case(word):
-            counts = strolls.localized_summands(run.system, word)
-            if sum(counts.values()) != 2 ** len(word):
-                yield "summand multiset has wrong cardinality"
+            at_one = {z: sum(c.coeffs.values())
+                      for z, c in mod.expand_expression(word).support.items()}
+            if dict(strolls.localized_summands(run.system, word)) != at_one:
+                yield "summand multiplicities differ from 1 (x) b_w at v = 1"
 
 
 # -- lightleaf suite -----------------------------------------------------------------

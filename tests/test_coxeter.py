@@ -13,6 +13,7 @@ from heckesphere.errors import (
     NotReduced,
     PreconditionViolated,
 )
+from heckesphere.spherical import SphericalModule
 
 from conftest import F4, H4
 
@@ -220,9 +221,15 @@ class TestNonCanonicalWords:
             lambda: a2.right_descents((T, S, T)),
             lambda: alg.multiply(alg.delta((T, S, T)), alg.b_s(S)),
             lambda: a2.bruhat_leq((S,), (T, S, T)),
+            lambda: alg.kl_basis((T, S, T)),
+            lambda: SphericalModule(alg, ()).kl_c((T, S, T)),
         ):
             with pytest.raises(PreconditionViolated, match=r"\(1, 0, 1\)"):
                 call()
+
+    def test_kl_c_of_a_non_mcr_is_rejected(self, a2_algebra):
+        with pytest.raises(PreconditionViolated, match="minimal coset representative"):
+            SphericalModule(a2_algebra, {S}).kl_c((S,))
 
     def test_not_reduced(self, a2):
         with pytest.raises(PreconditionViolated, match=r"\(0, 0\)"):

@@ -90,6 +90,30 @@ class TestKLBasis:
                     assert c.in_v_times_nonneg()
 
 
+def _left_recursion(alg):
+    """The KL basis by the left recursion b_x = b_s * b_{sx}, s = x[0], through
+    the general product and left_mult, mu-corrected: an oracle for kl_basis."""
+    memo = {IDENTITY: alg.unit()}
+
+    def b(x):
+        if x not in memo:
+            s = x[0]
+            cand = alg.multiply(alg.b_s(s), b(alg.system.left_mult(s, x)))
+            memo[x] = linear.kl_correct(cand, x, b, "reference KL")
+        return memo[x]
+
+    return b
+
+
+@pytest.mark.parametrize("system", ["a3", "b3", "h3"])
+def test_kl_basis_matches_the_left_recursion(request, system):
+    system = request.getfixturevalue(system)
+    alg = HeckeAlgebra(system)
+    reference = _left_recursion(alg)
+    for x in system.elements():
+        assert alg.kl_basis(x) == reference(x)
+
+
 class TestKLAnchors:
     """Published Kazhdan-Lusztig polynomials, read through
     b_w = sum_x v^(l(w)-l(x)) P_(x,w)(v^-2) delta_x."""

@@ -1,8 +1,12 @@
+import types
+from collections import Counter
+
 import pytest
 from hypothesis import given, strategies as st
 
 from heckesphere.errors import DivisionByZero, NotDivisible, PreconditionViolated
 from heckesphere.laurent import LaurentPoly, ONE, V, VINV, ZERO
+from heckesphere.linear import Combo
 
 
 def poly(*pairs):
@@ -14,6 +18,12 @@ laurents = st.dictionaries(
 ).map(LaurentPoly)
 
 nonzero_laurents = laurents.filter(bool)
+
+
+@pytest.mark.parametrize("mapping", [dict, Counter, types.MappingProxyType])
+def test_every_mapping_builds_the_same_element(mapping):
+    assert LaurentPoly(mapping({-1: 2, 3: -1})) == LaurentPoly([(-1, 2), (3, -1)])
+    assert Combo(mapping({(0,): V, (): 2})) == Combo([((0,), V), ((), 2)])
 
 
 class TestRingOps:
