@@ -19,7 +19,7 @@ from __future__ import annotations
 import json
 from collections import deque
 from dataclasses import dataclass
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 from .errors import (
     BudgetExceeded,
@@ -85,7 +85,7 @@ class CoxeterMatrix:
 @dataclass(frozen=True)
 class ParabolicData:
     J: frozenset[int]
-    finitary: bool
+    members: tuple[Word, ...]  # W_J, sorted by (length, ShortLex)
     w_J: Word
     d_J: int
 
@@ -110,6 +110,18 @@ class _Table(dict):
 
 def _alternating(a: int, b: int, length: int) -> Word:
     return tuple(a if i % 2 == 0 else b for i in range(length))
+
+
+Braid = tuple[int, int, int, int]  # a braid application (pos, s, t, m)
+
+
+def _apply_braid(word: Word, app: Braid) -> Word | None:
+    """The word with the alternating s,t,s,... of length m at pos replaced
+    by t,s,t,...; None if that window of the word is not s,t,s,...."""
+    pos, s, t, m = app
+    if word[pos : pos + m] != _alternating(s, t, m):
+        return None
+    return word[:pos] + _alternating(t, s, m) + word[pos + m :]
 
 
 class CoxeterSystem:
@@ -230,14 +242,7 @@ class CoxeterSystem:
     def reduced_words(self, w: Word) -> frozenset[Word]:
         """All reduced words of w: its braid class, by Matsumoto's theorem."""
         self._elems[w]  # rejects a word that is not canonical
-        seen = {w}
-        queue = deque([w])
-        while queue:
-            for nb, _ in self._braid_applications(queue.popleft()):
-                if nb not in seen:
-                    seen.add(nb)
-                    queue.append(nb)
-        return frozenset(seen)
+        return frozenset(self._braid_search(w, {}))
 
     def right_descents(self, w: Word) -> frozenset[int]:
         return self._elems[w].descents
@@ -294,57 +299,52 @@ class CoxeterSystem:
         return self.find_rex(frm, lambda word: word == to)
 
     def find_rex(self, frm: Sequence[int], goal: Callable[[Word], bool]) -> "RexMove":
-        """BFS over braid moves from a reduced word to the first word satisfying
-        the predicate, lexicographic tie-breaking.  The goal is guaranteed
-        reachable when it holds for some reduced word of the element."""
+        """The path to the first word of the braid search from a reduced word
+        that satisfies the predicate.  The goal is guaranteed reachable when
+        it holds for some reduced word of the element."""
         frm = tuple(frm)
-        if goal(frm):
-            return RexMove(frm, frm, ())
-        parent: dict[Word, tuple[Word, tuple[int, int, int, int]]] = {frm: None}
+        parent: dict[Word, tuple[Word, Braid] | None] = {}
+        for word in self._braid_search(frm, parent):
+            if goal(word):
+                target, apps = word, []
+                while parent[word] is not None:
+                    word, app = parent[word]
+                    apps.append(app)
+                return RexMove(frm, target, tuple(reversed(apps)))
+        raise DifferentElements("no reduced word of this element satisfies the goal")
+
+    def _braid_search(self, frm: Word, parent: dict) -> Iterator[Word]:
+        """Every word reachable from frm by braid moves, in the order a BFS
+        finds them with lexicographic tie-breaking, so the first word found
+        with a property is deterministic.  parent maps each word found to the
+        word and the application that reached it (None for frm)."""
+        parent[frm] = None
+        yield frm
         queue = deque([frm])
         while queue:
             w = queue.popleft()
             for nb, app in sorted(self._braid_applications(w)):
-                if nb in parent:
-                    continue
-                parent[nb] = (w, app)
-                if goal(nb):
-                    apps = []
-                    cur = nb
-                    while parent[cur] is not None:
-                        prev, a = parent[cur]
-                        apps.append(a)
-                        cur = prev
-                    return RexMove(frm, nb, tuple(reversed(apps)))
-                queue.append(nb)
-        raise DifferentElements("no reduced word of this element satisfies the goal")
+                if nb not in parent:
+                    parent[nb] = (w, app)
+                    yield nb
+                    queue.append(nb)
 
-    def _braid_applications(self, word: Word) -> list[tuple[Word, tuple[int, int, int, int]]]:
+    def _braid_applications(self, word: Word) -> list[tuple[Word, Braid]]:
         out = []
-        n = len(word)
-        for i in range(n - 1):
+        for i in range(len(word) - 1):
             s, t = word[i], word[i + 1]
             if s == t:
                 continue
             m = self.matrix.order(s, t)
-            if m == INFINITY or i + m > n:
-                continue
-            if word[i : i + m] == _alternating(s, t, m):
-                nb = word[:i] + _alternating(t, s, m) + word[i + m :]
+            nb = None if m == INFINITY else _apply_braid(word, (i, s, t, m))
+            if nb is not None:
                 out.append((nb, (i, s, t, m)))
         return out
 
     # -- parabolic data -----------------------------------------------------------
 
     def parabolic(self, J: Iterable[int]) -> ParabolicData:
-        J = frozenset(J)
-        self.check_letters(sorted(J))
-        members = self.parabolic_elements(J)
-        longest = max(members, key=lambda w: (len(w), w))
-        return ParabolicData(J, True, longest, len(longest))
-
-    def parabolic_elements(self, J: Iterable[int]) -> list[Word]:
-        """All elements of W_J, certified finite within the budget."""
+        """W_J, certified finite within the budget, and its longest element."""
         J = frozenset(J)
         self.check_letters(sorted(J))
         seen = {IDENTITY}
@@ -364,7 +364,8 @@ class CoxeterSystem:
                         seen.add(ws)
                         nxt.append(ws)
             frontier = nxt
-        return sorted(seen, key=lambda w: (len(w), w))
+        members = tuple(sorted(seen, key=lambda w: (len(w), w)))
+        return ParabolicData(J, members, members[-1], len(members[-1]))
 
     def is_mcr(self, w: Word, J: frozenset[int]) -> bool:
         """True iff w is the minimal representative of its coset W_J w."""
@@ -443,17 +444,18 @@ class RexMove:
 
     source: Word
     target: Word
-    applications: tuple[tuple[int, int, int, int], ...]
+    applications: tuple[Braid, ...]
 
     def replay(self, system: CoxeterSystem) -> list[Word]:
         """All intermediate words, source first and target last.  Raises if an
         application does not fit or an intermediate is not reduced."""
         word = self.source
         trail = [word]
-        for pos, s, t, m in self.applications:
-            if word[pos : pos + m] != _alternating(s, t, m):
-                raise NotReduced(f"braid application {(pos, s, t, m)} does not match {word}")
-            word = word[:pos] + _alternating(t, s, m) + word[pos + m :]
+        for app in self.applications:
+            nxt = _apply_braid(word, app)
+            if nxt is None:
+                raise NotReduced(f"braid application {app} does not match {word}")
+            word = nxt
             _, reduced = system.normalize(word)
             if not reduced:
                 raise NotReduced(f"intermediate word {word} is not reduced")

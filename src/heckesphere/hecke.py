@@ -95,18 +95,15 @@ class HeckeAlgebra:
     def b_wJ_and_pi(self, J: Iterable[int]) -> tuple[HeckeElt, LaurentPoly]:
         """b_{w_J} (closed form, cross-checked against the KL recursion) and
         the Hilbert polynomial pi(J) with b_{w_J}^2 = pi(J) b_{w_J}."""
-        J = frozenset(J)
-        members = self.system.parabolic_elements(J)
-        d_J = max(len(w) for w in members)
-        b = HeckeElt((w, LaurentPoly.monomial(d_J - len(w))) for w in members)
-        w_J = next(w for w in members if len(w) == d_J)
-        if b != self.kl_basis(w_J):
+        par = self.system.parabolic(J)
+        b = HeckeElt((w, LaurentPoly.monomial(par.d_J - len(w))) for w in par.members)
+        if b != self.kl_basis(par.w_J):
             raise InternalInconsistency(
-                f"closed form for b_(w_J) disagrees with the KL recursion, J={sorted(J)}"
+                f"closed form for b_(w_J) disagrees with the KL recursion, J={sorted(par.J)}"
             )
-        pi = LaurentPoly((2 * len(w) - d_J, 1) for w in members)
+        pi = LaurentPoly((2 * len(w) - par.d_J, 1) for w in par.members)
         if self.multiply(b, b) != b.scale(pi):
-            raise InternalInconsistency(f"b_(w_J)^2 != pi(J) b_(w_J) for J={sorted(J)}")
+            raise InternalInconsistency(f"b_(w_J)^2 != pi(J) b_(w_J) for J={sorted(par.J)}")
         return b, pi
 
     def schur_compose(self, h1: HeckeElt, h2: HeckeElt, J: Iterable[int]) -> HeckeElt:

@@ -18,6 +18,8 @@ elementary operation, and a post_rex normalizing to the chosen reduced word of
 z_k (ShortLex-minimal, unless a target expression pins the last one).  Degrees
 are +1 for U0/X0, -1 for D0/X1, 0 for U1/D1, summing to the spherical defect.
 The five steps without a wall plug-in are written once, in `_strand_op`.
+Every rex move a step builds from smaller ones is a `_chain` of block moves,
+each applied at its offset in the current word.
 
 Non-spherical light-leaves keep the same shape but their intermediate words
 are concatenations (u_k, z_k) of the coset decomposition w_k = u_k z_k of the
@@ -35,7 +37,7 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from typing import Sequence
 
-from .coxeter import IDENTITY, CoxeterSystem, RexMove, Word, _alternating
+from .coxeter import IDENTITY, CoxeterSystem, RexMove, Word
 from .errors import (
     EndpointMismatch,
     PreconditionViolated,
@@ -47,31 +49,18 @@ from .strolls import STEP_DEGREE, Bits, decorate
 CONVENTIONS = {"rex": "shortlex-bfs"}
 
 
-def _identity_move(word: Word) -> RexMove:
-    return RexMove(word, word, ())
-
-
-def _shift_move(move: RexMove, offset: int, full_source: Word) -> RexMove:
-    """Embed a rex move on a block into the surrounding word."""
-    n = len(move.source)
-    if full_source[offset : offset + n] != move.source:
-        raise WordMismatch("block does not match the surrounding word")
-    apps = tuple((p + offset, s, t, m) for p, s, t, m in move.applications)
-    target = full_source[:offset] + move.target + full_source[offset + n :]
-    return RexMove(full_source, target, apps)
-
-
-def _compose_moves(*moves: RexMove) -> RexMove:
-    """Concatenate rex moves; each must start where the previous ended."""
+def _chain(word: Word, *blocks: tuple[int, RexMove]) -> RexMove:
+    """The rex move from word that applies each block move in turn at its
+    offset in the current word; with no blocks, the identity move."""
     apps: list = []
-    for prev, cur in zip(moves, moves[1:]):
-        if prev.target != cur.source:
-            raise WordMismatch(
-                f"rex moves do not chain: {prev.target} vs {cur.source}"
-            )
-    for m in moves:
-        apps.extend(m.applications)
-    return RexMove(moves[0].source, moves[-1].target, tuple(apps))
+    cur = word
+    for offset, move in blocks:
+        end = offset + len(move.source)
+        if cur[offset:end] != move.source:
+            raise WordMismatch(f"block {move.source} does not match {cur} at {offset}")
+        apps.extend((p + offset, s, t, m) for p, s, t, m in move.applications)
+        cur = cur[:offset] + move.target + cur[end:]
+    return RexMove(word, cur, tuple(apps))
 
 
 def _reverse_move(move: RexMove) -> RexMove:
@@ -127,9 +116,9 @@ def _strand_op(system: CoxeterSystem, label: str, cur: Word,
     cur of the stroll: (pre_rex, elementary, the word after the operation)."""
     if label == "U1":
         grown = cur + (s,)
-        return _identity_move(grown), "none", grown
+        return _chain(grown), "none", grown
     if label in ("U0", "X0"):
-        return _identity_move(cur), "dot-kill", cur
+        return _chain(cur), "dot-kill", cur
     pre = system.find_rex(cur, lambda w: bool(w) and w[-1] == s)
     if label == "D0":
         return pre, "trivalent-merge", pre.target
@@ -206,9 +195,8 @@ def find_sweep(system: CoxeterSystem, s: int, z: Word, t: int) -> tuple[Word, Re
         # sz = zt forces s = t here (checked above via sz == zt).
         return IDENTITY, RexMove((s,), (t,), ())
     path = system.rex_path((s,) + z, z + (t,))
-    word = path.source
-    for pos, a, b, m in path.applications:
-        nxt = word[:pos] + _alternating(b, a, m) + word[pos + m :]
+    trail = path.replay(system)
+    for (pos, a, b, m), word, nxt in zip(path.applications, trail, trail[1:]):
         if pos + m == len(word) and nxt[-1] == t and word[-1] != t:
             prefix = system.element(word[:pos])
             window = word[pos:]  # alt(a, b, m); its product closes the gap
@@ -218,7 +206,6 @@ def find_sweep(system: CoxeterSystem, s: int, z: Word, t: int) -> tuple[Word, Re
             apps = sweep_prefix.applications + (final_app,)
             move = RexMove((s,) + z_tilde, z_tilde + (t,), apps)
             return z_tilde, move
-        word = nxt
     raise PreconditionViolated("no rex move changes the last letter, input invalid")
 
 
@@ -259,14 +246,14 @@ def build_nsll(system: CoxeterSystem, J: frozenset[int],
             # The classical and spherical steps agree (an X0 going up is a
             # plain U0); everything happens inside the z-block.
             beta, elementary, mid_z = _strand_op(system, d_spherical, zw, s)
-            pre = _shift_move(beta, len(u), u + beta.source)
+            pre = _chain(u + beta.source, (len(u), beta))
             mid = u + mid_z
         else:
             t_gen = system.wall_cross(system.element(zw), s, J)
             if d_classical == "U1":
                 # d' = X1: pull t across the z-block and let it join u.
                 delta = system.rex_path(zw + (s,), (t_gen,) + zw)
-                pre = _shift_move(delta, len(u), full + (s,))
+                pre = _chain(full + (s,), (len(u), delta))
                 elementary = f"wall-transfer:{system.matrix.generators[t_gen]}"
                 mid = pre.target
                 u_after = system.right_mult(system.element(u), t_gen)
@@ -274,10 +261,8 @@ def build_nsll(system: CoxeterSystem, J: frozenset[int],
                 # d' = X1: t is a right descent of u; expose it, slide it
                 # across the z-block to the right, and cap the incoming strand.
                 gamma = system.find_rex(u, lambda w: bool(w) and w[-1] == t_gen)
-                pre1 = _shift_move(gamma, 0, full)
                 delta = system.rex_path((t_gen,) + zw, zw + (s,))
-                pre2 = _shift_move(delta, len(u) - 1, pre1.target)
-                pre = _compose_moves(pre1, pre2)
+                pre = _chain(full, (0, gamma), (len(u) - 1, delta))
                 elementary = "cap"
                 mid = pre.target[:-1]
                 u_after = system.element(gamma.target[:-1])
@@ -286,30 +271,20 @@ def build_nsll(system: CoxeterSystem, J: frozenset[int],
                 # it across a suitable rex of z, merge with the incoming
                 # strand, then sweep back.
                 gamma = system.find_rex(u, lambda w: bool(w) and w[-1] == t_gen)
-                pre1 = _shift_move(gamma, 0, full)
                 z_tilde, sweep = find_sweep(system, t_gen, zw, s)
-                pre2 = _shift_move(system.rex_path(zw, z_tilde), len(u), pre1.target)
-                pre3 = _shift_move(sweep, len(u) - 1, pre2.target)
-                pre = _compose_moves(pre1, pre2, pre3)
+                pre = _chain(full, (0, gamma), (len(u), system.rex_path(zw, z_tilde)),
+                             (len(u) - 1, sweep))
                 elementary = "trivalent-merge"
                 mid = pre.target
                 # The post moves reverse the sweep and renormalize the z-block.
-                back = _shift_move(_reverse_move(sweep), len(u) - 1, mid)
-                gamma_back = _shift_move(_reverse_move(gamma), 0, back.target)
-                norm = _shift_move(
-                    system.rex_path(gamma_back.target[len(u):], z_after),
-                    len(u), gamma_back.target,
-                )
-                post = _compose_moves(back, gamma_back, norm)
+                post = _chain(mid, (len(u) - 1, _reverse_move(sweep)),
+                              (0, _reverse_move(gamma)),
+                              (len(u), system.rex_path(z_tilde, z_after)))
         if post is None:
             # Normalize both blocks to their canonical words.
-            mid_u = mid[: len(mid) - len(z_after)]
-            post_u = _shift_move(system.rex_path(mid_u, u_after), 0, mid)
-            post_z = _shift_move(
-                system.rex_path(post_u.target[len(u_after):], z_after),
-                len(u_after), post_u.target,
-            )
-            post = _compose_moves(post_u, post_z)
+            cut = len(mid) - len(z_after)
+            post = _chain(mid, (0, system.rex_path(mid[:cut], u_after)),
+                          (cut, system.rex_path(mid[cut:], z_after)))
         steps.append(NSStep(k, d_spherical, pre, elementary, post, u_after + z_after,
                             classical_label=d_classical,
                             u_part=u_after, z_part=z_after))

@@ -54,10 +54,10 @@ def finitary_subsets(system: CoxeterSystem) -> list[frozenset[int]]:
     """All subsets of S that can be certified finitary within the budget."""
     out = []
     gens = range(system.matrix.rank)
-    for r in range(len(list(gens)) + 1):
+    for r in range(len(gens) + 1):
         for J in itertools.combinations(gens, r):
             try:
-                system.parabolic_elements(frozenset(J))
+                system.parabolic(J)
             except BudgetExceeded:
                 continue
             out.append(frozenset(J))

@@ -5,7 +5,7 @@ from hypothesis import given, settings, strategies as st
 
 from heckesphere import catalog, verify
 from heckesphere.cli import main
-from heckesphere.coxeter import IDENTITY, INFINITY, CoxeterMatrix, CoxeterSystem
+from heckesphere.coxeter import IDENTITY, INFINITY, CoxeterMatrix, CoxeterSystem, RexMove
 from heckesphere.errors import (
     BudgetExceeded,
     DifferentElements,
@@ -139,11 +139,21 @@ class TestRexGraph:
         with pytest.raises(DifferentElements):
             a2.rex_path((S, T), (T, S))
 
+    def test_find_rex_exhausts_without_goal(self, a2):
+        # (s, t) is the only reduced word of st, and it does not end in s.
+        with pytest.raises(DifferentElements):
+            a2.find_rex((S, T), lambda w: w[-1] == S)
+
+    def test_replay_rejects_an_application_off_its_word(self, a2):
+        move = RexMove((S, T, S), (T, S, T), ((0, T, S, 3),))
+        with pytest.raises(NotReduced):
+            move.replay(a2)
+
 
 class TestParabolic:
     def test_a2_singleton(self, a2):
         data = a2.parabolic({S})
-        assert data.finitary and data.w_J == (S,) and data.d_J == 1
+        assert data.members == (IDENTITY, (S,)) and data.w_J == (S,) and data.d_J == 1
 
     def test_a2_full(self, a2):
         data = a2.parabolic({S, T})

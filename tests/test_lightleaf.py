@@ -6,7 +6,12 @@ import pytest
 
 from heckesphere import catalog, lightleaf, strolls, verify
 from heckesphere.coxeter import IDENTITY, CoxeterSystem, RexMove
-from heckesphere.errors import EndpointMismatch, PreconditionViolated, TargetMismatch
+from heckesphere.errors import (
+    EndpointMismatch,
+    PreconditionViolated,
+    TargetMismatch,
+    WordMismatch,
+)
 from heckesphere.lightleaf import (
     NSStep,
     build_nsll,
@@ -98,6 +103,24 @@ class TestBuildSDL:
                 for pair in strolls.double_leaf_index(a2, J_S, x, y):
                     dl = build_sdl(a2, J_S, x, pair.e.bits, y, pair.f.bits)
                     assert dl.degree == pair.degree
+
+
+class TestChain:
+    def test_blocks_apply_at_their_offsets(self, a3):
+        braid = a3.rex_path((T, S, T), (S, T, S))
+        commute = a3.rex_path((U, S), (S, U))
+        move = lightleaf._chain((U, T, S, T), (1, braid), (0, commute))
+        assert move.target == (S, U, T, S)
+        assert move.applications == ((1, T, S, 3), (0, U, S, 2))
+        assert move.replay(a3)[-1] == move.target
+
+    def test_no_blocks_is_the_identity(self, a2):
+        assert lightleaf._chain((S, T)) == RexMove((S, T), (S, T), ())
+
+    def test_rejects_a_block_off_the_word(self, a3):
+        braid = a3.rex_path((T, S, T), (S, T, S))
+        with pytest.raises(WordMismatch):
+            lightleaf._chain((U, T, S, T), (0, braid))
 
 
 class TestFindSweep:
