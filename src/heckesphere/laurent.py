@@ -3,6 +3,11 @@
 A Laurent polynomial is stored as a map from integer exponent to nonzero
 integer coefficient, so equality is plain map equality.  Coefficients are
 Python ints and therefore arbitrary precision.
+
+Sums of products are formed in a raw exponent map, a plain dict[int, int]
+that may hold zero coefficients while it accumulates: `mac(acc, p, q)` adds
+p * q into it term by term, and `LaurentPoly.from_raw` drops the zeros once
+and wraps the map, so a sum of n products builds one polynomial, not 2n.
 """
 
 from __future__ import annotations
@@ -45,6 +50,13 @@ class LaurentPoly:
     @classmethod
     def from_int(cls, n: int) -> "LaurentPoly":
         return cls({0: n})
+
+    @classmethod
+    def from_raw(cls, acc: dict[int, int]) -> "LaurentPoly":
+        """The polynomial a raw exponent map (see `mac`) has summed to."""
+        result = cls.__new__(cls)
+        result.coeffs = {e: c for e, c in acc.items() if c}
+        return result
 
     # -- basic queries -----------------------------------------------------
 
@@ -122,16 +134,9 @@ class LaurentPoly:
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        out: dict[int, int] = {}
-        for e1, c1 in self.coeffs.items():
-            for e2, c2 in other.coeffs.items():
-                e = e1 + e2
-                out[e] = out.get(e, 0) + c1 * c2
-                if not out[e]:
-                    del out[e]
-        result = LaurentPoly.__new__(LaurentPoly)
-        result.coeffs = out
-        return result
+        acc: dict[int, int] = {}
+        mac(acc, self, other)
+        return LaurentPoly.from_raw(acc)
 
     __rmul__ = __mul__
 
@@ -187,25 +192,35 @@ class LaurentPoly:
             raise DivisionByZero("division by the zero Laurent polynomial")
         if self.is_zero():
             return LaurentPoly.zero()
-        top_b = divisor.max_exp()
-        low_b = divisor.min_exp()
-        rem = self
+        div = divisor.coeffs
+        top_b = max(div)
+        lead_b = div[top_b]
+        rem = dict(self.coeffs)  # canonical: a cancelled term is deleted
+        # Lowest exponents multiply to the lowest one, so an exact quotient
+        # has no exponent below low_q.
+        low_q = min(rem) - min(div)
         quot: dict[int, int] = {}
-        while not rem.is_zero():
-            top_r = rem.max_exp()
-            # The quotient's lowest possible exponent is bounded below;
-            # dropping past it means the division cannot close.
-            if top_r - top_b < rem.min_exp() - low_b:
-                raise NotDivisible(f"{self!r} is not divisible by {divisor!r}")
-            lead_r = rem.coeffs[top_r]
-            lead_b = divisor.coeffs[top_b]
-            if lead_r % lead_b:
-                raise NotDivisible(f"{self!r} is not divisible by {divisor!r}")
-            c = lead_r // lead_b
+        top_r = max(rem)  # the remainder's top only falls
+        while rem:
             e = top_r - top_b
-            quot[e] = c
-            rem = rem - divisor.shift(e) * c
-        return LaurentPoly(quot)
+            if e < low_q:
+                raise NotDivisible(f"{self!r} is not divisible by {divisor!r}")
+            lead_r = rem.get(top_r)
+            if lead_r is not None:
+                if lead_r % lead_b:
+                    raise NotDivisible(f"{self!r} is not divisible by {divisor!r}")
+                c = quot[e] = lead_r // lead_b
+                for eb, cb in div.items():
+                    eb += e
+                    d = rem.get(eb, 0) - c * cb
+                    if d:
+                        rem[eb] = d
+                    else:
+                        del rem[eb]
+            top_r -= 1
+        result = LaurentPoly.__new__(LaurentPoly)
+        result.coeffs = quot
+        return result
 
     # -- comparison, hashing, rendering -------------------------------------
 
@@ -256,6 +271,16 @@ class LaurentPoly:
                 f"expected [[exponent, coefficient], ...] of integers, got {data!r}"
             )
         return cls({e: c for e, c in data})
+
+
+def mac(acc: dict[int, int], p: LaurentPoly, q: LaurentPoly) -> None:
+    """acc += p * q on a raw exponent map, which keeps the zeros a sum
+    leaves until `LaurentPoly.from_raw`."""
+    get = acc.get
+    for e1, c1 in p.coeffs.items():
+        for e2, c2 in q.coeffs.items():
+            e = e1 + e2
+            acc[e] = get(e, 0) + c1 * c2
 
 
 ZERO = LaurentPoly.zero()

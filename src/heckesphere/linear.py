@@ -11,6 +11,13 @@ dropping along the tree each term too long to reach it; `bar` is the
 memoized bar involution.  `kl_step` is the one Kazhdan-Lusztig recursion,
 for the algebra's basis b_x and every module's basis c_x: the element below
 times b_s, mu-corrected by `kl_correct`.
+
+Every sum is accumulated in raw form: `_mac` multiplies a combination by a
+coefficient straight into one raw exponent map per key (see laurent), and
+`_finish` turns each map into a LaurentPoly once, dropping the zeros the sum
+left; `Combo.dot` sums into one map with laurent.mac.  `delta_step` forms
+almost no sum: a generator moves the terms that cross no wall one to one, so
+each is one assignment, and only a descent adds (v^-1 - v) c at its own key.
 """
 
 from __future__ import annotations
@@ -19,25 +26,44 @@ from collections.abc import Callable, Iterable, Iterator, Mapping
 
 from .coxeter import IDENTITY, CoxeterSystem, Word
 from .errors import InternalInconsistency, PreconditionViolated
-from .laurent import LaurentPoly, ONE, V, VINV
+from .laurent import LaurentPoly, ONE, V, VINV, mac
 
 
 Coeffs = dict[tuple, LaurentPoly]
+# key -> raw exponent map, or the LaurentPoly of a key's only term so far
+Raw = dict[tuple, "dict[int, int] | LaurentPoly"]
+MINUS_ONE = LaurentPoly.from_int(-1)
 
 
-def add_into(acc: Coeffs, key: tuple, c: LaurentPoly):
-    """acc[key] += c, keeping canonical form."""
-    if not c:
-        return
-    cur = acc.get(key)
-    if cur is None:
-        acc[key] = c
-        return
-    tot = cur + c
-    if tot:
-        acc[key] = tot
-    else:
-        del acc[key]
+def _mac(raw: Raw, support: Coeffs, c: LaurentPoly) -> Raw:
+    """raw += c * (the combination `support`), one term m v^k of c at a time;
+    returns raw.  A key's first term is m v^k times its coefficient: for
+    m v^k = 1 the coefficient itself, which a second term copies into a raw
+    map, and otherwise a shifted copy."""
+    for k, m in c.coeffs.items():
+        unit = k == 0 and m == 1
+        for x, d in support.items():
+            acc = raw.get(x)
+            if acc is None:
+                raw[x] = d if unit else {e + k: n * m for e, n in d.coeffs.items()}
+                continue
+            if type(acc) is LaurentPoly:
+                raw[x] = acc = dict(acc.coeffs)
+            get = acc.get
+            for e, n in d.coeffs.items():
+                e += k
+                acc[e] = get(e, 0) + n * m
+    return raw
+
+
+def _finish(raw: Raw) -> Coeffs:
+    """The canonical coefficients of a raw sum: zero terms and zero keys dropped."""
+    out: Coeffs = {}
+    for x, acc in raw.items():
+        c = acc if type(acc) is LaurentPoly else LaurentPoly.from_raw(acc)
+        if c.coeffs:
+            out[x] = c
+    return out
 
 
 class Combo:
@@ -48,17 +74,15 @@ class Combo:
 
     def __init__(self, support: Mapping[Word, LaurentPoly | int] | Iterable = ()):
         pairs = support.items() if isinstance(support, Mapping) else support
-        out: Coeffs = {}
+        raw: Raw = {}
         for key, c in pairs:
             if isinstance(c, int):
                 c = LaurentPoly.from_int(c)
-            if key in out:
-                c = out[key] + c
-            if c:
-                out[key] = c
-            elif key in out:
-                del out[key]
-        self.support = out
+            if key in raw:
+                _mac(raw, {key: c}, ONE)
+            else:
+                raw[key] = c
+        self.support = _finish(raw)
 
     @classmethod
     def wrap(cls, coeffs: Coeffs):
@@ -79,16 +103,10 @@ class Combo:
         return bool(self.support)
 
     def __add__(self, other: "Combo"):
-        out = dict(self.support)
-        for k, c in other.support.items():
-            add_into(out, k, c)
-        return self.wrap(out)
+        return self.wrap(_finish(_mac(dict(self.support), other.support, ONE)))
 
     def __sub__(self, other: "Combo"):
-        out = dict(self.support)
-        for k, c in other.support.items():
-            add_into(out, k, -c)
-        return self.wrap(out)
+        return self.wrap(_finish(_mac(dict(self.support), other.support, MINUS_ONE)))
 
     def __neg__(self):
         return self.scale(-1)
@@ -109,15 +127,15 @@ class Combo:
 
     def dot(self, other: "Combo") -> LaurentPoly:
         """The form in which the standard basis is orthonormal."""
-        out = LaurentPoly.zero()
+        acc: dict[int, int] = {}
         small, large = self.support, other.support
         if len(small) > len(large):
             small, large = large, small
         for x, c in small.items():
             d = large.get(x)
             if d is not None:
-                out = out + c * d
-        return out
+                mac(acc, c, d)
+        return LaurentPoly.from_raw(acc)
 
     def __repr__(self) -> str:
         return f"{type(self).__name__}({dict(self.support)!r})"
@@ -156,18 +174,42 @@ class Combo:
 
 def delta_step(system: CoxeterSystem, J: frozenset[int], a: Combo, s: int) -> Combo:
     """a * delta_s: e_x goes to e_{xs} if xs > x, to e_{xs} + (v^-1 - v) e_x
-    if xs < x, and to v^-1 e_x if xs leaves ^J W."""
+    if xs < x, and to v^-1 e_x if xs leaves ^J W.
+
+    x -> xs, or x -> x at a wall, is one to one, so each term is one
+    assignment.  The one other term, (v^-1 - v) c at a descent x, meets at
+    key x only the image of the term at xs, whose step goes up to x; that
+    term is skipped, and the descent sums the two in a raw map."""
+    src = a.support
     out: Coeffs = {}
-    for x, c in a.support.items():
+    for x, c in src.items():
         xs = system.right_mult(x, s)
         if len(xs) < len(x):
-            add_into(out, xs, c)
-            add_into(out, x, c.mul_vinv_minus_v())
+            out[xs] = c
+            up = src.get(xs)
+            if up is None:
+                out[x] = c.mul_vinv_minus_v()
+                continue
+            acc = dict(up.coeffs)
+            get = acc.get
+            for e, n in c.coeffs.items():
+                acc[e - 1] = get(e - 1, 0) + n
+                acc[e + 1] = get(e + 1, 0) - n
+            p = LaurentPoly.from_raw(acc)
+            if p.coeffs:
+                out[x] = p
         elif J and not system.is_mcr(xs, J):
-            add_into(out, x, c.shift(-1))
-        else:
-            add_into(out, xs, c)
+            out[x] = c.shift(-1)
+        elif xs not in src:
+            out[xs] = c
     return a.wrap(out)
+
+
+def step_plus(system: CoxeterSystem, J: frozenset[int], a: Combo, s: int,
+              c: LaurentPoly) -> Combo:
+    """a * (delta_s + c) = a delta_s + c a, summed in one raw pass: c = v is
+    b_s, and c = v - v^-1 is delta_s^-1."""
+    return a.wrap(_finish(_mac(delta_step(system, J, a, s).support, a.support, c)))
 
 
 def _shared_prefix(u: Word, v: Word) -> int:
@@ -225,7 +267,7 @@ def prefix_tree_product(system: CoxeterSystem, J: frozenset[int], a: Combo,
     if trace_only:
         longest = _longest_below(keys, shared)
         path = [_no_longer_than(a, longest[0][0])]
-    out: Coeffs = {}
+    raw: Raw = {}
     for i, (y, c) in enumerate(items):
         del path[shared[i] + 1:]
         for k in range(shared[i], len(y)):
@@ -233,11 +275,10 @@ def prefix_tree_product(system: CoxeterSystem, J: frozenset[int], a: Combo,
             path.append(_no_longer_than(node, longest[i][k + 1] - k - 1) if trace_only
                         else node)
         if not trace_only:
-            for x, d in path[-1].support.items():
-                add_into(out, x, d * c)
+            _mac(raw, path[-1].support, c)
         elif IDENTITY in path[-1].support:
-            add_into(out, IDENTITY, path[-1].support[IDENTITY] * c)
-    return a.wrap(out)
+            _mac(raw, {IDENTITY: path[-1].support[IDENTITY]}, c)
+    return a.wrap(_finish(raw))
 
 
 def bar(system: CoxeterSystem, J: frozenset[int], memo: dict[Word, Combo],
@@ -246,7 +287,7 @@ def bar(system: CoxeterSystem, J: frozenset[int], memo: dict[Word, Combo],
     hold the identity: for x = x's along its canonical word, x' is in ^J W
     and bar(e_x) = bar(e_{x'}) delta_s^-1 = bar(e_{x'}) (delta_s + v - v^-1).
     A key that misses the memo and is not an mcr raises PreconditionViolated."""
-    out: Coeffs = {}
+    raw: Raw = {}
     for x, c in a.support.items():
         if x not in memo:
             if not system.is_mcr(x, J):
@@ -255,24 +296,22 @@ def bar(system: CoxeterSystem, J: frozenset[int], memo: dict[Word, Combo],
                 )
             for n in range(1, len(x) + 1):
                 if x[:n] not in memo:
-                    prev = memo[x[:n - 1]]
-                    memo[x[:n]] = delta_step(system, J, prev, x[n - 1]) + prev.scale(V - VINV)
-        cb = c.bar()
-        for y, d in memo[x].support.items():
-            add_into(out, y, d * cb)
-    return a.wrap(out)
+                    memo[x[:n]] = step_plus(system, J, memo[x[:n - 1]], x[n - 1], V - VINV)
+        _mac(raw, memo[x].support, c.bar())
+    return a.wrap(_finish(raw))
 
 
 def kl_correct(cand: Combo, x: Word, lower: Callable[[Word], Combo], what: str) -> Combo:
     """Subtract mu * lower(y) wherever cand's coefficient at y has constant
     term mu, longest y first so each correction is final; then assert
     coefficient 1 at x and coefficients in vZ[v] elsewhere."""
-    for y, c in sorted(cand.support.items(), key=lambda kv: -len(kv[0])):
-        if y == x:
-            continue
-        mu = cand.coeff(y)[0]
-        if mu:
-            cand = cand - lower(y).scale(mu)
+    raw: Raw = dict(cand.support)
+    for y in sorted(cand.support, key=len, reverse=True):
+        acc = raw[y]  # as the corrections at longer keys left it
+        mu = (acc.coeffs if type(acc) is LaurentPoly else acc).get(0, 0)
+        if mu and y != x:
+            _mac(raw, lower(y).support, LaurentPoly.from_int(-mu))
+    cand = cand.wrap(_finish(raw))
     if cand.coeff(x) != ONE:
         raise InternalInconsistency(f"{what} recursion lost unitriangularity at {x}")
     for y, c in cand.support.items():
@@ -291,4 +330,4 @@ def kl_step(system: CoxeterSystem, J: frozenset[int], x: Word,
     the table lookup with PreconditionViolated."""
     s = x[-1]
     prev = lower(system.right_mult(x, s))
-    return kl_correct(delta_step(system, J, prev, s) + prev.scale(V), x, lower, what)
+    return kl_correct(step_plus(system, J, prev, s, V), x, lower, what)

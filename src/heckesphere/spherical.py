@@ -21,8 +21,9 @@ call against the embedding m_x -> b_{w_J} delta_x, under which it is the
 trace form divided by pi(J).  The cross-check is bilinear over a Gram memo:
 G(x, y) = trace(i(phi m_x) * phi m_y) is computed once per pair of minimal
 coset representatives by HeckeAlgebra.pairing_trace, the Hecke product by
-the quadratic relation read at delta_e alone, and each call then forms
-sum a_x b_y G(x, y), divides by pi(J) and compares.
+the quadratic relation read at delta_e alone, from embeddings phi(m_x)
+memoized per representative; each call then forms sum a_x b_y G(x, y) in
+one raw exponent map, divides by pi(J) and compares.
 """
 
 from __future__ import annotations
@@ -33,7 +34,7 @@ from . import linear
 from .coxeter import IDENTITY, Word
 from .errors import InternalInconsistency, NotDivisible, PreconditionViolated
 from .hecke import HeckeAlgebra, HeckeElt
-from .laurent import LaurentPoly, ONE, V
+from .laurent import LaurentPoly, ONE, V, mac
 
 
 class SphericalElt(linear.Combo):
@@ -52,6 +53,7 @@ class SphericalModule:
         self.d_J = max(len(w) for w in self.b_wJ.support)
         self._kl_memo: dict[Word, SphericalElt] = {IDENTITY: self.unit()}
         self._bar_memo: dict[Word, SphericalElt] = {IDENTITY: self.unit()}
+        self._phi_memo: dict[Word, HeckeElt] = {}
         self._gram_memo: dict[tuple[Word, Word], LaurentPoly] = {}
 
     # -- basis ------------------------------------------------------------------
@@ -75,7 +77,7 @@ class SphericalModule:
     # -- the action and the bar involution ------------------------------------------
 
     def act_bs(self, a: SphericalElt, s: int) -> SphericalElt:
-        return linear.delta_step(self.system, self.J, a, s) + a.scale(V)
+        return linear.step_plus(self.system, self.J, a, s, V)
 
     def act(self, a: SphericalElt, h: HeckeElt) -> SphericalElt:
         return linear.prefix_tree_product(self.system, self.J, a, h)
@@ -109,15 +111,20 @@ class SphericalModule:
         term delta_{w_J x} of each image is distinct)."""
         return self.algebra.multiply(self.b_wJ, HeckeElt.wrap(a.support))
 
+    def _phi(self, x: Word) -> HeckeElt:
+        """phi(m_x) = b_{w_J} delta_x, memoized per mcr."""
+        got = self._phi_memo.get(x)
+        if got is None:
+            self._check_mcr(x)
+            got = self._phi_memo[x] = self.phi_embed(SphericalElt.wrap({x: ONE}))
+        return got
+
     def _gram(self, x: Word, y: Word) -> LaurentPoly:
         """G(x, y) = trace(i(phi m_x) * phi m_y), memoized per pair of mcrs."""
         got = self._gram_memo.get((x, y))
         if got is None:
-            self._check_mcr(x)
-            self._check_mcr(y)
-            got = self.algebra.pairing_trace(self.phi_embed(SphericalElt.wrap({x: ONE})),
-                                             self.phi_embed(SphericalElt.wrap({y: ONE})))
-            self._gram_memo[(x, y)] = got
+            got = self._gram_memo[(x, y)] = self.algebra.pairing_trace(self._phi(x),
+                                                                       self._phi(y))
         return got
 
     def pairing(self, a: SphericalElt, b: SphericalElt) -> LaurentPoly:
@@ -125,12 +132,13 @@ class SphericalModule:
         against the embedded formula v^{-d_J} trace(i(phi a) phi b) / pi(J),
         formed bilinearly as v^{-d_J} sum a_x b_y G(x, y) / pi(J)."""
         out = a.dot(b)
-        total = LaurentPoly.zero()
+        acc: dict[int, int] = {}
         for x, c in a.support.items():
             for y, d in b.support.items():
                 g = self._gram(x, y)
                 if g:
-                    total = total + c * d * g
+                    mac(acc, c * d, g)
+        total = LaurentPoly.from_raw(acc)
         try:
             via_form = total.divide_exact(self.pi).shift(-self.d_J)
         except NotDivisible as exc:

@@ -7,6 +7,7 @@ from heckesphere.errors import BudgetExceeded, InvalidMatrix, NotDivisible, Prec
 from heckesphere.hecke import HeckeAlgebra, HeckeElt
 from heckesphere.laurent import LaurentPoly, ONE, V, VINV, ZERO
 from heckesphere.spherical import SphericalElt, SphericalModule
+from heckesphere.verify import finitary_subsets
 
 from conftest import AFFINE_A2
 
@@ -302,6 +303,102 @@ class TestPrefixTreeProduct:
             alg.multiply(alg.delta(x), b)
         with pytest.raises(BudgetExceeded):
             per_word_fold(alg.delta(x), b, shared_step(alg.system))
+
+
+# -- the generator step and the accumulators against the quadratic relation ------
+
+def reference_step(system, J, a, s):
+    """a * delta_s read off the quadratic relation, one term at a time with
+    plain Combo + and scale: delta_x delta_s = delta_{xs} if xs > x, and
+    delta_{xs} delta_s^2 = delta_{xs} + (v^-1 - v) delta_x if xs < x; in
+    M(J), m_x delta_s = v^-1 m_x when xs is not a minimal coset
+    representative."""
+    out = a.wrap({})
+    for x, c in a.support.items():
+        term = a.wrap({x: c})
+        xs = system.right_mult(x, s)
+        if len(xs) < len(x):
+            out = out + a.wrap({xs: c}) + term.scale(VINV - V)
+        elif J and not system.is_mcr(xs, J):
+            out = out + term.scale(VINV)
+        else:
+            out = out + a.wrap({xs: c})
+    return out
+
+
+def assert_canonical(value):
+    """No key of the zero polynomial, and no zero coefficient inside a LaurentPoly."""
+    if isinstance(value, linear.Combo):
+        for p in value.support.values():
+            assert p.coeffs, value
+            assert_canonical(p)
+    else:
+        assert all(value.coeffs.values()), value
+
+
+@pytest.mark.parametrize("name", ["a3", "b3", "h3"])
+def test_delta_step_matches_the_quadratic_relation_on_every_basis_element(request, name):
+    """Each basis element alone, and beside the element one step below it
+    with the coefficient that cancels the pair at its key; the algebra of
+    A3, B3 and H3 and every M(J) of A3."""
+    system = request.getfixturevalue(name)
+    subsets = finitary_subsets(system) if name == "a3" else [frozenset()]
+    for J in subsets:
+        for x in system.min_coset_reps(J):
+            for s in range(system.matrix.rank):
+                xs = system.right_mult(x, s)
+                cases = [SphericalElt({x: V + VINV})]
+                if len(xs) < len(x):
+                    cases.append(SphericalElt({x: ONE, xs: V - VINV}))
+                for a in cases:
+                    got = linear.delta_step(system, J, a, s)
+                    assert got == reference_step(system, J, a, s), (J, x, s)
+                    assert_canonical(got)
+                if len(cases) == 2:
+                    assert x not in got.support
+
+
+STEP_SYSTEMS = ["h3", "b3", "affine_a2"]
+
+
+@pytest.fixture(scope="module", params=STEP_SYSTEMS)
+def step_algebra(request):
+    return HeckeAlgebra(CoxeterSystem(*SYSTEMS[request.param]))
+
+
+class TestStepAndAccumulators:
+    """delta_step against reference_step, and the canonical form of every
+    sum the linear layer forms, on drawn supports whose terms often cancel."""
+
+    @settings(max_examples=30, deadline=None)
+    @given(data=st.data())
+    def test_delta_step_matches_the_reference(self, step_algebra, data):
+        sys = step_algebra.system
+        a = data.draw(supports(_pool(sys)))
+        s = data.draw(st.integers(0, sys.matrix.rank - 1))
+        got = linear.delta_step(sys, frozenset(), a, s)
+        assert got == reference_step(sys, frozenset(), a, s)
+        assert_canonical(got)
+        mod = SphericalModule(step_algebra, {0})
+        m = SphericalElt((x, c) for x, c in a.support.items() if sys.is_mcr(x, mod.J))
+        got = linear.delta_step(sys, mod.J, m, s)
+        assert got == reference_step(sys, mod.J, m, s)
+        assert_canonical(got)
+
+    @settings(max_examples=30, deadline=None)
+    @given(data=st.data())
+    def test_every_result_is_canonical(self, step_algebra, data):
+        alg, sys = step_algebra, step_algebra.system
+        pool = _pool(sys)
+        a, b = data.draw(supports(pool)), data.draw(supports(pool))
+        assert not (a - a).support and not (b + b.scale(-1)).support
+        for value in (a + b, a - b, alg.multiply(a, b), alg.bar(a), alg.pairing_trace(a, b),
+                      a.dot(b), HeckeElt([*a.support.items(), *b.scale(-1).support.items()])):
+            assert_canonical(value)
+        mod = SphericalModule(alg, {0})
+        m = SphericalElt((x, c) for x, c in a.support.items() if sys.is_mcr(x, mod.J))
+        for value in (mod.act(m, b), mod.bar(m), mod.act_bs(m, 0), mod.pairing(m, m)):
+            assert_canonical(value)
 
 
 class TestTraceOnlyProduct:
