@@ -6,9 +6,9 @@ The multiply and the bar are linear's, shared with the spherical modules
 (the algebra is J = {}): a * b walks the prefix tree of b's support, one
 generator at a time by delta_s^2 = 1 + (v^-1 - v) delta_s, and bar(delta_x)
 is memoized per x.  The trace form walks the same tree for the delta_e
-coefficient alone.  The Kazhdan-Lusztig basis is linear.kl_step,
-the recursion b_{xs} * b_s minus mu-corrections that every spherical module
-shares; only the characterizing properties (bar-invariance,
+coefficient alone (linear.trace_walk).  The Kazhdan-Lusztig basis is
+linear.kl_step, the recursion b_{xs} * b_s minus mu-corrections that every
+spherical module shares; only the characterizing properties (bar-invariance,
 unitriangularity, coefficients in vZ[v]) are asserted.
 """
 
@@ -80,11 +80,9 @@ class HeckeAlgebra:
         )
 
     def pairing_trace(self, a: HeckeElt, b: HeckeElt) -> LaurentPoly:
-        """<a, b> = trace(i(a) * b), the defining formula.  Only the delta_e
-        coefficient of i(a) * b is computed: the prefix-tree product in its
-        trace_only mode drops each term too long to reach e."""
-        return self.trace(linear.prefix_tree_product(
-            self.system, NO_J, self.anti_involution(a), b, trace_only=True))
+        """<a, b> = trace(i(a) * b), the defining formula, read off one pruned
+        walk of b's keys for the delta_e coefficient alone (linear.trace_walk)."""
+        return linear.trace_walk(self.system, self.anti_involution(a), [b.support]).dot(b)
 
     def pairing(self, a: HeckeElt, b: HeckeElt) -> LaurentPoly:
         """<a, b> computed coordinatewise (the standard basis is orthonormal)."""

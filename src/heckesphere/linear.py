@@ -4,9 +4,9 @@
 coefficients.  Its subclass names the basis, `HeckeElt` (delta_x) or
 `SphericalElt` (m_x); elements of different bases never compare equal.
 `delta_step` is the one right action of a generator on a standard basis
-indexed by ^J W (the algebra is J = {}); over it, `prefix_tree_product`
-multiplies by a combination of delta_y along the prefix tree of the y, or,
-with trace_only, computes only the product's coefficient at the identity,
+indexed by ^J W (the algebra is J = {}); over it, one walk of the prefix
+tree of a set of words y yields each a * delta_y: `prefix_tree_product`
+sums them into a * b, and `trace_walk` reads each at the identity alone,
 dropping along the tree each term too long to reach it; `bar` is the
 memoized bar involution.  `kl_step` is the one Kazhdan-Lusztig recursion,
 for the algebra's basis b_x and every module's basis c_x: the element below
@@ -212,26 +212,30 @@ def step_plus(system: CoxeterSystem, J: frozenset[int], a: Combo, s: int,
     return a.wrap(_finish(_mac(delta_step(system, J, a, s).support, a.support, c)))
 
 
-def _shared_prefix(u: Word, v: Word) -> int:
-    k = 0
-    while k < len(u) and k < len(v) and u[k] == v[k]:
-        k += 1
-    return k
+def _shared_prefixes(keys: list[Word]) -> list[int]:
+    """For each sorted key, the length of the prefix it shares with the one before."""
+    out = [0]
+    for u, v in zip(keys, keys[1:]):
+        k = 0
+        while k < len(u) and k < len(v) and u[k] == v[k]:
+            k += 1
+        out.append(k)
+    return out
 
 
-def _longest_below(keys: list[Word], shared: list[int]) -> list[list[int]]:
+def _longest_below(keys: list[Word], values: list[int]) -> list[list[int]]:
     """For each sorted key y, [R(y[:j]) for j in 0..len(y)], where R(p) is the
-    length of the longest key that starts with p and shared[i] is the prefix
-    key i shares with key i-1.  Keys that share a prefix are contiguous in
-    sorted order, so one backward pass carries R from each key to the one
-    before it: the prefixes they share gain the earlier key, the others are
-    new."""
+    largest value of a key that starts with p.  Keys that share a prefix are
+    contiguous in sorted order, so one backward pass carries R from each key
+    to the one before it: the prefixes they share gain the earlier key, the
+    others are new."""
+    shared = _shared_prefixes(keys)
     out = []
     longest: list[int] = []
     k = -1  # no later key, so no prefix is shared with one
     for i in range(len(keys) - 1, -1, -1):
-        n = len(keys[i])
-        longest = [max(r, n) for r in longest[:k + 1]] + [n] * (n - k)
+        n = values[i]
+        longest = [max(r, n) for r in longest[:k + 1]] + [n] * (len(keys[i]) - k)
         out.append(longest)
         k = shared[i]
     return out[::-1]
@@ -241,44 +245,53 @@ def _no_longer_than(a: Combo, n: int) -> Combo:
     return a.wrap({x: c for x, c in a.support.items() if len(x) <= n})
 
 
-def prefix_tree_product(system: CoxeterSystem, J: frozenset[int], a: Combo,
-                        b: Combo, trace_only: bool = False) -> Combo:
-    """a * b, b in the algebra: sum over y of b's coefficient at y times `a`
-    stepped along the letters of y.
-
-    Sorted lexicographically, b's keys walk their prefix tree depth first.
-    path[k] is `a` stepped along y[:k]; it is cut back to the prefix y shares
-    with the previous key and extended one step per new letter, so each
-    prefix product is computed once.  The keys are reduced words, hence so
-    are their prefixes, and path[k] is exactly a * delta_{y[:k]}.
-
-    With trace_only, only the coefficient at the identity is computed, and
-    the product returned has no other key.  A step changes length by at most
-    1, so a term of path[k] longer than R(y[:k]) - k, R(p) the longest key
-    of b that starts with p, reaches the identity under no key and is
-    dropped.  This is still the product by the quadratic relation, read at
-    one coefficient."""
-    items = sorted(b.support.items())
-    if not items:
-        return a.wrap({})
-    keys = [y for y, _ in items]
-    shared = [0] + [_shared_prefix(u, v) for u, v in zip(keys, keys[1:])]
+def _prefix_walk(system: CoxeterSystem, J: frozenset[int], a: Combo, keys: list[Word],
+                 cut: Callable[[int, int], int] | None = None) -> Iterator[tuple[Word, Combo]]:
+    """(y, a * delta_y) for each of the sorted reduced words `keys`, walking
+    their prefix tree depth first: path[k] = a * delta_{y[:k]} is cut back to
+    the prefix y shares with the key before and extended one step per new
+    letter, so each prefix product is computed once.  With `cut`, the step
+    along y[k] of key i first drops the terms longer than cut(i, k)."""
+    shared = _shared_prefixes(keys)
     path = [a]
-    if trace_only:
-        longest = _longest_below(keys, shared)
-        path = [_no_longer_than(a, longest[0][0])]
-    raw: Raw = {}
-    for i, (y, c) in enumerate(items):
+    for i, y in enumerate(keys):
         del path[shared[i] + 1:]
         for k in range(shared[i], len(y)):
-            node = delta_step(system, J, path[-1], y[k])
-            path.append(_no_longer_than(node, longest[i][k + 1] - k - 1) if trace_only
-                        else node)
-        if not trace_only:
-            _mac(raw, path[-1].support, c)
-        elif IDENTITY in path[-1].support:
-            _mac(raw, {IDENTITY: path[-1].support[IDENTITY]}, c)
+            node = path[-1] if cut is None else _no_longer_than(path[-1], cut(i, k))
+            path.append(delta_step(system, J, node, y[k]))
+        yield y, path[-1]
+
+
+def prefix_tree_product(system: CoxeterSystem, J: frozenset[int], a: Combo,
+                        b: Combo) -> Combo:
+    """a * b, b in the algebra: b's coefficient at y times a * delta_y,
+    summed over the prefix walk of b's keys."""
+    raw: Raw = {}
+    for y, node in _prefix_walk(system, J, a, sorted(b.support)):
+        _mac(raw, node.support, b.support[y])
     return a.wrap(_finish(raw))
+
+
+def trace_walk(system: CoxeterSystem, a: Combo, groups: Iterable[Iterable[Word]]) -> Combo:
+    """sum_y trace(a * delta_y) delta_y in the algebra over every y of
+    `groups`, disjoint sets of reduced words, from one prefix walk of all of
+    them; its `dot` with b is trace(a * b) when b's keys are among them.
+
+    A step changes length by at most 1, so before the step along y[k] a term
+    longer than R(y[:k + 1]) - k, R(p) the longest key that starts with p,
+    reaches the identity under no key and is dropped.  At the root the bound
+    is the longest key of each group with a key under y[0], as in the walk
+    of that group alone.  No later step can leave the ball of the longest
+    key, so the walk raises BudgetExceeded exactly when one group's does."""
+    reach: dict[Word, int] = {}
+    for group in map(list, groups):
+        reach.update(dict.fromkeys(group, max(map(len, group), default=0)))
+    keys = sorted(reach)
+    longest = _longest_below(keys, list(map(len, keys)))
+    root = _longest_below(keys, [reach[y] for y in keys])
+    walk = _prefix_walk(system, frozenset(), a, keys,
+                        lambda i, k: longest[i][k + 1] - k if k else root[i][1])
+    return a.wrap({y: node.support[IDENTITY] for y, node in walk if IDENTITY in node.support})
 
 
 def bar(system: CoxeterSystem, J: frozenset[int], memo: dict[Word, Combo],

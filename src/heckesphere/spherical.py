@@ -19,11 +19,12 @@ checked to be bar-invariant.
 The pairing <a, b>_M is computed coordinatewise and cross-checked on every
 call against the embedding m_x -> b_{w_J} delta_x, under which it is the
 trace form divided by pi(J).  The cross-check is bilinear over a Gram memo:
-G(x, y) = trace(i(phi m_x) * phi m_y) is computed once per pair of minimal
-coset representatives by HeckeAlgebra.pairing_trace, the Hecke product by
-the quadratic relation read at delta_e alone, from embeddings phi(m_x)
-memoized per representative; each call then forms sum a_x b_y G(x, y) in
-one raw exponent map, divides by pi(J) and compares.
+G(x, y) = trace(i(phi m_x) * phi m_y) is computed once per ordered pair of
+minimal coset representatives, a row at a time: one linear.trace_walk, the
+Hecke product by the quadratic relation read at delta_e alone, of
+i(phi m_x) over the keys of every phi m_y the row lacks, from embeddings
+phi(m_x) memoized per representative; each call then forms
+sum a_x b_y G(x, y) in one raw exponent map, divides by pi(J) and compares.
 """
 
 from __future__ import annotations
@@ -119,23 +120,28 @@ class SphericalModule:
             got = self._phi_memo[x] = self.phi_embed(SphericalElt.wrap({x: ONE}))
         return got
 
-    def _gram(self, x: Word, y: Word) -> LaurentPoly:
-        """G(x, y) = trace(i(phi m_x) * phi m_y), memoized per pair of mcrs."""
-        got = self._gram_memo.get((x, y))
-        if got is None:
-            got = self._gram_memo[(x, y)] = self.algebra.pairing_trace(self._phi(x),
-                                                                       self._phi(y))
-        return got
-
     def pairing(self, a: SphericalElt, b: SphericalElt) -> LaurentPoly:
         """<a, b>_M, coordinatewise (the m_x are orthonormal), cross-checked
         against the embedded formula v^{-d_J} trace(i(phi a) phi b) / pi(J),
-        formed bilinearly as v^{-d_J} sum a_x b_y G(x, y) / pi(J)."""
+        formed bilinearly as v^{-d_J} sum a_x b_y G(x, y) / pi(J).
+
+        G(x, y) = trace(i(phi m_x) * phi m_y) is memoized per ordered pair of
+        mcrs.  A row's entries missing from it come from one
+        linear.trace_walk of i(phi m_x) over the keys of each such phi m_y,
+        which lie in the disjoint cosets W_J y: each entry is the walk's
+        traces dotted with its own phi m_y."""
         out = a.dot(b)
         acc: dict[int, int] = {}
         for x, c in a.support.items():
+            cold = [y for y in b.support if (x, y) not in self._gram_memo]
+            if cold:
+                ix = self.algebra.anti_involution(self._phi(x))
+                phis = [self._phi(y) for y in cold]
+                traces = linear.trace_walk(self.system, ix, [p.support for p in phis])
+                for y, phi in zip(cold, phis):
+                    self._gram_memo[(x, y)] = traces.dot(phi)
             for y, d in b.support.items():
-                g = self._gram(x, y)
+                g = self._gram_memo[(x, y)]
                 if g:
                     mac(acc, c * d, g)
         total = LaurentPoly.from_raw(acc)

@@ -16,7 +16,8 @@ by a wall-crossing generator on the left, which does not change the coset).
 The graded rank of a pair of expressions sums v^{deg} over the double-leaf
 index pairs, the pairs of subexpressions with a common endpoint; rank_poly
 groups that sum by endpoint, as the form of two defect expansions
-(endpoint_polys, an element of M(J)), so each subexpression is decorated once.
+(endpoint_polys, an element of M(J)), each one walk of the prefix tree of
+the subexpressions, so a shared prefix is stepped once.
 """
 
 from __future__ import annotations
@@ -75,11 +76,6 @@ def decorate(system: CoxeterSystem, J: frozenset[int],
             z = zs
         stroll.append(z)
     return Decoration(word, bits, tuple(labels), tuple(stroll))
-
-
-def sdef(system: CoxeterSystem, J: frozenset[int],
-         word: Sequence[int], bits: Sequence[int]) -> int:
-    return decorate(system, J, word, bits).sdef
 
 
 def subexpressions(n: int) -> Iterator[Bits]:
@@ -151,15 +147,25 @@ def double_leaf_index(system: CoxeterSystem, J: frozenset[int],
 def endpoint_polys(system: CoxeterSystem, J: frozenset[int],
                    word: Sequence[int]) -> SphericalElt:
     """The defect expansion 1 (x) b_w = sum_z P_w(z) m_z in M(J), P_w(z) the
-    sum of v^{sdef(e)} over the subexpressions e of w that end at z; each
-    subexpression is decorated once.  `strolls/defect-expansion` checks it
-    against the module action."""
-    word = tuple(word)
-    degrees: dict[Word, Counter] = {}
-    for bits in subexpressions(len(word)):
-        dec = decorate(system, J, word, bits)
-        degrees.setdefault(dec.endpoint, Counter())[dec.sdef] += 1
-    return SphericalElt.wrap({z: LaurentPoly(c) for z, c in degrees.items()})
+    sum of v^{sdef(e)} over the subexpressions e of w that end at z.
+
+    One walk of the subexpressions' prefix tree: a node is a prefix's stroll
+    end and defect so far, with a bit-0 and a bit-1 child by the step rule of
+    `decorate`.  Equal nodes are never merged, which would make this the
+    module action that `strolls/defect-expansion` checks it against; the 2^n
+    leaves are counted by end and defect."""
+    system.check_letters(word)
+    nodes = [(IDENTITY, 0)]
+    for s in word:
+        nxt = []
+        for z, d in nodes:
+            zs = system.right_mult(z, s)
+            if system.is_mcr(zs, J):  # U0 or D0, then U1 or D1
+                nxt += ((z, d + 1 if len(zs) > len(z) else d - 1), (zs, d))
+            else:  # X0, X1
+                nxt += ((z, d + 1), (z, d - 1))
+        nodes = nxt
+    return SphericalElt((z, LaurentPoly({d: n})) for (z, d), n in Counter(nodes).items())
 
 
 def rank_poly(system: CoxeterSystem, J: frozenset[int],

@@ -402,9 +402,9 @@ class TestStepAndAccumulators:
 
 
 class TestTraceOnlyProduct:
-    """pairing_trace walks the prefix tree for the delta_e coefficient
-    alone, dropping terms too long to reach it; the full product read at
-    delta_e is the reference."""
+    """pairing_trace and linear.trace_walk walk the prefix tree for the
+    delta_e coefficient alone, dropping terms too long to reach it; the full
+    product read at delta_e is the reference."""
 
     @settings(max_examples=40, deadline=None)
     @given(data=st.data())
@@ -420,9 +420,15 @@ class TestTraceOnlyProduct:
         except BudgetExceeded:
             return
         assert algebra.pairing_trace(a, b) == want
-        only = linear.prefix_tree_product(algebra.system, frozenset(),
-                                          algebra.anti_involution(a), b, trace_only=True)
-        assert set(only.support) <= {IDENTITY}
+        # Each key read alone, from one walk of b's keys split into groups.
+        ia = algebra.anti_involution(a)
+        keys = sorted(b.support)
+        cut = data.draw(st.integers(0, len(keys)))
+        traces = linear.trace_walk(sys, ia, [keys[:cut], keys[cut:]])
+        assert_canonical(traces)
+        assert set(traces.support) <= set(keys)
+        for y in keys:
+            assert traces.coeff(y) == algebra.trace(algebra.multiply(ia, algebra.delta(y)))
 
     def test_a_node_keeps_what_its_longest_key_needs(self, a2_algebra):
         # The keys s and st share the node s.  delta_ts * delta_s = delta_t +

@@ -1,15 +1,19 @@
 import itertools
+import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from heckesphere.coxeter import IDENTITY
+from heckesphere.coxeter import IDENTITY, CoxeterSystem
 from heckesphere import linear
-from heckesphere.errors import InternalInconsistency, InvalidMatrix, PreconditionViolated
+from heckesphere.errors import (BudgetExceeded, InternalInconsistency, InvalidMatrix,
+                                PreconditionViolated)
 from heckesphere.hecke import HeckeAlgebra, HeckeElt
 from heckesphere.laurent import LaurentPoly, ONE, V, VINV, ZERO
 from heckesphere.spherical import SphericalElt, SphericalModule
 from heckesphere.verify import finitary_subsets
+
+from conftest import AFFINE_A2
 
 S, T = 0, 1
 
@@ -205,13 +209,78 @@ class TestGramCrossCheck:
         mod, mcrs = gram_module
         a = data.draw(module_elements(mcrs))
         b = data.draw(module_elements(mcrs))
+        want = embedded_trace(mod, a, b)
+        assert mod.pairing(a, b) == want.divide_exact(mod.pi).shift(-mod.d_J) == a.dot(b)
         gram = LaurentPoly.zero()
         for x, c in a.support.items():
             for y, d in b.support.items():
-                gram = gram + c * d * mod._gram(x, y)
-        want = embedded_trace(mod, a, b)
+                gram = gram + c * d * mod._gram_memo[(x, y)]
         assert gram == want
-        assert mod.pairing(a, b) == want.divide_exact(mod.pi).shift(-mod.d_J) == a.dot(b)
+
+    @pytest.mark.parametrize("J", list(itertools.chain.from_iterable(
+        itertools.combinations(range(3), r) for r in range(4))), ids=str)
+    def test_every_batched_entry_of_h3_is_its_own_product(self, h3, J):
+        # One pairing of the sums of all mcrs fills the memo a row at a time;
+        # each entry must be the trace of its own full Hecke product.
+        alg = HeckeAlgebra(h3)
+        mod = SphericalModule(alg, J)
+        mcrs = h3.min_coset_reps(J)
+        everything = SphericalElt((x, ONE) for x in mcrs)
+        assert mod.pairing(everything, everything) == LaurentPoly.from_int(len(mcrs))
+        assert len(mod._gram_memo) == len(mcrs) ** 2
+        for x in mcrs:
+            ix = alg.anti_involution(mod.phi_embed(mod.m(x)))
+            for y in mcrs:
+                want = alg.multiply(ix, mod.phi_embed(mod.m(y))).coeff(IDENTITY)
+                assert mod._gram_memo[(x, y)] == want, (x, y)
+
+    @pytest.mark.parametrize("budget", [6, 12])
+    def test_a_cut_ball_fails_a_row_exactly_where_one_of_its_pairs_fails(self, budget):
+        # Only a walk's first step can leave a cut ball.  The walk of one pair
+        # steps each term of i(phi m_x) no longer than the longest key of
+        # phi m_y along the first letter of each key, and fails when such a
+        # step leaves the ball.  A row walked for two columns must fail
+        # exactly when one of its columns alone does.
+        system = CoxeterSystem(AFFINE_A2, budget)
+        alg = HeckeAlgebra(system)
+        rng = random.Random(budget)
+
+        def first_step_leaves(ix, phi):
+            longest = max(map(len, phi.support))
+            letters = {y[0] for y in phi.support if y}
+            for w in ix.support:
+                for s in letters if len(w) <= longest else ():
+                    try:
+                        system.right_mult(w, s)
+                    except BudgetExceeded:
+                        return True
+            return False
+
+        failures = 0
+        for J in finitary_subsets(system):
+            mod = SphericalModule(alg, J)
+            mcrs = [x for x in system.min_coset_reps(J) if len(x) + mod.d_J <= budget]
+
+            def fails(x, b):
+                mod._gram_memo.clear()
+                try:
+                    mod.pairing(mod.m(x), b)
+                except BudgetExceeded:
+                    return True
+                return False
+
+            top = [x for x in mcrs if len(x) + mod.d_J == budget]
+            for x in rng.sample(top, min(3, len(top))):
+                ix = alg.anti_involution(mod.phi_embed(mod.m(x)))
+                alone = {y: fails(x, mod.m(y)) for y in mcrs}
+                for y in mcrs:
+                    assert alone[y] == first_step_leaves(ix, mod.phi_embed(mod.m(y))), (J, x, y)
+                failures += sum(alone.values())
+                for _ in range(40):
+                    y0, y1 = rng.choice(mcrs), rng.choice(top)
+                    assert fails(x, mod.m(y0) + mod.m(y1)) == (alone[y0] or alone[y1]), (
+                        J, x, y0, y1)
+        assert failures  # the ball is cut where the walk reaches
 
     def test_memo_keys_are_mcr_pairs(self, gram_module):
         mod, mcrs = gram_module

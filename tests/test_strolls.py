@@ -1,13 +1,18 @@
 import itertools
+import random
+from collections import Counter
 
 import pytest
 
 from heckesphere import strolls
-from heckesphere.coxeter import IDENTITY
-from heckesphere.errors import WordMismatch
+from heckesphere.coxeter import IDENTITY, CoxeterSystem
+from heckesphere.errors import BudgetExceeded, InvalidMatrix, WordMismatch
 from heckesphere.hecke import HeckeAlgebra
 from heckesphere.laurent import LaurentPoly, ONE, V, VINV
-from heckesphere.spherical import SphericalModule
+from heckesphere.spherical import SphericalElt, SphericalModule
+from heckesphere.verify import finitary_subsets
+
+from conftest import AFFINE_A2
 
 S, T = 0, 1
 J_S = frozenset({S})
@@ -36,7 +41,7 @@ class TestDecorate:
 
 class TestSdef:
     def test_worked_example(self, a2):
-        assert strolls.sdef(a2, J_S, (T, S, T), (1, 1, 1)) == -1
+        assert strolls.decorate(a2, J_S, (T, S, T), (1, 1, 1)).sdef == -1
 
     def test_two_x0(self, a2):
         dec = strolls.decorate(a2, J_S, (S, T, S, T), (0, 1, 1, 0))
@@ -44,7 +49,7 @@ class TestSdef:
         assert dec.sdef == 2
 
     def test_empty(self, a2):
-        assert strolls.sdef(a2, J_S, (), ()) == 0
+        assert strolls.decorate(a2, J_S, (), ()).sdef == 0
 
 
 class TestPreceq:
@@ -142,6 +147,63 @@ class TestDefectExpansion:
                     want = want + mod.m(dec.endpoint, LaurentPoly.monomial(dec.sdef))
                 assert mod.expand_expression(word) == want
                 assert strolls.endpoint_polys(a2, J_S, word) == want
+
+
+def decorated_expansion(system, J, word):
+    """sum of v^sdef m_end over every subexpression, one `decorate` each."""
+    count = Counter()
+    for bits in strolls.subexpressions(len(word)):
+        dec = strolls.decorate(system, J, word, bits)
+        count[dec.endpoint, dec.sdef] += 1
+    return SphericalElt((z, LaurentPoly({d: n})) for (z, d), n in count.items())
+
+
+class TestEndpointWalk:
+    """endpoint_polys walks the subexpressions as a prefix tree; decorating
+    each subexpression on its own is the reference, over words of length
+    up to 4 (5 in rank 2)."""
+
+    @pytest.mark.parametrize("name", ["a2", "b2", "a3", "b3", "h3", "affine_a2_12"])
+    def test_matches_every_decoration(self, request, name):
+        if name == "affine_a2_12":
+            system = CoxeterSystem(AFFINE_A2, 12)
+        else:
+            system = request.getfixturevalue(name)
+        rank = system.matrix.rank
+        words = [w for n in range(8 - rank) for w in itertools.product(range(rank), repeat=n)]
+        for J in finitary_subsets(system):
+            for word in words:
+                assert strolls.endpoint_polys(system, J, word) == decorated_expansion(
+                    system, J, word), (J, word)
+
+    def test_a_bad_letter_is_rejected(self, a2, inf_dihedral):
+        # Letters are checked before any step, also when a stroll would
+        # leave the ball (budget 8) before the bad letter.
+        for system, word in ((a2, (S, 2)), (inf_dihedral, (S, T) * 5 + (2,))):
+            with pytest.raises(InvalidMatrix, match="letter 2"):
+                strolls.endpoint_polys(system, frozenset(), word)
+            with pytest.raises(InvalidMatrix, match="letter 2"):
+                strolls.decorate(system, frozenset(), word, (1,) * len(word))
+
+    def test_a_stroll_past_the_budget_fails_as_a_decoration_does(self, inf_dihedral):
+        # Budget 8: a stroll of nine up-steps leaves the ball.
+        rng = random.Random(0)
+        words = [(S, T) * 4, (S, T) * 4 + (S,), (T, S) * 5, (S, S) + (T, S) * 4]
+        words += [tuple(rng.randrange(2) for _ in range(rng.randrange(8, 11)))
+                  for _ in range(20)]
+        outcomes = set()
+        for J in finitary_subsets(inf_dihedral):
+            for word in words:
+                try:
+                    want = decorated_expansion(inf_dihedral, J, word)
+                except BudgetExceeded:
+                    with pytest.raises(BudgetExceeded):
+                        strolls.endpoint_polys(inf_dihedral, J, word)
+                    outcomes.add("raises")
+                else:
+                    assert strolls.endpoint_polys(inf_dihedral, J, word) == want
+                    outcomes.add("fits")
+        assert outcomes == {"raises", "fits"}
 
 
 class TestLocalize:
