@@ -27,7 +27,6 @@ mismatch.
 from __future__ import annotations
 
 import argparse
-import csv
 import functools
 import json
 import sys
@@ -79,6 +78,8 @@ def _emit(args, doc, text: str, rows: list[dict] | None = None, indent: int | No
         print(json.dumps(doc, indent=indent))
     elif args.format == "csv":
         if rows:
+            import csv  # here, so that only CSV output pays for its import
+
             writer = csv.DictWriter(sys.stdout, fieldnames=list(rows[0]))
             writer.writeheader()
             writer.writerows(rows)

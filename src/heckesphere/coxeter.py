@@ -18,8 +18,7 @@ from __future__ import annotations
 
 import json
 from collections import deque
-from dataclasses import dataclass
-from typing import Callable, Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
 from .errors import (
     BudgetExceeded,
@@ -36,25 +35,29 @@ IDENTITY: Word = ()
 INFINITY = 0  # sentinel for an infinite bond in the matrix file format
 
 
-@dataclass(frozen=True)
-class CoxeterMatrix:
+class _MatrixFields(NamedTuple):
     generators: tuple[str, ...]
     m: tuple[tuple[int, ...], ...]
 
-    def __post_init__(self):
-        n = len(self.generators)
-        if len(set(self.generators)) != n or n == 0:
+
+class CoxeterMatrix(_MatrixFields):
+    __slots__ = ()
+
+    def __new__(cls, generators: tuple[str, ...], m: tuple[tuple[int, ...], ...]):
+        n = len(generators)
+        if len(set(generators)) != n or n == 0:
             raise InvalidMatrix("generator names must be nonempty and distinct")
-        if len(self.m) != n or any(len(row) != n for row in self.m):
+        if len(m) != n or any(len(row) != n for row in m):
             raise InvalidMatrix("matrix shape does not match generator count")
         for i in range(n):
-            if self.m[i][i] != 1:
+            if m[i][i] != 1:
                 raise InvalidMatrix("diagonal entries must be 1")
             for j in range(n):
-                if self.m[i][j] != self.m[j][i]:
+                if m[i][j] != m[j][i]:
                     raise InvalidMatrix("matrix must be symmetric")
-                if i != j and self.m[i][j] != INFINITY and self.m[i][j] < 2:
+                if i != j and m[i][j] != INFINITY and m[i][j] < 2:
                     raise InvalidMatrix("off-diagonal entries must be >= 2 or 0 (infinity)")
+        return super().__new__(cls, generators, m)
 
     @property
     def rank(self) -> int:
@@ -82,21 +85,22 @@ class CoxeterMatrix:
             return cls.from_json(json.load(fh))
 
 
-@dataclass(frozen=True)
-class ParabolicData:
+class ParabolicData(NamedTuple):
     J: frozenset[int]
     members: tuple[Word, ...]  # W_J, sorted by (length, ShortLex)
     w_J: Word
     d_J: int
 
 
-@dataclass(slots=True)
 class _ElemData:
-    # factor[s * rank + t]: length of the W_{s,t} factor of the element.
-    factor: tuple[int, ...]
-    right_mult: dict[int, Word]
-    descents: frozenset[int]  # right descents
-    inverse: Word = IDENTITY
+    # factor[s * rank + t]: length of the W_{s,t} factor of the element;
+    # descents: its right descents.
+    __slots__ = ("factor", "right_mult", "descents", "inverse")
+
+    def __init__(self, factor: tuple[int, ...], right_mult: dict[int, Word],
+                 descents: frozenset[int]):
+        self.factor, self.right_mult, self.descents = factor, right_mult, descents
+        self.inverse: Word = IDENTITY
 
 
 class _Table(dict):
@@ -434,8 +438,7 @@ class CoxeterSystem:
         return ",".join(gens[s] for s in word)
 
 
-@dataclass(frozen=True)
-class RexMove:
+class RexMove(NamedTuple):
     """A sequence of braid-relation applications between reduced words.
 
     Each application (pos, s, t, m) replaces the alternating pattern

@@ -34,8 +34,7 @@ with the same endpoint, the upper one flipped.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .coxeter import IDENTITY, CoxeterSystem, RexMove, Word
 from .errors import (
@@ -69,8 +68,7 @@ def _reverse_move(move: RexMove) -> RexMove:
     return RexMove(move.target, move.source, apps)
 
 
-@dataclass(frozen=True)
-class LLStep:
+class LLStep(NamedTuple):
     k: int  # 1-based letter index
     label: str
     pre_rex: RexMove
@@ -83,8 +81,7 @@ class LLStep:
         return STEP_DEGREE[self.label]
 
 
-@dataclass(frozen=True)
-class LLRecipe:
+class LLRecipe(NamedTuple):
     word: Word
     bits: Bits
     steps: tuple[LLStep, ...]
@@ -96,8 +93,7 @@ class LLRecipe:
         return sum(s.degree for s in self.steps)
 
 
-@dataclass(frozen=True)
-class DoubleLeafRecipe:
+class DoubleLeafRecipe(NamedTuple):
     lower: LLRecipe
     upper: LLRecipe  # flipped
     through: Word  # the shared reduced word of the endpoint
@@ -173,7 +169,7 @@ def glue(lower: LLRecipe, upper: LLRecipe) -> DoubleLeafRecipe:
     endpoint, where both light leaves end."""
     if lower.target != upper.target:
         raise EndpointMismatch(f"endpoints differ: {lower.target} vs {upper.target}")
-    return DoubleLeafRecipe(lower, replace(upper, flipped=True), lower.target)
+    return DoubleLeafRecipe(lower, upper._replace(flipped=True), lower.target)
 
 
 # -- sweeps ---------------------------------------------------------------------
@@ -212,11 +208,16 @@ def find_sweep(system: CoxeterSystem, s: int, z: Word, t: int) -> tuple[Word, Re
 # -- non-spherical light-leaves -----------------------------------------------------
 
 
-@dataclass(frozen=True)
-class NSStep(LLStep):
-    classical_label: str = ""
-    u_part: Word = ()
-    z_part: Word = ()
+class NSStep(NamedTuple):  # an LLStep with its classical label and (u, z) blocks
+    k: int
+    label: str  # the spherical label
+    pre_rex: RexMove
+    elementary: str
+    post_rex: RexMove
+    intermediate: Word  # u_part + z_part
+    classical_label: str
+    u_part: Word
+    z_part: Word
 
     @property
     def degree(self) -> int:
@@ -340,7 +341,7 @@ def parse_recipe_json(system: CoxeterSystem, J: frozenset[int], data: dict) -> L
     target = system.parse_word(steps[-1]["intermediate"]) if steps else None
     recipe = build_sll(system, J, word, bits, target_rex=target)
     if bool(data.get("flipped", False)):
-        recipe = replace(recipe, flipped=True)
+        recipe = recipe._replace(flipped=True)
     if recipe_to_json(system, recipe) != data:
         raise WordMismatch("serialized recipe does not match its reconstruction")
     return recipe

@@ -23,8 +23,7 @@ the subexpressions, so a shared prefix is stepped once.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
-from typing import Iterator, Sequence
+from typing import Iterator, NamedTuple, Sequence
 
 from .coxeter import IDENTITY, CoxeterSystem, Word
 from .errors import WordMismatch
@@ -37,8 +36,7 @@ Bits = tuple[int, ...]
 STEP_DEGREE = {"U0": 1, "X0": 1, "D0": -1, "X1": -1, "U1": 0, "D1": 0}
 
 
-@dataclass(frozen=True)
-class Decoration:
+class Decoration(NamedTuple):
     word: Word
     bits: Bits
     labels: tuple[str, ...]
@@ -113,8 +111,7 @@ def pair_preceq(system: CoxeterSystem, J: frozenset[int],
     )
 
 
-@dataclass(frozen=True)
-class DoubleLeafPair:
+class DoubleLeafPair(NamedTuple):
     e: Decoration
     f: Decoration
 

@@ -23,8 +23,7 @@ import contextlib
 import functools
 import itertools
 import random
-from dataclasses import dataclass
-from typing import Callable, Iterable, Iterator
+from typing import Callable, Iterable, Iterator, NamedTuple
 
 from . import strolls
 from .coxeter import CoxeterSystem, Word
@@ -35,8 +34,7 @@ from .lightleaf import NSStep, build_nsll, build_sll, find_sweep, glue
 from .spherical import SphericalModule
 
 
-@dataclass
-class CheckResult:
+class CheckResult(NamedTuple):
     suite: str
     name: str
     failures: list[str]

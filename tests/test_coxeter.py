@@ -13,6 +13,8 @@ from heckesphere.errors import (
     NotReduced,
     PreconditionViolated,
 )
+from heckesphere.hecke import HeckeAlgebra
+from heckesphere.laurent import LaurentPoly
 from heckesphere.spherical import SphericalModule
 
 from conftest import F4, H4
@@ -393,3 +395,17 @@ class TestRankFourAnchors:
         for w in elems:
             counts[len(w)] += 1
         assert counts == _poincare(degrees)
+
+    @pytest.mark.parametrize("matrix,degrees", [
+        (_chain(3, 3, 3), (2, 3, 4, 5)),
+        (_chain(4, 3, 3), (2, 4, 6, 8)),
+        (D4, (2, 4, 4, 6)),
+    ], ids=["A4", "B4", "D4"])
+    def test_pi_of_S_from_the_degrees(self, matrix, degrees):
+        # pi(S) = v^-N prod_i [d_i]_{q=v^2}, N = l(w_0).  F4 and H4 stay out:
+        # the check b_{w_0}^2 = pi(S) b_{w_0} inside b_wJ_and_pi is
+        # quadratic in |W|.
+        N = sum(d - 1 for d in degrees)
+        alg = HeckeAlgebra(CoxeterSystem(matrix, N))
+        _, pi = alg.b_wJ_and_pi(range(4))
+        assert pi == LaurentPoly((2 * k - N, c) for k, c in enumerate(_poincare(degrees)))
