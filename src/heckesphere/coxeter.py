@@ -59,6 +59,8 @@ class CoxeterMatrix(_MatrixFields):
                     raise InvalidMatrix("off-diagonal entries must be >= 2 or 0 (infinity)")
         return super().__new__(cls, generators, m)
 
+    _make = classmethod(lambda cls, fields: cls(*fields))  # so _replace is checked too
+
     @property
     def rank(self) -> int:
         return len(self.generators)

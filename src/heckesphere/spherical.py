@@ -49,7 +49,7 @@ class SphericalModule:
         self.algebra = algebra
         self.system = algebra.system
         self.J = frozenset(J)
-        # Certifies J is finitary (BudgetExceeded otherwise) and caches pi(J).
+        # Certifies J is finitary (BudgetExceeded otherwise) and b_{w_J}, caches pi(J).
         self.b_wJ, self.pi = algebra.b_wJ_and_pi(self.J)
         self.d_J = max(len(w) for w in self.b_wJ.support)
         self._kl_memo: dict[Word, SphericalElt] = {IDENTITY: self.unit()}

@@ -189,10 +189,15 @@ def check_kl_wellformed(run: Run) -> Iterator[str]:
                     yield f"h_({y}, x) = {c} not in vZ[v]"
 
 
-def check_bwj_pi(run: Run) -> None:
+def check_bwj_pi(run: Run) -> Iterator[str]:
+    """b_wJ_and_pi's closed form, certified by eigen-steps, against kl_basis and multiply."""
     for J in run.subsets:
         with run.case(J):
-            run.algebra.b_wJ_and_pi(J)  # raises InternalInconsistency on any mismatch
+            b, pi = run.algebra.b_wJ_and_pi(J)
+            if b != run.algebra.kl_basis(run.system.parabolic(J).w_J):
+                yield "closed form for b_(w_J) disagrees with the KL recursion"
+            if run.algebra.multiply(b, b) != b.scale(pi):
+                yield "b_(w_J)^2 != pi(J) b_(w_J)"
 
 
 def check_hecke_orthonormal(run: Run) -> Iterator[str]:

@@ -400,11 +400,11 @@ class TestRankFourAnchors:
         (_chain(3, 3, 3), (2, 3, 4, 5)),
         (_chain(4, 3, 3), (2, 4, 6, 8)),
         (D4, (2, 4, 4, 6)),
-    ], ids=["A4", "B4", "D4"])
+        (F4, (2, 6, 8, 12)),
+        (H4, (2, 12, 20, 30)),
+    ], ids=["A4", "B4", "D4", "F4", "H4"])
     def test_pi_of_S_from_the_degrees(self, matrix, degrees):
-        # pi(S) = v^-N prod_i [d_i]_{q=v^2}, N = l(w_0).  F4 and H4 stay out:
-        # the check b_{w_0}^2 = pi(S) b_{w_0} inside b_wJ_and_pi is
-        # quadratic in |W|.
+        # pi(S) = v^-N prod_i [d_i]_{q=v^2}, N = l(w_0).
         N = sum(d - 1 for d in degrees)
         alg = HeckeAlgebra(CoxeterSystem(matrix, N))
         _, pi = alg.b_wJ_and_pi(range(4))

@@ -1,9 +1,12 @@
+import re
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from heckesphere import catalog, linear
 from heckesphere.coxeter import IDENTITY, CoxeterSystem
-from heckesphere.errors import BudgetExceeded, InvalidMatrix, NotDivisible, PreconditionViolated
+from heckesphere.errors import (BudgetExceeded, InternalInconsistency, InvalidMatrix, NotDivisible,
+                               PreconditionViolated)
 from heckesphere.hecke import HeckeAlgebra, HeckeElt
 from heckesphere.laurent import LaurentPoly, ONE, V, VINV, ZERO
 from heckesphere.spherical import SphericalElt, SphericalModule
@@ -178,6 +181,18 @@ class TestBwJ:
     def test_full_a2(self, a2_algebra):
         _, pi = a2_algebra.b_wJ_and_pi({S, T})
         assert pi == LaurentPoly([(3, 1), (1, 2), (-1, 2), (-3, 1)])
+
+    @pytest.mark.parametrize("bad,message", [
+        # b scaled by v: still an eigenvector, but it acts on itself by v pi(J).
+        (lambda par: par._replace(d_J=par.d_J + 1), "pi(J) != sum_w b_w v^-l(w)"),
+        (lambda par: par._replace(members=par.members[1:]),
+         "b_(w_J) delta_s != v^-1 b_(w_J) for s=0"),
+    ], ids=["scaled", "identity-dropped"])
+    def test_a_wrong_closed_form_is_caught(self, a2, monkeypatch, bad, message):
+        real = CoxeterSystem.parabolic
+        monkeypatch.setattr(CoxeterSystem, "parabolic", lambda self, J: bad(real(self, J)))
+        with pytest.raises(InternalInconsistency, match=re.escape(f"{message}, J=[0, 1]")):
+            HeckeAlgebra(a2).b_wJ_and_pi({S, T})
 
 
 class TestSchur:

@@ -91,6 +91,16 @@ def test_positional_matrix_rejects_malformed_shapes(gens, m):
         CoxeterMatrix(gens, m)
 
 
+def test_replace_and_make_check_the_matrix_too():
+    with pytest.raises(InvalidMatrix, match="diagonal"):
+        catalog.A2._replace(m=((2, 3), (3, 1)))
+    with pytest.raises(InvalidMatrix, match="shape"):
+        CoxeterMatrix._make([("s", "t"), ((1, 3),)])
+    b2 = catalog.A2._replace(m=((1, 4), (4, 1)))
+    assert type(b2) is CoxeterMatrix and b2 == catalog.B2
+    assert CoxeterMatrix._make(catalog.B3) == catalog.B3
+
+
 def test_import_loads_neither_dataclasses_nor_csv():
     src = os.path.dirname(os.path.dirname(heckesphere.__file__))
     code = (

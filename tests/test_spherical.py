@@ -1,5 +1,6 @@
 import itertools
 import random
+import re
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -149,6 +150,22 @@ def test_rank_4_kl_basis(request, name, J):
         assert c.coeff(x) == ONE and mod.bar(c) == c
         for y, p in c.support.items():
             assert y == x or (len(y) < len(x) and p.in_v_times_nonneg())
+
+
+@pytest.mark.parametrize("broken", [1, 2])
+def test_a_broken_step_fails_construction_naming_s_and_J(a3, monkeypatch, broken):
+    """b_{w_J} delta_s = v^-1 b_{w_J} is checked for each s in J as M(J) is
+    built: a step by one generator gone wrong fails exactly the J holding it."""
+    real = linear.delta_step
+    monkeypatch.setattr(linear, "delta_step", lambda system, J, a, s: (
+        real(system, J, a, s).scale(V) if s == broken else real(system, J, a, s)))
+    for J in finitary_subsets(a3):
+        if broken not in J:
+            SphericalModule(HeckeAlgebra(a3), J)
+            continue
+        want = f"b_(w_J) delta_s != v^-1 b_(w_J) for s={broken}, J={sorted(J)}"
+        with pytest.raises(InternalInconsistency, match=re.escape(want)):
+            SphericalModule(HeckeAlgebra(a3), J)
 
 
 class TestPairing:

@@ -77,6 +77,26 @@ def test_a_raised_package_error_is_named_by_its_case(monkeypatch, a2, target, at
     assert res.failures[0] == f"{first}: InternalInconsistency: broken"
 
 
+@pytest.mark.parametrize("attr,message", [
+    ("multiply", "b_(w_J)^2 != pi(J) b_(w_J)"),
+    ("kl_basis", "closed form for b_(w_J) disagrees with the KL recursion"),
+])
+def test_bwj_pi_identity_names_a_bad_square_or_kl_basis(monkeypatch, a2, attr, message):
+    # M(J) is built on the eigen-steps alone; the check squares b_{w_J} and runs
+    # the KL recursion on w_J, and names each failure by its J.
+    run = verify.Run(a2)
+    for x in a2.elements():
+        run.algebra.kl_basis(x)  # memoized, so the doubled kl_basis below doubles once
+    real = getattr(verify.HeckeAlgebra, attr)
+    monkeypatch.setattr(verify.HeckeAlgebra, attr,
+                        lambda self, *args: real(self, *args).scale(2))
+    for J in run.subsets:
+        verify.SphericalModule(run.algebra, J)
+    res = run.check("hecke", "bwj-pi-identity", verify.check_bwj_pi)
+    assert res.status == "FAIL" and res.cases == len(run.subsets) == 4
+    assert res.failures == [f"J={sorted(J)}: {message}" for J in run.subsets]
+
+
 def test_an_error_in_one_check_leaves_the_others_reported(monkeypatch, capsys):
     # With wall_cross corrupted, decomp-wallcross reports it, and the light-leaf
     # checks, whose constructions rely on it, raise DifferentElements.
