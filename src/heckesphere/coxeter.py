@@ -142,6 +142,7 @@ class CoxeterSystem:
         self._layers: list[list[Word]] = []
         self._closed = False
         self._bruhat_memo: dict[tuple[Word, Word], bool] = {}
+        self._parabolic_memo: dict[frozenset[int], ParabolicData] = {}
         self._build()
 
     # -- construction --------------------------------------------------------
@@ -350,8 +351,10 @@ class CoxeterSystem:
     # -- parabolic data -----------------------------------------------------------
 
     def parabolic(self, J: Iterable[int]) -> ParabolicData:
-        """W_J, certified finite within the budget, and its longest element."""
+        """W_J, certified finite within the budget, and its longest element; memoized."""
         J = frozenset(J)
+        if J in self._parabolic_memo:
+            return self._parabolic_memo[J]
         self.check_letters(sorted(J))
         seen = {IDENTITY}
         frontier = [IDENTITY]
@@ -371,7 +374,8 @@ class CoxeterSystem:
                         nxt.append(ws)
             frontier = nxt
         members = tuple(sorted(seen, key=lambda w: (len(w), w)))
-        return ParabolicData(J, members, members[-1], len(members[-1]))
+        out = self._parabolic_memo[J] = ParabolicData(J, members, members[-1], len(members[-1]))
+        return out
 
     def is_mcr(self, w: Word, J: frozenset[int]) -> bool:
         """True iff w is the minimal representative of its coset W_J w."""

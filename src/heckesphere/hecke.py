@@ -83,7 +83,7 @@ class HeckeAlgebra:
     def pairing_trace(self, a: HeckeElt, b: HeckeElt) -> LaurentPoly:
         """<a, b> = trace(i(a) * b), the defining formula, read off one pruned
         walk of b's keys for the delta_e coefficient alone (linear.trace_walk)."""
-        return linear.trace_walk(self.system, self.anti_involution(a), [b.support]).dot(b)
+        return linear.trace_walk(self.system, self.anti_involution(a), b.support).dot(b)
 
     def pairing(self, a: HeckeElt, b: HeckeElt) -> LaurentPoly:
         """<a, b> computed coordinatewise (the standard basis is orthonormal)."""

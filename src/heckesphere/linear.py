@@ -7,10 +7,10 @@ coefficients.  Its subclass names the basis, `HeckeElt` (delta_x) or
 indexed by ^J W (the algebra is J = {}); over it, one walk of the prefix
 tree of a set of words y yields each a * delta_y: `prefix_tree_product`
 sums them into a * b, and `trace_walk` reads each at the identity alone,
-dropping along the tree each term too long to reach it; `bar` is the
-memoized bar involution.  `kl_step` is the one Kazhdan-Lusztig recursion,
-for the algebra's basis b_x and every module's basis c_x: the element below
-times b_s, mu-corrected by `kl_correct`.
+dropping before each step the terms it would land too long to reach it;
+`bar` is the memoized bar involution.  `kl_step` is the one Kazhdan-Lusztig
+recursion, for the algebra's basis b_x and every module's basis c_x: the
+element below times b_s, mu-corrected by `kl_correct`.
 
 Every sum is accumulated in raw form: `_mac` multiplies a combination by a
 coefficient straight into one raw exponent map per key (see laurent), and
@@ -223,26 +223,28 @@ def _shared_prefixes(keys: list[Word]) -> list[int]:
     return out
 
 
-def _longest_below(keys: list[Word], values: list[int]) -> list[list[int]]:
+def _longest_below(keys: list[Word]) -> list[list[int]]:
     """For each sorted key y, [R(y[:j]) for j in 0..len(y)], where R(p) is the
-    largest value of a key that starts with p.  Keys that share a prefix are
-    contiguous in sorted order, so one backward pass carries R from each key
-    to the one before it: the prefixes they share gain the earlier key, the
-    others are new."""
+    length of the longest key that starts with p.  Keys that share a prefix
+    are contiguous in sorted order, so one backward pass carries R from each
+    key to the one before it: the prefixes they share gain the earlier key,
+    the others are new."""
     shared = _shared_prefixes(keys)
     out = []
     longest: list[int] = []
     k = -1  # no later key, so no prefix is shared with one
     for i in range(len(keys) - 1, -1, -1):
-        n = values[i]
-        longest = [max(r, n) for r in longest[:k + 1]] + [n] * (len(keys[i]) - k)
+        n = len(keys[i])
+        longest = [max(r, n) for r in longest[:k + 1]] + [n] * (n - k)
         out.append(longest)
         k = shared[i]
     return out[::-1]
 
 
-def _no_longer_than(a: Combo, n: int) -> Combo:
-    return a.wrap({x: c for x, c in a.support.items() if len(x) <= n})
+def _landing_within(system: CoxeterSystem, a: Combo, s: int, r: int) -> Combo:
+    """The terms x of a, in the algebra, whose step along s lands no longer than r."""
+    return a.wrap({x: c for x, c in a.support.items()
+                   if len(x) < r or len(x) <= r + 1 and s in system.right_descents(x)})
 
 
 def _prefix_walk(system: CoxeterSystem, J: frozenset[int], a: Combo, keys: list[Word],
@@ -251,13 +253,13 @@ def _prefix_walk(system: CoxeterSystem, J: frozenset[int], a: Combo, keys: list[
     their prefix tree depth first: path[k] = a * delta_{y[:k]} is cut back to
     the prefix y shares with the key before and extended one step per new
     letter, so each prefix product is computed once.  With `cut`, the step
-    along y[k] of key i first drops the terms longer than cut(i, k)."""
+    along y[k] of key i first drops the terms it lands longer than cut(i, k)."""
     shared = _shared_prefixes(keys)
     path = [a]
     for i, y in enumerate(keys):
         del path[shared[i] + 1:]
         for k in range(shared[i], len(y)):
-            node = path[-1] if cut is None else _no_longer_than(path[-1], cut(i, k))
+            node = path[-1] if cut is None else _landing_within(system, path[-1], y[k], cut(i, k))
             path.append(delta_step(system, J, node, y[k]))
         yield y, path[-1]
 
@@ -272,25 +274,19 @@ def prefix_tree_product(system: CoxeterSystem, J: frozenset[int], a: Combo,
     return a.wrap(_finish(raw))
 
 
-def trace_walk(system: CoxeterSystem, a: Combo, groups: Iterable[Iterable[Word]]) -> Combo:
-    """sum_y trace(a * delta_y) delta_y in the algebra over every y of
-    `groups`, disjoint sets of reduced words, from one prefix walk of all of
-    them; its `dot` with b is trace(a * b) when b's keys are among them.
+def trace_walk(system: CoxeterSystem, a: Combo, keys: Iterable[Word]) -> Combo:
+    """sum_y trace(a * delta_y) delta_y in the algebra over the reduced words
+    `keys`, from one prefix walk of them; its `dot` with b is trace(a * b)
+    when b's keys are among them.
 
-    A step changes length by at most 1, so before the step along y[k] a term
-    longer than R(y[:k + 1]) - k, R(p) the longest key that starts with p,
-    reaches the identity under no key and is dropped.  At the root the bound
-    is the longest key of each group with a key under y[0], as in the walk
-    of that group alone.  No later step can leave the ball of the longest
-    key, so the walk raises BudgetExceeded exactly when one group's does."""
-    reach: dict[Word, int] = {}
-    for group in map(list, groups):
-        reach.update(dict.fromkeys(group, max(map(len, group), default=0)))
-    keys = sorted(reach)
-    longest = _longest_below(keys, list(map(len, keys)))
-    root = _longest_below(keys, [reach[y] for y in keys])
-    walk = _prefix_walk(system, frozenset(), a, keys,
-                        lambda i, k: longest[i][k + 1] - k if k else root[i][1])
+    The step along s = y[k] moves a term x to xs, one shorter exactly at a
+    right descent s; a term landing longer than R(y[:k + 1]) - k - 1, R(p)
+    the longest key that starts with p, reaches the identity under no key
+    and is dropped first.  So no term passes the longest key, and a walk
+    whose a and keys lie in the ball never leaves it."""
+    keys = sorted(keys)
+    longest = _longest_below(keys)
+    walk = _prefix_walk(system, frozenset(), a, keys, lambda i, k: longest[i][k + 1] - k - 1)
     return a.wrap({y: node.support[IDENTITY] for y, node in walk if IDENTITY in node.support})
 
 

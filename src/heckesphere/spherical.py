@@ -127,9 +127,8 @@ class SphericalModule:
 
         G(x, y) = trace(i(phi m_x) * phi m_y) is memoized per ordered pair of
         mcrs.  A row's entries missing from it come from one
-        linear.trace_walk of i(phi m_x) over the keys of each such phi m_y,
-        which lie in the disjoint cosets W_J y: each entry is the walk's
-        traces dotted with its own phi m_y."""
+        linear.trace_walk of i(phi m_x) over the keys of every such phi m_y:
+        each entry is the walk's traces dotted with its own phi m_y."""
         out = a.dot(b)
         acc: dict[int, int] = {}
         for x, c in a.support.items():
@@ -137,7 +136,7 @@ class SphericalModule:
             if cold:
                 ix = self.algebra.anti_involution(self._phi(x))
                 phis = [self._phi(y) for y in cold]
-                traces = linear.trace_walk(self.system, ix, [p.support for p in phis])
+                traces = linear.trace_walk(self.system, ix, [z for p in phis for z in p.support])
                 for y, phi in zip(cold, phis):
                     self._gram_memo[(x, y)] = traces.dot(phi)
             for y, d in b.support.items():

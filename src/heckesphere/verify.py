@@ -202,7 +202,7 @@ def check_bwj_pi(run: Run) -> Iterator[str]:
 
 def check_hecke_orthonormal(run: Run) -> Iterator[str]:
     alg = run.algebra
-    for x, y in itertools.product(run.elements(4, factors=2), repeat=2):
+    for x, y in itertools.product(run.elements(4), repeat=2):
         with run.case(x, y):
             got = alg.pairing_trace(alg.delta(x), alg.delta(y))
             if got != (ONE if x == y else LaurentPoly.zero()):
@@ -211,7 +211,7 @@ def check_hecke_orthonormal(run: Run) -> Iterator[str]:
 
 def check_pairing_paths(run: Run) -> Iterator[str]:
     alg = run.algebra
-    for x, y in itertools.product(run.elements(3, factors=2), repeat=2):
+    for x, y in itertools.product(run.elements(3), repeat=2):
         with run.case(x, y):
             a, b = alg.kl_basis(x), alg.kl_basis(y)
             if alg.pairing(a, b) != alg.pairing_trace(a, b):
@@ -288,9 +288,9 @@ def check_spherical_kl(run: Run) -> None:
 def check_spherical_orthonormal(run: Run) -> Iterator[str]:
     for J in run.subsets:
         mod = run.module(J)
-        # The cross-check path multiplies two embedded elements, so lengths
-        # add; keep the ball small enough for infinite systems.
-        cap = None if run.system.is_finite else run.system.budget // 2 - mod.d_J
+        # phi(m_x) reaches length l(x) + d_J; the trace walk of the
+        # cross-check stays in the ball that holds both embeddings.
+        cap = None if run.system.is_finite else run.system.budget - mod.d_J
         for x, y in itertools.product(run.mcrs(J, cap), repeat=2):
             with run.case(J, x, y):
                 got = mod.pairing(mod.m(x), mod.m(y))
@@ -349,7 +349,7 @@ def check_rank_matching(run: Run) -> Iterator[str]:
     system = run.system
     for J in run.subsets:
         mod = run.module(J)
-        cap = 4 if system.is_finite else min(4, system.budget // 2 - mod.d_J)
+        cap = 4 if system.is_finite else min(4, system.budget - mod.d_J)
         # Each word's P_w and 1 (x) b_w are computed once per J and paired
         # with every partner; every pair still runs the pairing cross-check.
         polys = functools.cache(functools.partial(strolls.endpoint_polys, system, J))

@@ -162,8 +162,15 @@ class TestParabolic:
         assert data.w_J == (S, T, S) and data.d_J == 3
 
     def test_infinite_not_certifiable(self, inf_dihedral):
-        with pytest.raises(BudgetExceeded):
-            inf_dihedral.parabolic({S, T})
+        # Only a certified W_J is memoized, so each call raises again.
+        for _ in range(2):
+            with pytest.raises(BudgetExceeded):
+                inf_dihedral.parabolic({S, T})
+
+    def test_memoized_per_J(self, b3):
+        data = b3.parabolic({S, T})
+        assert b3.parabolic((T, S)) is data
+        assert b3.parabolic([S]) is not data
 
     def test_w_J_descents(self, b3):
         for J in [{S}, {T}, {S, T}, {T, U}, {S, U}, {S, T, U}]:

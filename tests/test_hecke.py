@@ -425,25 +425,38 @@ class TestTraceOnlyProduct:
     @given(data=st.data())
     def test_matches_the_full_product(self, algebra, data):
         # On a cut ball the pool goes one layer past half the budget, so some
-        # full products leave the ball; there pruning may avoid the
-        # BudgetExceeded, but it may never add one.
+        # full products leave the ball; the pruned walk never does, and there
+        # the form is still the coordinatewise one (the delta_x are orthonormal).
         sys = algebra.system
         pool = sys.elements(None if sys.is_finite else sys.budget // 2 + 1)
         a, b = data.draw(supports(pool)), data.draw(supports(pool))
-        try:
-            want = algebra.trace(algebra.multiply(algebra.anti_involution(a), b))
-        except BudgetExceeded:
-            return
-        assert algebra.pairing_trace(a, b) == want
-        # Each key read alone, from one walk of b's keys split into groups.
         ia = algebra.anti_involution(a)
+
+        def trace_of_product(h):
+            try:
+                return algebra.trace(algebra.multiply(ia, h))
+            except BudgetExceeded:
+                return a.dot(h)
+
+        assert algebra.pairing_trace(a, b) == trace_of_product(b) == a.dot(b)
+        # Each key read alone, from one walk of b's keys.
         keys = sorted(b.support)
-        cut = data.draw(st.integers(0, len(keys)))
-        traces = linear.trace_walk(sys, ia, [keys[:cut], keys[cut:]])
+        traces = linear.trace_walk(sys, ia, keys)
         assert_canonical(traces)
         assert set(traces.support) <= set(keys)
         for y in keys:
-            assert traces.coeff(y) == algebra.trace(algebra.multiply(ia, algebra.delta(y)))
+            assert traces.coeff(y) == trace_of_product(algebra.delta(y))
+
+    @pytest.mark.parametrize("budget", [6, 12])
+    def test_no_walk_within_a_cut_ball_raises(self, budget):
+        # One walk of i(delta_x) = delta_{x^-1} over every element of the
+        # ball reads <delta_x, delta_y> = delta_xy for every y at once.
+        system = CoxeterSystem(AFFINE_A2, budget)
+        alg = HeckeAlgebra(system)
+        ball = system.elements()
+        assert not system.is_finite and max(map(len, ball)) == budget
+        for x in ball:
+            assert linear.trace_walk(system, alg.delta(system.inverse(x)), ball) == alg.delta(x)
 
     def test_a_node_keeps_what_its_longest_key_needs(self, a2_algebra):
         # The keys s and st share the node s.  delta_ts * delta_s = delta_t +

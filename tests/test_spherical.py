@@ -7,8 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from heckesphere.coxeter import IDENTITY, CoxeterSystem
 from heckesphere import linear
-from heckesphere.errors import (BudgetExceeded, InternalInconsistency, InvalidMatrix,
-                                PreconditionViolated)
+from heckesphere.errors import InternalInconsistency, InvalidMatrix, PreconditionViolated
 from heckesphere.hecke import HeckeAlgebra, HeckeElt
 from heckesphere.laurent import LaurentPoly, ONE, V, VINV, ZERO
 from heckesphere.spherical import SphericalElt, SphericalModule
@@ -252,52 +251,31 @@ class TestGramCrossCheck:
                 assert mod._gram_memo[(x, y)] == want, (x, y)
 
     @pytest.mark.parametrize("budget", [6, 12])
-    def test_a_cut_ball_fails_a_row_exactly_where_one_of_its_pairs_fails(self, budget):
-        # Only a walk's first step can leave a cut ball.  The walk of one pair
-        # steps each term of i(phi m_x) no longer than the longest key of
-        # phi m_y along the first letter of each key, and fails when such a
-        # step leaves the ball.  A row walked for two columns must fail
-        # exactly when one of its columns alone does.
+    def test_no_pairing_within_a_cut_ball_raises(self, budget):
+        # Every <m_x, m_y> whose embeddings lie in the ball has a value,
+        # delta_xy, whether a row is walked for one column, for several or
+        # for all of them at once: the trace walk never leaves the ball.
         system = CoxeterSystem(AFFINE_A2, budget)
         alg = HeckeAlgebra(system)
         rng = random.Random(budget)
-
-        def first_step_leaves(ix, phi):
-            longest = max(map(len, phi.support))
-            letters = {y[0] for y in phi.support if y}
-            for w in ix.support:
-                for s in letters if len(w) <= longest else ():
-                    try:
-                        system.right_mult(w, s)
-                    except BudgetExceeded:
-                        return True
-            return False
-
-        failures = 0
         for J in finitary_subsets(system):
             mod = SphericalModule(alg, J)
             mcrs = [x for x in system.min_coset_reps(J) if len(x) + mod.d_J <= budget]
-
-            def fails(x, b):
-                mod._gram_memo.clear()
-                try:
-                    mod.pairing(mod.m(x), b)
-                except BudgetExceeded:
-                    return True
-                return False
-
+            assert max(map(len, mcrs)) + mod.d_J == budget
+            everything = SphericalElt((x, ONE) for x in mcrs)
+            assert mod.pairing(everything, everything) == LaurentPoly.from_int(len(mcrs))
+            # <m_x, m_y> = v^{-d_J} G(x, y) / pi(J) = delta_xy, entry by entry.
+            diagonal = mod.pi.shift(mod.d_J)
+            for x, y in itertools.product(mcrs, repeat=2):
+                assert mod._gram_memo[(x, y)] == (diagonal if x == y else ZERO), (J, x, y)
             top = [x for x in mcrs if len(x) + mod.d_J == budget]
-            for x in rng.sample(top, min(3, len(top))):
-                ix = alg.anti_involution(mod.phi_embed(mod.m(x)))
-                alone = {y: fails(x, mod.m(y)) for y in mcrs}
-                for y in mcrs:
-                    assert alone[y] == first_step_leaves(ix, mod.phi_embed(mod.m(y))), (J, x, y)
-                failures += sum(alone.values())
-                for _ in range(40):
-                    y0, y1 = rng.choice(mcrs), rng.choice(top)
-                    assert fails(x, mod.m(y0) + mod.m(y1)) == (alone[y0] or alone[y1]), (
-                        J, x, y0, y1)
-        assert failures  # the ball is cut where the walk reaches
+            for x in top:
+                mod._gram_memo.clear()
+                columns = rng.sample([y for y in mcrs if y != x], 3) + [x]
+                assert mod.pairing(mod.m(x), SphericalElt((y, ONE) for y in columns)) == ONE
+                mod._gram_memo.clear()
+                y = rng.choice(top)
+                assert mod.pairing(mod.m(x), mod.m(y)) == (ONE if x == y else ZERO), (J, x, y)
 
     def test_memo_keys_are_mcr_pairs(self, gram_module):
         mod, mcrs = gram_module
