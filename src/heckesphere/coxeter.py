@@ -2,7 +2,11 @@
 
 Elements are identified with their ShortLex-minimal reduced word (a tuple of
 generator indices).  The group is stored as a right-multiplication table,
-built one length layer at a time up to the budget.  Besides w*s for every
+grown one length layer at a time, never past the budget, as queries first
+reach a layer: each layer depends only on the layers below it, so a call
+pays for the longest element it touches, not for the whole ball.  A lookup
+of a word, a product w*s, `elements`, `is_finite` and the W_J search of
+`parabolic` are where that growth happens.  Besides w*s for every
 generator s, each element keeps its inverse and, for every pair {s, t}, the
 length of the W_{s,t} factor in its decomposition w = w^{st} w_{st} (w^{st}
 minimal in the coset w W_{s,t}).  Those lengths solve the word problem
@@ -17,6 +21,7 @@ matrices (including infinite entries, encoded as 0) are supported uniformly.
 from __future__ import annotations
 
 import json
+import weakref
 from collections import deque
 from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
@@ -106,9 +111,19 @@ class _ElemData:
 
 
 class _Table(dict):
-    """Element data by canonical word; every lookup of another word fails."""
+    """Element data by canonical word.  A miss first grows the group to the
+    word's length; a word that is still missing is not canonical."""
+
+    __slots__ = ("_system",)
+
+    def __init__(self, system: "CoxeterSystem"):
+        self._system = weakref.ref(system)  # no cycle: a system dies with its last user
 
     def __missing__(self, w):
+        if isinstance(w, tuple):
+            self._system()._grow(len(w))
+            if w in self:
+                return self[w]
         raise PreconditionViolated(
             f"{w} is not the canonical word of an element within the budget"
         )
@@ -138,37 +153,33 @@ class CoxeterSystem:
             raise InvalidMatrix("length budget must be nonnegative")
         self.matrix = matrix
         self.budget = length_budget
-        self._elems: dict[Word, _ElemData] = _Table()
-        self._layers: list[list[Word]] = []
-        self._closed = False
+        self._elems: dict[Word, _ElemData] = _Table(self)
+        self._elems[IDENTITY] = _ElemData((0,) * matrix.rank ** 2, {}, frozenset())
+        self._layers: list[list[Word]] = [[IDENTITY]]
+        self._closed = False  # the top layer is the longest element
         self._bruhat_memo: dict[tuple[Word, Word], bool] = {}
         self._parabolic_memo: dict[frozenset[int], ParabolicData] = {}
-        self._build()
 
     # -- construction --------------------------------------------------------
 
-    def _build(self):
+    def _grow(self, length: int):
+        """Add the layers up to min(length, budget) that are not built yet,
+        each from the one below; none after the longest element."""
         n = self.matrix.rank
-        self._elems[IDENTITY] = _ElemData((0,) * (n * n), {}, frozenset())
-        self._layers.append([IDENTITY])
-        for length in range(self.budget):
+        while not self._closed and len(self._layers) <= min(length, self.budget):
             layer: list[Word] = []
-            for w in self._layers[length]:
+            for w in self._layers[-1]:
                 for s in range(n):
                     # An element's descents, and the products that reach it
                     # from one layer down, are filled in when it is added;
                     # so a missing w*s is an ascent to a new element.
                     if s not in self._elems[w].right_mult:
                         layer.append(self._add_product(w, s))
-            if not layer:
-                break
             layer.sort()
             self._layers.append(layer)
             for x in layer:
                 self._elems[x].inverse = self.mult(IDENTITY, x[::-1])
-        self._closed = all(
-            len(self._elems[w].right_mult) == n for w in self._layers[-1]
-        )
+            self._closed = all(len(self._elems[x].descents) == n for x in layer)
 
     def _add_product(self, w: Word, s: int) -> Word:
         """Add x = w*s, one layer above w, with all of its right descents."""
@@ -198,10 +209,13 @@ class CoxeterSystem:
 
     @property
     def is_finite(self) -> bool:
+        self._grow(self.budget)
         return self._closed
 
     def elements(self, max_length: int | None = None) -> list[Word]:
-        """All enumerated elements, sorted by (length, ShortLex)."""
+        """All elements within the budget, or of length at most max_length,
+        sorted by (length, ShortLex)."""
+        self._grow(self.budget if max_length is None else max_length)
         if max_length is not None and max_length > self.budget and not self._closed:
             raise BudgetExceeded(f"requested length {max_length} > budget {self.budget}")
         out = []
@@ -221,9 +235,12 @@ class CoxeterSystem:
         out = self._elems[w].right_mult.get(s)
         if out is None:
             self.check_letters((s,))
-            raise BudgetExceeded(
-                f"product of length {len(w) + 1} exceeds budget {self.budget}"
-            )
+            self._grow(len(w) + 1)
+            out = self._elems[w].right_mult.get(s)
+            if out is None:
+                raise BudgetExceeded(
+                    f"product of length {len(w) + 1} exceeds budget {self.budget}"
+                )
         return out
 
     def normalize(self, word: Sequence[int]) -> tuple[Word, bool]:
@@ -362,13 +379,13 @@ class CoxeterSystem:
             nxt = []
             for w in frontier:
                 for s in J:
-                    data = self._elems[w].right_mult
-                    if s not in data:
+                    try:
+                        ws = self.right_mult(w, s)
+                    except BudgetExceeded:
                         raise BudgetExceeded(
                             f"cannot certify that J={sorted(J)} is finitary "
                             f"within budget {self.budget}"
-                        )
-                    ws = data[s]
+                        ) from None
                     if ws not in seen:
                         seen.add(ws)
                         nxt.append(ws)

@@ -36,6 +36,7 @@ class HeckeAlgebra:
         self.system = system
         self._kl_memo: dict[Word, HeckeElt] = {IDENTITY: self.unit()}
         self._bar_memo: dict[Word, HeckeElt] = {IDENTITY: self.unit()}
+        self._bwj_memo: dict[frozenset[int], tuple[HeckeElt, LaurentPoly]] = {}
 
     # -- basis elements -------------------------------------------------------
 
@@ -94,7 +95,11 @@ class HeckeAlgebra:
     def b_wJ_and_pi(self, J: Iterable[int]) -> tuple[HeckeElt, LaurentPoly]:
         """b_{w_J} in closed form and pi(J) = sum_{w in W_J} v^{2l(w)-l(w_J)}, certified
         in |J| steps (Soergel): b delta_s = v^-1 b for s in J, so b^2 = (sum_w b_w v^-l(w)) b,
-        and that scalar must be pi(J).  verify.check_bwj_pi squares b and runs KL on w_J."""
+        and that scalar must be pi(J).  verify.check_bwj_pi squares b and runs KL on w_J.
+        Memoized per J, so M(J), schur_compose and that check share one certificate."""
+        J = frozenset(J)
+        if J in self._bwj_memo:
+            return self._bwj_memo[J]
         par = self.system.parabolic(J)
         b = HeckeElt((w, LaurentPoly.monomial(par.d_J - len(w))) for w in par.members)
         for s in sorted(par.J):
@@ -105,7 +110,8 @@ class HeckeAlgebra:
         eigen = ((e - len(w), n) for w, c in b.support.items() for e, n in c.coeffs.items())
         if pi != LaurentPoly(eigen):
             raise InternalInconsistency(f"pi(J) != sum_w b_w v^-l(w), J={sorted(par.J)}")
-        return b, pi
+        out = self._bwj_memo[J] = (b, pi)
+        return out
 
     def schur_compose(self, h1: HeckeElt, h2: HeckeElt, J: Iterable[int]) -> HeckeElt:
         """h1 *_J h2 = h1 h2 / pi(J); NotDivisible flags inputs outside the

@@ -140,6 +140,14 @@ class TestErrors:
                            "--budget", "2", "-x", "stst")
         assert code == 3 and "budget" in err
 
+    def test_a_large_budget_costs_only_the_layers_a_query_reaches(self, capsys):
+        # The group grows as the query reaches each layer, so a budget of
+        # 100000 on an infinite group prints what a budget of 12 does.
+        small = run(capsys, "kl", "--system", "infinite_dihedral", "--budget", "12", "-x", "stst")
+        large = run(capsys, "kl", "--system", "infinite_dihedral", "--budget", "100000",
+                    "-x", "stst")
+        assert large == small and small[0] == 0 and small[1]
+
     @pytest.mark.parametrize("argv,fmt", [
         (("rank", "--J", "s", "-x", "t", "-y", "t"), "csv"),
         (("sll", "--J", "s", "-x", "tst", "--bits", "111"), "csv"),

@@ -1,4 +1,6 @@
 import itertools
+import random
+import re
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -9,6 +11,7 @@ from heckesphere.coxeter import IDENTITY, INFINITY, CoxeterMatrix, CoxeterSystem
 from heckesphere.errors import (
     BudgetExceeded,
     DifferentElements,
+    HeckesphereError,
     InvalidMatrix,
     NotReduced,
     PreconditionViolated,
@@ -17,7 +20,7 @@ from heckesphere.hecke import HeckeAlgebra
 from heckesphere.laurent import LaurentPoly
 from heckesphere.spherical import SphericalModule
 
-from conftest import F4, H4
+from conftest import AFFINE_A2, F4, H4
 
 S, T, U = 0, 1, 2
 
@@ -334,6 +337,122 @@ class TestTableAgainstBraidClasses:
     @given(_matrices(), st.integers(0, 6))
     def test_random_matrices(self, matrix, budget):
         _check_against_reference(matrix, budget)
+
+
+def _outcome(call):
+    """What a call returns, or the type and message of the package error it raises."""
+    try:
+        return call()
+    except HeckesphereError as exc:
+        return type(exc).__name__, str(exc)
+
+
+def _random_queries(ref, rng, count):
+    """A seeded mix of queries, as functions of a system.  Words are mostly
+    short, some past the budget, and some not canonical; `ref`, a fully
+    built system, only picks the canonical word of a random one."""
+    n, budget = ref.matrix.rank, ref.budget
+
+    def word():
+        raw = tuple(rng.randrange(n) for _ in range(int(rng.random() ** 3 * (budget + 3))))
+        if rng.random() < 0.2:
+            return raw
+        try:
+            return ref.element(raw)
+        except BudgetExceeded:
+            return raw
+
+    def subset():
+        return frozenset(s for s in range(n) if rng.random() < 0.5)
+
+    queries = []
+    for _ in range(count):
+        w, v, s, J = word(), word(), rng.randrange(n), subset()
+        queries.append(rng.choice([
+            lambda sys, w=w: sys.element(w),
+            lambda sys, w=w, s=s: sys.right_mult(w, s),
+            lambda sys, w=w, s=s: sys.left_mult(s, w),
+            lambda sys, w=w: sys.inverse(w),
+            lambda sys, w=w: sys.left_descents(w),
+            lambda sys, w=w, J=J: sys.is_mcr(w, J),
+            lambda sys, w=w, v=v: sys.bruhat_leq(w, v),
+            lambda sys, J=J: sys.parabolic(J).members,
+        ]))
+    return queries
+
+
+# Each finite built-in system at a budget that closes it, and balls the budget cuts.
+LAZY_CASES = [(catalog.BUILTIN[name], budget) for name, budget in
+              [("a2", 10), ("b2", 10), ("h2", 10), ("i2_7", 14), ("a3", 12), ("b3", 12),
+               ("h3", 18)]]
+LAZY_CASES += [(AFFINE_A2, 6), (AFFINE_A2, 12)]
+LAZY_CASES += [(catalog.INF_DIHEDRAL, budget) for budget in (0, 1, 9)]
+
+
+class TestLazyGrowth:
+    """The group grows one layer at a time as queries reach it; whatever the
+    order of the queries, it is the group a full build gives."""
+
+    @pytest.mark.parametrize("matrix,budget", LAZY_CASES, ids=[
+        "a2", "b2", "h2", "i2_7", "a3", "b3", "h3", "affine_a2@6", "affine_a2@12",
+        "inf_dihedral@0", "inf_dihedral@1", "inf_dihedral@9"])
+    def test_any_query_order_gives_the_full_build(self, matrix, budget):
+        full = CoxeterSystem(matrix, budget)
+        full.elements()
+        lazy = CoxeterSystem(matrix, budget)
+        for query in _random_queries(full, random.Random(budget), 60):
+            assert _outcome(lambda: query(lazy)) == _outcome(lambda: query(full))
+        assert lazy.elements() == full.elements()
+        assert lazy._layers == full._layers
+        assert CoxeterSystem(matrix, budget).is_finite == lazy.is_finite == full.is_finite
+        for w in full.elements():
+            assert lazy.right_descents(w) == full.right_descents(w)
+            assert lazy.left_descents(w) == full.left_descents(w)
+            assert lazy.inverse(w) == full.inverse(w)
+            for s in range(matrix.rank):
+                assert _outcome(lambda: lazy.right_mult(w, s)) == \
+                    _outcome(lambda: full.right_mult(w, s))
+
+    def test_messages_are_unchanged(self):
+        def fresh(budget=3):
+            return CoxeterSystem(catalog.INF_DIHEDRAL, budget)
+
+        for call, error, message in [
+            (lambda: fresh().elements(4), BudgetExceeded, "requested length 4 > budget 3"),
+            (lambda: fresh(9).elements(10), BudgetExceeded, "requested length 10 > budget 9"),
+            (lambda: CoxeterSystem(catalog.A2, 2).elements(3), BudgetExceeded,
+             "requested length 3 > budget 2"),
+            (lambda: fresh().right_mult((S, T, S), T), BudgetExceeded,
+             "product of length 4 exceeds budget 3"),
+            (lambda: fresh().element((S, T, S, T)), BudgetExceeded,
+             "product of length 4 exceeds budget 3"),
+            (lambda: fresh().parabolic({S, T}), BudgetExceeded,
+             "cannot certify that J=[0, 1] is finitary within budget 3"),
+            (lambda: fresh().inverse((S, T, S, T)), PreconditionViolated,
+             "(0, 1, 0, 1) is not the canonical word of an element within the budget"),
+            (lambda: CoxeterSystem(catalog.A2, 10).inverse((T, S, T)), PreconditionViolated,
+             "(1, 0, 1) is not the canonical word of an element within the budget"),
+            (lambda: fresh().right_descents((S, S)), PreconditionViolated,
+             "(0, 0) is not the canonical word of an element within the budget"),
+            (lambda: fresh().right_mult(IDENTITY, 2), InvalidMatrix, "letter 2 out of range"),
+        ]:
+            with pytest.raises(error, match=f"^{re.escape(message)}$"):
+                call()
+        assert CoxeterSystem(catalog.A2, 10).elements(11) == CoxeterSystem(catalog.A2, 3).elements()
+
+    def test_a_rejected_letter_grows_nothing(self):
+        sys = CoxeterSystem(catalog.INF_DIHEDRAL, 100000)
+        with pytest.raises(InvalidMatrix):
+            sys.right_mult(IDENTITY, 2)
+        assert sys._layers == [[IDENTITY]]
+
+    def test_a_short_kl_query_builds_only_the_layers_it_reaches(self):
+        # The h4 fixture's group, built fresh: the session fixture is grown in
+        # full by the tests that enumerate its cosets.
+        h4 = CoxeterSystem(H4, 60)
+        b = HeckeAlgebra(h4).kl_basis((S, T, U))
+        assert len(b.support) == 8 and len(h4._layers) <= 4
+        assert not h4._closed and len(h4.elements()) == 14400 and h4.is_finite
 
 
 class TestUnclosedBall:

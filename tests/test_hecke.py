@@ -182,6 +182,16 @@ class TestBwJ:
         _, pi = a2_algebra.b_wJ_and_pi({S, T})
         assert pi == LaurentPoly([(3, 1), (1, 2), (-1, 2), (-3, 1)])
 
+    def test_certified_once_per_J(self, a2, monkeypatch):
+        # M(J), schur_compose and check_bwj_pi share the first call's certificate.
+        alg = HeckeAlgebra(a2)
+        b, _ = got = alg.b_wJ_and_pi({S, T})
+        monkeypatch.setattr(CoxeterSystem, "parabolic",
+                            lambda self, J: pytest.fail("b_(w_J) certified again"))
+        assert alg.b_wJ_and_pi((T, S)) is got
+        assert SphericalModule(alg, {S, T}).b_wJ is b
+        assert alg.schur_compose(b, b, {S, T}) == b
+
     @pytest.mark.parametrize("bad,message", [
         # b scaled by v: still an eigenvector, but it acts on itself by v pi(J).
         (lambda par: par._replace(d_J=par.d_J + 1), "pi(J) != sum_w b_w v^-l(w)"),
