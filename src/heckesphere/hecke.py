@@ -20,7 +20,7 @@ from typing import Iterable
 from . import linear
 from .coxeter import IDENTITY, CoxeterSystem, Word
 from .errors import InternalInconsistency
-from .laurent import LaurentPoly, ONE, V, VINV
+from .laurent import LaurentPoly, ONE, V, VINV, sum_of_products
 
 NO_J: frozenset[int] = frozenset()  # the algebra's standard basis is indexed by all of W
 
@@ -107,8 +107,8 @@ class HeckeAlgebra:
                 raise InternalInconsistency(
                     f"b_(w_J) delta_s != v^-1 b_(w_J) for s={s}, J={sorted(par.J)}")
         pi = LaurentPoly((2 * len(w) - par.d_J, 1) for w in par.members)
-        eigen = ((e - len(w), n) for w, c in b.support.items() for e, n in c.coeffs.items())
-        if pi != LaurentPoly(eigen):
+        eigen = sum_of_products((c, LaurentPoly.monomial(-len(w))) for w, c in b.support.items())
+        if pi != eigen:
             raise InternalInconsistency(f"pi(J) != sum_w b_w v^-l(w), J={sorted(par.J)}")
         out = self._bwj_memo[J] = (b, pi)
         return out

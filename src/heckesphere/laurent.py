@@ -1,18 +1,23 @@
-"""Exact arithmetic in the ring Z[v, v^-1].
+"""Exact arithmetic in the ring Z[v, v^-1], and the only module that reads
+or builds its exponent maps.
 
 A Laurent polynomial is stored as a map from integer exponent to nonzero
 integer coefficient, so equality is plain map equality.  Coefficients are
 Python ints and therefore arbitrary precision.
 
-Sums of products are formed in a raw exponent map, a plain dict[int, int]
-that may hold zero coefficients while it accumulates: `mac(acc, p, q)` adds
-p * q into it term by term, and `LaurentPoly.from_raw` drops the zeros once
-and wraps the map, so a sum of n products builds one polynomial, not 2n.
+Sums of products are formed in raw exponent maps, plain dict[int, int] that
+may hold zero coefficients while they accumulate; the zeros are dropped once
+at the end, so a sum of n products builds one polynomial, not 2n.
+`sum_of_products` is the scalar sum.  `add_products` is the keyed one, for
+linear combinations with polynomial coefficients: raw += c * support, one
+raw map per key, except that a key's first term stays a LaurentPoly until a
+second term arrives (a `Raw` entry); `total` reads one key and `finish`
+turns every key into its polynomial, dropping keys that summed to zero.
 """
 
 from __future__ import annotations
 
-from collections.abc import Iterable, Iterator, Mapping
+from collections.abc import Hashable, Iterable, Iterator, Mapping
 
 from .errors import DivisionByZero, NotDivisible, PreconditionViolated
 
@@ -50,13 +55,6 @@ class LaurentPoly:
     @classmethod
     def from_int(cls, n: int) -> "LaurentPoly":
         return cls({0: n})
-
-    @classmethod
-    def from_raw(cls, acc: dict[int, int]) -> "LaurentPoly":
-        """The polynomial a raw exponent map (see `mac`) has summed to."""
-        result = cls.__new__(cls)
-        result.coeffs = {e: c for e, c in acc.items() if c}
-        return result
 
     # -- basic queries -----------------------------------------------------
 
@@ -107,16 +105,12 @@ class LaurentPoly:
             out[e] = out.get(e, 0) + c
             if not out[e]:
                 del out[e]
-        result = LaurentPoly.__new__(LaurentPoly)
-        result.coeffs = out
-        return result
+        return _poly(out)
 
     __radd__ = __add__
 
     def __neg__(self) -> "LaurentPoly":
-        result = LaurentPoly.__new__(LaurentPoly)
-        result.coeffs = {e: -c for e, c in self.coeffs.items()}
-        return result
+        return _poly({e: -c for e, c in self.coeffs.items()})
 
     def __sub__(self, other) -> "LaurentPoly":
         other = self._coerce(other)
@@ -134,9 +128,7 @@ class LaurentPoly:
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        acc: dict[int, int] = {}
-        mac(acc, self, other)
-        return LaurentPoly.from_raw(acc)
+        return sum_of_products(((self, other),))
 
     __rmul__ = __mul__
 
@@ -154,15 +146,24 @@ class LaurentPoly:
 
     def shift(self, k: int) -> "LaurentPoly":
         """Multiply by v^k."""
-        result = LaurentPoly.__new__(LaurentPoly)
-        result.coeffs = {e + k: c for e, c in self.coeffs.items()}
-        return result
+        return _poly({e + k: c for e, c in self.coeffs.items()})
 
-    def mul_vinv_minus_v(self) -> "LaurentPoly":
-        """Multiply by v^-1 - v (the quadratic relation's factor): shift
-        down, then subtract the shift up."""
+    def mul_vinv_minus_v(self, plus: "LaurentPoly | None" = None) -> "LaurentPoly":
+        """plus + self * (v^-1 - v), the quadratic relation's term at a
+        descent (plus = 0 if omitted): shift down onto plus, then subtract
+        the shift up, deleting each coefficient that cancels."""
         src = self.coeffs
-        out = {e - 1: c for e, c in src.items()}
+        if plus is None:
+            out = {e - 1: c for e, c in src.items()}
+        else:
+            out = dict(plus.coeffs)
+            for e, c in src.items():
+                e -= 1
+                d = out.get(e, 0) + c
+                if d:
+                    out[e] = d
+                else:
+                    del out[e]
         for e, c in src.items():
             e += 1
             d = out.get(e, 0) - c
@@ -170,17 +171,13 @@ class LaurentPoly:
                 out[e] = d
             else:
                 del out[e]
-        result = LaurentPoly.__new__(LaurentPoly)
-        result.coeffs = out
-        return result
+        return _poly(out)
 
     # -- bar involution and division ---------------------------------------
 
     def bar(self) -> "LaurentPoly":
         """The Kazhdan-Lusztig involution v -> v^-1."""
-        result = LaurentPoly.__new__(LaurentPoly)
-        result.coeffs = {-e: c for e, c in self.coeffs.items()}
-        return result
+        return _poly({-e: c for e, c in self.coeffs.items()})
 
     def divide_exact(self, divisor: "LaurentPoly") -> "LaurentPoly":
         """Return q with q * divisor == self, by leading-term elimination.
@@ -218,9 +215,7 @@ class LaurentPoly:
                     else:
                         del rem[eb]
             top_r -= 1
-        result = LaurentPoly.__new__(LaurentPoly)
-        result.coeffs = quot
-        return result
+        return _poly(quot)
 
     # -- comparison, hashing, rendering -------------------------------------
 
@@ -273,14 +268,65 @@ class LaurentPoly:
         return cls({e: c for e, c in data})
 
 
-def mac(acc: dict[int, int], p: LaurentPoly, q: LaurentPoly) -> None:
-    """acc += p * q on a raw exponent map, which keeps the zeros a sum
-    leaves until `LaurentPoly.from_raw`."""
+def _poly(coeffs: dict[int, int]) -> LaurentPoly:
+    """The polynomial over `coeffs`, taken as is: it must hold no zero."""
+    result = LaurentPoly.__new__(LaurentPoly)
+    result.coeffs = coeffs
+    return result
+
+
+def sum_of_products(pairs: Iterable[tuple[LaurentPoly, LaurentPoly]]) -> LaurentPoly:
+    """sum p * q over the pairs (p, q), in one raw exponent map."""
+    acc: dict[int, int] = {}
     get = acc.get
-    for e1, c1 in p.coeffs.items():
-        for e2, c2 in q.coeffs.items():
-            e = e1 + e2
-            acc[e] = get(e, 0) + c1 * c2
+    for p, q in pairs:
+        for e1, c1 in p.coeffs.items():
+            for e2, c2 in q.coeffs.items():
+                e = e1 + e2
+                acc[e] = get(e, 0) + c1 * c2
+    return _poly({e: c for e, c in acc.items() if c})
+
+
+# key -> raw exponent map, or the LaurentPoly of a key's only term so far;
+# so a map of keys to polynomials is a keyed sum to add to.
+Raw = dict[Hashable, "dict[int, int] | LaurentPoly"]
+
+
+def add_products(raw: Raw, support: Mapping[Hashable, LaurentPoly], c: LaurentPoly) -> Raw:
+    """raw += c * support, key by key, one term m v^k of c at a time; returns
+    raw.  A key's first term is m v^k times its coefficient: for m v^k = 1
+    the coefficient itself, which a second term copies into a raw map, and
+    otherwise a shifted copy."""
+    for k, m in c.coeffs.items():
+        unit = k == 0 and m == 1
+        for x, d in support.items():
+            acc = raw.get(x)
+            if acc is None:
+                raw[x] = d if unit else {e + k: n * m for e, n in d.coeffs.items()}
+                continue
+            if type(acc) is LaurentPoly:
+                raw[x] = acc = dict(acc.coeffs)
+            get = acc.get
+            for e, n in d.coeffs.items():
+                e += k
+                acc[e] = get(e, 0) + n * m
+    return raw
+
+
+def total(acc: "dict[int, int] | LaurentPoly") -> LaurentPoly:
+    """The polynomial one key of a `Raw` sum has summed to so far."""
+    return acc if type(acc) is LaurentPoly else _poly({e: c for e, c in acc.items() if c})
+
+
+def finish(raw: Raw) -> dict[Hashable, LaurentPoly]:
+    """The canonical coefficients of a `Raw` sum: zero terms and zero keys dropped."""
+    out = {}
+    for x, acc in raw.items():
+        # total(acc), inlined: this runs once per key of every keyed sum.
+        c = acc if type(acc) is LaurentPoly else _poly({e: n for e, n in acc.items() if n})
+        if c.coeffs:
+            out[x] = c
+    return out
 
 
 ZERO = LaurentPoly.zero()

@@ -15,8 +15,11 @@ s_k:
 
 Each step records a pre_rex (braid moves before the elementary operation), the
 elementary operation, and a post_rex normalizing to the chosen reduced word of
-z_k (ShortLex-minimal, unless a target expression pins the last one).  Degrees
-are +1 for U0/X0, -1 for D0/X1, 0 for U1/D1, summing to the spherical defect.
+z_k (ShortLex-minimal, unless a target expression pins the last one).  A
+step's degree is read off its elementary operation: +1 for a dot, -1 for a
+merge or a wall plug-in, 0 otherwise.  On a correct leaf that is +1 for
+U0/X0, -1 for D0/X1 and 0 for U1/D1, so the degrees sum to the spherical
+defect, which `verify` compares them with.
 The five steps without a wall plug-in are written once, in `_strand_op`.
 Every rex move a step builds from smaller ones is a `_chain` of block moves,
 each applied at its offset in the current word.
@@ -43,9 +46,12 @@ from .errors import (
     TargetMismatch,
     WordMismatch,
 )
-from .strolls import STEP_DEGREE, Bits, decorate
+from .strolls import Bits, decorate
 
 CONVENTIONS = {"rex": "shortlex-bfs"}
+# The degree of each elementary operation, named before any ":<generator>".
+OP_DEGREE = {"none": 0, "dot-kill": 1, "trivalent-merge": -1, "cap": 0,
+             "wall-plug": -1, "wall-transfer": 0}
 
 
 def _chain(word: Word, *blocks: tuple[int, RexMove]) -> RexMove:
@@ -78,7 +84,7 @@ class LLStep(NamedTuple):
 
     @property
     def degree(self) -> int:
-        return STEP_DEGREE[self.label]
+        return OP_DEGREE[self.elementary.partition(":")[0]]
 
 
 class LLRecipe(NamedTuple):
@@ -219,11 +225,7 @@ class NSStep(NamedTuple):  # an LLStep with its classical label and (u, z) block
     u_part: Word
     z_part: Word
 
-    @property
-    def degree(self) -> int:
-        # Without a wall, the degree is the classical one: wall plug-ins
-        # become plain rex moves into the u-block (degree 0).
-        return STEP_DEGREE[self.classical_label]
+    degree = LLStep.degree  # a wall-transfer, a classical U1, has degree 0
 
 
 def build_nsll(system: CoxeterSystem, J: frozenset[int],

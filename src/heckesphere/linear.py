@@ -12,12 +12,11 @@ dropping before each step the terms it would land too long to reach it;
 recursion, for the algebra's basis b_x and every module's basis c_x: the
 element below times b_s, mu-corrected by `kl_correct`.
 
-Every sum is accumulated in raw form: `_mac` multiplies a combination by a
-coefficient straight into one raw exponent map per key (see laurent), and
-`_finish` turns each map into a LaurentPoly once, dropping the zeros the sum
-left; `Combo.dot` sums into one map with laurent.mac.  `delta_step` forms
-almost no sum: a generator moves the terms that cross no wall one to one, so
-each is one assignment, and only a descent adds (v^-1 - v) c at its own key.
+Every sum of combinations is one keyed sum of laurent's (`add_products`,
+then `finish`), and `Combo.dot` is one `sum_of_products`; the polynomials'
+exponent maps are laurent's alone.  `delta_step` forms almost no sum: a
+generator moves the terms that cross no wall one to one, so each is one
+assignment, and only a descent adds (v^-1 - v) c at its own key.
 """
 
 from __future__ import annotations
@@ -26,44 +25,11 @@ from collections.abc import Callable, Iterable, Iterator, Mapping
 
 from .coxeter import IDENTITY, CoxeterSystem, Word
 from .errors import InternalInconsistency, PreconditionViolated
-from .laurent import LaurentPoly, ONE, V, VINV, mac
+from .laurent import LaurentPoly, ONE, V, VINV, add_products, finish, sum_of_products, total
 
 
 Coeffs = dict[tuple, LaurentPoly]
-# key -> raw exponent map, or the LaurentPoly of a key's only term so far
-Raw = dict[tuple, "dict[int, int] | LaurentPoly"]
 MINUS_ONE = LaurentPoly.from_int(-1)
-
-
-def _mac(raw: Raw, support: Coeffs, c: LaurentPoly) -> Raw:
-    """raw += c * (the combination `support`), one term m v^k of c at a time;
-    returns raw.  A key's first term is m v^k times its coefficient: for
-    m v^k = 1 the coefficient itself, which a second term copies into a raw
-    map, and otherwise a shifted copy."""
-    for k, m in c.coeffs.items():
-        unit = k == 0 and m == 1
-        for x, d in support.items():
-            acc = raw.get(x)
-            if acc is None:
-                raw[x] = d if unit else {e + k: n * m for e, n in d.coeffs.items()}
-                continue
-            if type(acc) is LaurentPoly:
-                raw[x] = acc = dict(acc.coeffs)
-            get = acc.get
-            for e, n in d.coeffs.items():
-                e += k
-                acc[e] = get(e, 0) + n * m
-    return raw
-
-
-def _finish(raw: Raw) -> Coeffs:
-    """The canonical coefficients of a raw sum: zero terms and zero keys dropped."""
-    out: Coeffs = {}
-    for x, acc in raw.items():
-        c = acc if type(acc) is LaurentPoly else LaurentPoly.from_raw(acc)
-        if c.coeffs:
-            out[x] = c
-    return out
 
 
 class Combo:
@@ -74,15 +40,15 @@ class Combo:
 
     def __init__(self, support: Mapping[Word, LaurentPoly | int] | Iterable = ()):
         pairs = support.items() if isinstance(support, Mapping) else support
-        raw: Raw = {}
+        raw = {}
         for key, c in pairs:
             if isinstance(c, int):
                 c = LaurentPoly.from_int(c)
             if key in raw:
-                _mac(raw, {key: c}, ONE)
+                add_products(raw, {key: c}, ONE)
             else:
                 raw[key] = c
-        self.support = _finish(raw)
+        self.support = finish(raw)
 
     @classmethod
     def wrap(cls, coeffs: Coeffs):
@@ -103,10 +69,10 @@ class Combo:
         return bool(self.support)
 
     def __add__(self, other: "Combo"):
-        return self.wrap(_finish(_mac(dict(self.support), other.support, ONE)))
+        return self.wrap(finish(add_products(dict(self.support), other.support, ONE)))
 
     def __sub__(self, other: "Combo"):
-        return self.wrap(_finish(_mac(dict(self.support), other.support, MINUS_ONE)))
+        return self.wrap(finish(add_products(dict(self.support), other.support, MINUS_ONE)))
 
     def __neg__(self):
         return self.scale(-1)
@@ -127,15 +93,10 @@ class Combo:
 
     def dot(self, other: "Combo") -> LaurentPoly:
         """The form in which the standard basis is orthonormal."""
-        acc: dict[int, int] = {}
         small, large = self.support, other.support
         if len(small) > len(large):
             small, large = large, small
-        for x, c in small.items():
-            d = large.get(x)
-            if d is not None:
-                mac(acc, c, d)
-        return LaurentPoly.from_raw(acc)
+        return sum_of_products([(c, large[x]) for x, c in small.items() if x in large])
 
     def __repr__(self) -> str:
         return f"{type(self).__name__}({dict(self.support)!r})"
@@ -179,24 +140,15 @@ def delta_step(system: CoxeterSystem, J: frozenset[int], a: Combo, s: int) -> Co
     x -> xs, or x -> x at a wall, is one to one, so each term is one
     assignment.  The one other term, (v^-1 - v) c at a descent x, meets at
     key x only the image of the term at xs, whose step goes up to x; that
-    term is skipped, and the descent sums the two in a raw map."""
+    term is skipped, and the descent sums the two in one laurent operation."""
     src = a.support
     out: Coeffs = {}
     for x, c in src.items():
         xs = system.right_mult(x, s)
         if len(xs) < len(x):
             out[xs] = c
-            up = src.get(xs)
-            if up is None:
-                out[x] = c.mul_vinv_minus_v()
-                continue
-            acc = dict(up.coeffs)
-            get = acc.get
-            for e, n in c.coeffs.items():
-                acc[e - 1] = get(e - 1, 0) + n
-                acc[e + 1] = get(e + 1, 0) - n
-            p = LaurentPoly.from_raw(acc)
-            if p.coeffs:
+            p = c.mul_vinv_minus_v(src.get(xs))
+            if p:
                 out[x] = p
         elif J and not system.is_mcr(xs, J):
             out[x] = c.shift(-1)
@@ -209,7 +161,7 @@ def step_plus(system: CoxeterSystem, J: frozenset[int], a: Combo, s: int,
               c: LaurentPoly) -> Combo:
     """a * (delta_s + c) = a delta_s + c a, summed in one raw pass: c = v is
     b_s, and c = v - v^-1 is delta_s^-1."""
-    return a.wrap(_finish(_mac(delta_step(system, J, a, s).support, a.support, c)))
+    return a.wrap(finish(add_products(delta_step(system, J, a, s).support, a.support, c)))
 
 
 def _shared_prefixes(keys: list[Word]) -> list[int]:
@@ -268,10 +220,10 @@ def prefix_tree_product(system: CoxeterSystem, J: frozenset[int], a: Combo,
                         b: Combo) -> Combo:
     """a * b, b in the algebra: b's coefficient at y times a * delta_y,
     summed over the prefix walk of b's keys."""
-    raw: Raw = {}
+    raw = {}
     for y, node in _prefix_walk(system, J, a, sorted(b.support)):
-        _mac(raw, node.support, b.support[y])
-    return a.wrap(_finish(raw))
+        add_products(raw, node.support, b.support[y])
+    return a.wrap(finish(raw))
 
 
 def trace_walk(system: CoxeterSystem, a: Combo, keys: Iterable[Word]) -> Combo:
@@ -296,7 +248,7 @@ def bar(system: CoxeterSystem, J: frozenset[int], memo: dict[Word, Combo],
     hold the identity: for x = x's along its canonical word, x' is in ^J W
     and bar(e_x) = bar(e_{x'}) delta_s^-1 = bar(e_{x'}) (delta_s + v - v^-1).
     A key that misses the memo and is not an mcr raises PreconditionViolated."""
-    raw: Raw = {}
+    raw = {}
     for x, c in a.support.items():
         if x not in memo:
             if not system.is_mcr(x, J):
@@ -306,21 +258,20 @@ def bar(system: CoxeterSystem, J: frozenset[int], memo: dict[Word, Combo],
             for n in range(1, len(x) + 1):
                 if x[:n] not in memo:
                     memo[x[:n]] = step_plus(system, J, memo[x[:n - 1]], x[n - 1], V - VINV)
-        _mac(raw, memo[x].support, c.bar())
-    return a.wrap(_finish(raw))
+        add_products(raw, memo[x].support, c.bar())
+    return a.wrap(finish(raw))
 
 
 def kl_correct(cand: Combo, x: Word, lower: Callable[[Word], Combo], what: str) -> Combo:
     """Subtract mu * lower(y) wherever cand's coefficient at y has constant
     term mu, longest y first so each correction is final; then assert
     coefficient 1 at x and coefficients in vZ[v] elsewhere."""
-    raw: Raw = dict(cand.support)
+    raw = dict(cand.support)
     for y in sorted(cand.support, key=len, reverse=True):
-        acc = raw[y]  # as the corrections at longer keys left it
-        mu = (acc.coeffs if type(acc) is LaurentPoly else acc).get(0, 0)
+        mu = total(raw[y])[0]  # as the corrections at longer keys left it
         if mu and y != x:
-            _mac(raw, lower(y).support, LaurentPoly.from_int(-mu))
-    cand = cand.wrap(_finish(raw))
+            add_products(raw, lower(y).support, LaurentPoly.from_int(-mu))
+    cand = cand.wrap(finish(raw))
     if cand.coeff(x) != ONE:
         raise InternalInconsistency(f"{what} recursion lost unitriangularity at {x}")
     for y, c in cand.support.items():

@@ -24,7 +24,8 @@ minimal coset representatives, a row at a time: one linear.trace_walk, the
 Hecke product by the quadratic relation read at delta_e alone, of
 i(phi m_x) over the keys of every phi m_y the row lacks, from embeddings
 phi(m_x) memoized per representative; each call then forms
-sum a_x b_y G(x, y) in one raw exponent map, divides by pi(J) and compares.
+sum a_x b_y G(x, y) as one laurent.sum_of_products, divides by pi(J) and
+compares.
 """
 
 from __future__ import annotations
@@ -35,7 +36,7 @@ from . import linear
 from .coxeter import IDENTITY, Word
 from .errors import InternalInconsistency, NotDivisible, PreconditionViolated
 from .hecke import HeckeAlgebra, HeckeElt
-from .laurent import LaurentPoly, ONE, V, mac
+from .laurent import LaurentPoly, ONE, V, sum_of_products
 
 
 class SphericalElt(linear.Combo):
@@ -130,7 +131,7 @@ class SphericalModule:
         linear.trace_walk of i(phi m_x) over the keys of every such phi m_y:
         each entry is the walk's traces dotted with its own phi m_y."""
         out = a.dot(b)
-        acc: dict[int, int] = {}
+        pairs = []
         for x, c in a.support.items():
             cold = [y for y in b.support if (x, y) not in self._gram_memo]
             if cold:
@@ -142,8 +143,8 @@ class SphericalModule:
             for y, d in b.support.items():
                 g = self._gram_memo[(x, y)]
                 if g:
-                    mac(acc, c * d, g)
-        total = LaurentPoly.from_raw(acc)
+                    pairs.append((c * d, g))
+        total = sum_of_products(pairs)
         try:
             via_form = total.divide_exact(self.pi).shift(-self.d_J)
         except NotDivisible as exc:

@@ -422,7 +422,7 @@ def check_localized_count(run: Run) -> Iterator[str]:
     mod = run.module(frozenset())
     for word in run.words(5):
         with run.case(word):
-            at_one = {z: sum(c.coeffs.values())
+            at_one = {z: sum(n for _, n in c.terms())
                       for z, c in mod.expand_expression(word).support.items()}
             if dict(strolls.localized_summands(run.system, word)) != at_one:
                 yield "summand multiplicities differ from 1 (x) b_w at v = 1"

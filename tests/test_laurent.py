@@ -1,11 +1,15 @@
+import ast
+import pathlib
 import types
 from collections import Counter
 
 import pytest
 from hypothesis import given, strategies as st
 
+from heckesphere import laurent
 from heckesphere.errors import DivisionByZero, NotDivisible, PreconditionViolated
-from heckesphere.laurent import LaurentPoly, ONE, V, VINV, ZERO
+from heckesphere.laurent import (LaurentPoly, ONE, V, VINV, ZERO, add_products, finish,
+                                 sum_of_products, total)
 from heckesphere.linear import Combo
 
 
@@ -41,11 +45,13 @@ class TestRingOps:
         assert V - 1 == poly((1, 1), (0, -1))
         assert 1 - V == poly((0, 1), (1, -1))
 
-    @given(laurents)
-    def test_mul_vinv_minus_v(self, p):
+    @given(laurents, laurents)
+    def test_mul_vinv_minus_v(self, p, q):
         # Includes cancelling neighbours: (v^-1 + v)(v^-1 - v) = v^-2 - v^2.
         assert p.mul_vinv_minus_v() == p * (VINV - V)
+        assert p.mul_vinv_minus_v(q) == q + p * (VINV - V)
         assert (V + VINV).mul_vinv_minus_v() == poly((-2, 1), (2, -1))
+        assert V.mul_vinv_minus_v(V * V - ONE) == ZERO
 
 
 class TestBar:
@@ -134,3 +140,74 @@ class TestRendering:
         assert p.min_exp() == -1 and p.max_exp() == 2
         assert not p.in_v_times_nonneg()
         assert (V + V * V).in_v_times_nonneg()
+
+
+# -- sums of products, against plain dicts -------------------------------------------
+
+# Coefficients past 2^64 and exponents past +-100: a packed representation
+# must keep these sums exact.
+wide_laurents = st.dictionaries(
+    st.integers(-300, 300), st.integers(-2**70, 2**70), max_size=5
+).map(LaurentPoly)
+keyed = st.dictionaries(st.integers(0, 3), wide_laurents, max_size=4)
+
+
+def plain(p: LaurentPoly) -> dict:
+    return dict(p.terms())
+
+
+def plain_product(p: LaurentPoly, q: LaurentPoly) -> dict:
+    out = {}
+    for e1, c1 in p.terms():
+        for e2, c2 in q.terms():
+            out[e1 + e2] = out.get(e1 + e2, 0) + c1 * c2
+    return out
+
+
+def nonzero(d: dict) -> dict:
+    return {k: v for k, v in d.items() if v}
+
+
+class TestSums:
+    @given(st.lists(st.tuples(wide_laurents, wide_laurents), max_size=5))
+    def test_sum_of_products(self, pairs):
+        want = {}
+        for p, q in pairs:
+            for e, c in plain_product(p, q).items():
+                want[e] = want.get(e, 0) + c
+        assert plain(sum_of_products(pairs)) == nonzero(want)
+
+    @given(st.lists(st.tuples(keyed, wide_laurents), max_size=5))
+    def test_keyed_sum(self, steps):
+        raw, want = {}, {}
+        for support, c in steps:
+            add_products(raw, support, c)
+            for x, d in support.items():
+                acc = want.setdefault(x, {})
+                for e, n in plain_product(d, c).items():
+                    acc[e] = acc.get(e, 0) + n
+        for x in raw:
+            assert plain(total(raw[x])) == nonzero(want[x])
+        assert {x: plain(p) for x, p in finish(raw).items()} == {
+            x: nonzero(acc) for x, acc in want.items() if nonzero(acc)}
+
+    def test_a_key_whose_terms_cancel_is_dropped(self):
+        p = poly((-150, 2**65), (120, -3))
+        raw = add_products(add_products({}, {"x": p, "y": V}, ONE), {"x": p}, poly((0, -1)))
+        assert total(raw["x"]) == ZERO
+        assert finish(raw) == {"y": V}
+
+    def test_a_single_unit_term_is_the_coefficient_itself(self):
+        p = poly((-150, 2**65), (120, -3))
+        raw = add_products({}, {"x": p}, ONE)
+        assert total(raw["x"]) is p and finish(raw)["x"] is p
+        shifted = finish(add_products({}, {"x": p}, poly((101, -2**64))))["x"]
+        assert shifted == poly((-49, -2**129), (221, 3 * 2**64))
+
+
+def test_only_laurent_reads_the_exponent_map():
+    src = pathlib.Path(laurent.__file__).parent
+    readers = {path.name for path in src.glob("*.py")
+               for node in ast.walk(ast.parse(path.read_text()))
+               if isinstance(node, ast.Attribute) and node.attr == "coeffs"}
+    assert readers == {"laurent.py"}

@@ -2,7 +2,7 @@ import itertools
 
 import pytest
 
-from heckesphere import catalog, cli, verify
+from heckesphere import catalog, cli, lightleaf, verify
 from heckesphere.coxeter import CoxeterSystem
 from heckesphere.errors import InternalInconsistency, PreconditionViolated
 
@@ -140,6 +140,24 @@ def test_an_error_outside_every_case_fails_only_its_check(monkeypatch, capsys):
         + [line for name in failing for line in (
             f"FAIL spherical/{name}", "  counterexample: InternalInconsistency: no module")]
         + ["PASS spherical/decomp-wallcross"])
+
+
+def test_a_dot_recorded_as_a_merge_fails_the_degree_checks(monkeypatch, capsys):
+    # A leaf's degree comes from its operations, not from the labels that
+    # decorate (and so sdef) reads: a U0 or X0 step that merges instead of
+    # killing the strand has degree -1, not +1.
+    strand_op = lightleaf._strand_op
+
+    def merging(system, label, cur, s):
+        pre, elementary, mid = strand_op(system, label, cur, s)
+        return pre, "trivalent-merge" if label in ("U0", "X0") else elementary, mid
+
+    monkeypatch.setattr(lightleaf, "_strand_op", merging)
+    assert cli.main(["sll", "--system", "a2", "--J", "s", "-x", "ts", "--bits", "00"]) == 0
+    assert "degree=-2" in capsys.readouterr().out
+    results = {r.name: r for r in verify.run_suites(CoxeterSystem(catalog.INF_DIHEDRAL, 2), ["lightleaf"])}
+    assert results["degree-law"].status == results["double-leaves"].status == "FAIL"
+    assert results["degree-law"].failures[0].endswith("degree -1 != sdef 1")
 
 
 @pytest.mark.parametrize("cases,failures,status", [
