@@ -114,13 +114,10 @@ def cmd_stroll(args, system: CoxeterSystem) -> int:
     J = _parse_J(system, args.J)
     word = system.parse_word(args.x)
     if args.bits is not None:
-        bit_lists = [_parse_bits(args.bits, len(word), "--bits")]
+        decs = [strolls.decorate(system, J, word, _parse_bits(args.bits, len(word), "--bits"))]
     else:
-        bit_lists = list(strolls.subexpressions(len(word)))
-    doc = [
-        strolls.decoration_json(system, strolls.decorate(system, J, word, bits))
-        for bits in bit_lists
-    ]
+        decs = strolls.decorations(system, J, word)
+    doc = [strolls.decoration_json(system, dec) for dec in decs]
     rows = [
         {
             "bits": "".join(map(str, r["bits"])),

@@ -28,7 +28,7 @@ class LaurentPoly:
     __slots__ = ("coeffs",)
 
     def __init__(self, coeffs: Mapping[int, int] | Iterable[tuple[int, int]] = ()):
-        items = coeffs.items() if isinstance(coeffs, Mapping) else coeffs
+        items = coeffs.items() if type(coeffs) is dict or isinstance(coeffs, Mapping) else coeffs
         store: dict[int, int] = {}
         for exp, c in items:
             if c:

@@ -39,7 +39,7 @@ class Combo:
     __slots__ = ("support",)
 
     def __init__(self, support: Mapping[Word, LaurentPoly | int] | Iterable = ()):
-        pairs = support.items() if isinstance(support, Mapping) else support
+        pairs = support.items() if type(support) is dict or isinstance(support, Mapping) else support
         raw = {}
         for key, c in pairs:
             if isinstance(c, int):

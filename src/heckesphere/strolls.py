@@ -13,11 +13,11 @@ z_i = mcr(z_{i-1} s_i^{e_i}); step i gets a letter
 with suffix e_i.  The stroll moves only on U1 and D1 (an X1 step multiplies
 by a wall-crossing generator on the left, which does not change the coset).
 
-The graded rank of a pair of expressions sums v^{deg} over the double-leaf
-index pairs, the pairs of subexpressions with a common endpoint; rank_poly
-groups that sum by endpoint, as the form of two defect expansions
-(endpoint_polys, an element of M(J)), each one walk of the prefix tree of
-the subexpressions, so a shared prefix is stepped once.
+A word's subexpressions form a prefix tree: `decorations` walks it once by
+the step rule `_step`, which `decorate` follows along one path.  The
+double-leaf index pairs `join` two words' decorations by endpoint; rank_poly
+sums v^{deg} over them as the form of two defect expansions (endpoint_polys,
+in M(J)), which keep their own walk as the reference the pairs are checked by.
 """
 
 from __future__ import annotations
@@ -51,6 +51,14 @@ class Decoration(NamedTuple):
         return sum(map(STEP_DEGREE.__getitem__, self.labels))
 
 
+def _step(system: CoxeterSystem, J: frozenset[int], z: Word, s: int) -> tuple[str, Word]:
+    """The letter of stepping the stroll at z along s, and where bit 1 takes it."""
+    zs = system.right_mult(z, s)
+    if not system.is_mcr(zs, J):
+        return "X", z
+    return ("U" if len(zs) > len(z) else "D"), zs
+
+
 def decorate(system: CoxeterSystem, J: frozenset[int],
              word: Sequence[int], bits: Sequence[int]) -> Decoration:
     word = tuple(word)
@@ -58,22 +66,29 @@ def decorate(system: CoxeterSystem, J: frozenset[int],
     if len(word) != len(bits) or any(b not in (0, 1) for b in bits):
         raise WordMismatch("bits must be a 0/1 sequence matching the word length")
     system.check_letters(word)
-    z = IDENTITY
-    stroll = [z]
+    stroll = [IDENTITY]
     labels = []
     for s, b in zip(word, bits):
-        zs = system.right_mult(z, s)
-        if not system.is_mcr(zs, J):
-            letter = "X"
-        elif len(zs) > len(z):
-            letter = "U"
-        else:
-            letter = "D"
+        letter, up = _step(system, J, stroll[-1], s)
         labels.append(f"{letter}{b}")
-        if b and letter != "X":
-            z = zs
-        stroll.append(z)
+        stroll.append(up if b else stroll[-1])
     return Decoration(word, bits, tuple(labels), tuple(stroll))
+
+
+def decorations(system: CoxeterSystem, J: frozenset[int],
+                word: Sequence[int]) -> list[Decoration]:
+    """Every decoration of `word` in `subexpressions` order, from one prefix-tree
+    walk: each prefix is stepped once, and a layer lists its bit-0 children
+    before its bit-1 children, so the new bit is the most significant."""
+    word = tuple(word)
+    system.check_letters(word)
+    nodes = [Decoration(word, (), (), (IDENTITY,))]
+    for s in word:
+        steps = [_step(system, J, dec.endpoint, s) for dec in nodes]
+        nodes = [Decoration(word, dec.bits + (b,), dec.labels + (f"{letter}{b}",),
+                            dec.stroll + (up if b else dec.endpoint,))
+                 for b in (0, 1) for dec, (letter, up) in zip(nodes, steps)]
+    return nodes
 
 
 def subexpressions(n: int) -> Iterator[Bits]:
@@ -124,21 +139,18 @@ class DoubleLeafPair(NamedTuple):
         return self.e.sdef + self.f.sdef
 
 
+def join(xs: Sequence[Decoration], ys: Sequence[Decoration]) -> list[DoubleLeafPair]:
+    """All (e in xs, f in ys) with equal endpoints, in the order of xs, then ys."""
+    by_end: dict[Word, list[Decoration]] = {}
+    for f in ys:
+        by_end.setdefault(f.endpoint, []).append(f)
+    return [DoubleLeafPair(e, f) for e in xs for f in by_end.get(e.endpoint, ())]
+
+
 def double_leaf_index(system: CoxeterSystem, J: frozenset[int],
                       x_word: Sequence[int], y_word: Sequence[int]) -> list[DoubleLeafPair]:
     """All (e in x_word, f in y_word) with equal mcr endpoints."""
-    x_word = tuple(x_word)
-    y_word = tuple(y_word)
-    by_end: dict[Word, list[Decoration]] = {}
-    for bits in subexpressions(len(y_word)):
-        dec = decorate(system, J, y_word, bits)
-        by_end.setdefault(dec.endpoint, []).append(dec)
-    out = []
-    for bits in subexpressions(len(x_word)):
-        dec = decorate(system, J, x_word, bits)
-        for other in by_end.get(dec.endpoint, ()):
-            out.append(DoubleLeafPair(dec, other))
-    return out
+    return join(decorations(system, J, x_word), decorations(system, J, y_word))
 
 
 def endpoint_polys(system: CoxeterSystem, J: frozenset[int],
@@ -175,16 +187,11 @@ def rank_poly(system: CoxeterSystem, J: frozenset[int],
 
 def localized_summands(system: CoxeterSystem, word: Sequence[int]) -> Counter:
     """The multiset of subexpression products {w^e : e in w}, 2^n entries."""
-    word = tuple(word)
     system.check_letters(word)
-    out: Counter = Counter()
-    for bits in subexpressions(len(word)):
-        w = IDENTITY
-        for s, b in zip(word, bits):
-            if b:
-                w = system.right_mult(w, s)
-        out[w] += 1
-    return out
+    products = [IDENTITY]
+    for s in word:
+        products += [system.right_mult(w, s) for w in products]
+    return Counter(products)
 
 
 def decoration_json(system: CoxeterSystem, dec: Decoration) -> dict:

@@ -367,12 +367,9 @@ def check_partial_order(run: Run) -> Iterator[str]:
     for J in run.subsets:
         for word in run.words(5):
             with run.case(J, word):
-                decs = [strolls.decorate(system, J, word, bits)
-                        for bits in strolls.subexpressions(len(word))]
-                rel = {}
-                for f in decs:
-                    for e in decs:
-                        rel[(f.bits, e.bits)] = strolls.preceq(system, J, f, e)
+                decs = strolls.decorations(system, J, word)
+                rel = {(f.bits, e.bits): strolls.preceq(system, J, f, e)
+                       for f in decs for e in decs}
                 for e in decs:
                     if not rel[(e.bits, e.bits)]:
                         yield f"not reflexive at {e.bits}"
@@ -391,26 +388,25 @@ def check_partial_order(run: Run) -> Iterator[str]:
 
 def check_empty_J_classical(run: Run) -> Iterator[str]:
     for word in run.words(4):
-        for bits in strolls.subexpressions(len(word)):
-            with run.case(word, bits):
-                dec = strolls.decorate(run.system, frozenset(), word, bits)
+        for dec in strolls.decorations(run.system, frozenset(), word):
+            with run.case(word, dec.bits):
                 if any(lbl[0] == "X" for lbl in dec.labels):
                     yield "X label with empty J"
-                counts = {lbl: dec.labels.count(lbl) for lbl in set(dec.labels)}
-                if dec.sdef != counts.get("U0", 0) - counts.get("D0", 0):
+                if dec.sdef != dec.labels.count("U0") - dec.labels.count("D0"):
                     yield "classical defect mismatch"
 
 
 def check_rank_symmetry(run: Run) -> Iterator[str]:
     """The double-leaf pairs of (x, y), counted one by one, against the rank
-    polynomial of (y, x) summed by endpoint, from each word's P_w computed
-    once per J."""
+    polynomial of (y, x) summed by endpoint, from each word's decorations
+    and P_w computed once per J."""
     system = run.system
     for J in run.subsets:
+        decs = functools.cache(functools.partial(strolls.decorations, system, J))
         polys = functools.cache(functools.partial(strolls.endpoint_polys, system, J))
         for x_word, y_word in itertools.product(run.words(3), repeat=2):
             with run.case(J, x_word, y_word):
-                pairs = strolls.double_leaf_index(system, J, x_word, y_word)
+                pairs = strolls.join(decs(x_word), decs(y_word))
                 if LaurentPoly((p.degree, 1) for p in pairs) != polys(y_word).dot(polys(x_word)):
                     yield "asymmetric rank polynomial"
 
@@ -452,10 +448,9 @@ def check_ll_degree_law(run: Run) -> Iterator[str]:
     system = run.system
     for J in run.subsets:
         for word in run.words(5):
-            for bits in strolls.subexpressions(len(word)):
-                with run.case(J, word, bits):
-                    dec = strolls.decorate(system, J, word, bits)
-                    recipe = build_sll(system, J, word, bits)
+            for dec in strolls.decorations(system, J, word):
+                with run.case(J, word, dec.bits):
+                    recipe = build_sll(system, J, word, dec.bits)
                     if recipe.degree != dec.sdef:
                         yield f"degree {recipe.degree} != sdef {dec.sdef}"
                     yield from _replay_failures(system, J, recipe)
@@ -464,13 +459,14 @@ def check_ll_degree_law(run: Run) -> Iterator[str]:
 def check_double_leaves(run: Run) -> Iterator[str]:
     system = run.system
     for J in run.subsets:
-        # Each light leaf is built once per J and glued to every partner.
+        # Decorations and light leaves are built once per J, then joined and glued.
+        decs = functools.cache(functools.partial(strolls.decorations, system, J))
         leaf = functools.cache(functools.partial(build_sll, system, J))
         for x_word, y_word in itertools.product(run.words(4), repeat=2):
             # A fault in the index set is a counterexample, not the end of the run.
             pairs = []
             with run.case(J, x_word, y_word):
-                pairs = strolls.double_leaf_index(system, J, x_word, y_word)
+                pairs = strolls.join(decs(x_word), decs(y_word))
             for pair in pairs:
                 with run.case(J, x_word, pair.e.bits, y_word, pair.f.bits):
                     dl = glue(leaf(x_word, pair.e.bits), leaf(y_word, pair.f.bits))

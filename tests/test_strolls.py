@@ -158,22 +158,34 @@ def decorated_expansion(system, J, word):
     return SphericalElt((z, LaurentPoly({d: n})) for (z, d), n in count.items())
 
 
+def system_named(request, name):
+    """The fixture `name`, or affine A2 at budget 12, which has none."""
+    if name == "affine_a2_12":
+        return CoxeterSystem(AFFINE_A2, 12)
+    return request.getfixturevalue(name)
+
+
+def every_decoration(system, J, word):
+    """decorate on each subexpression, in `subexpressions` order."""
+    return [strolls.decorate(system, J, word, bits)
+            for bits in strolls.subexpressions(len(word))]
+
+
 class TestEndpointWalk:
-    """endpoint_polys walks the subexpressions as a prefix tree; decorating
-    each subexpression on its own is the reference, over words of length
-    up to 4 (5 in rank 2)."""
+    """endpoint_polys and decorations walk the subexpressions as a prefix
+    tree; decorating each subexpression on its own is the reference, over
+    words of length up to 4 (5 in rank 2)."""
 
     @pytest.mark.parametrize("name", ["a2", "b2", "a3", "b3", "h3", "affine_a2_12"])
     def test_matches_every_decoration(self, request, name):
-        if name == "affine_a2_12":
-            system = CoxeterSystem(AFFINE_A2, 12)
-        else:
-            system = request.getfixturevalue(name)
+        system = system_named(request, name)
         rank = system.matrix.rank
         words = [w for n in range(8 - rank) for w in itertools.product(range(rank), repeat=n)]
         for J in finitary_subsets(system):
             for word in words:
                 assert strolls.endpoint_polys(system, J, word) == decorated_expansion(
+                    system, J, word), (J, word)
+                assert strolls.decorations(system, J, word) == every_decoration(
                     system, J, word), (J, word)
 
     def test_a_bad_letter_is_rejected(self, a2, inf_dihedral):
@@ -184,6 +196,8 @@ class TestEndpointWalk:
                 strolls.endpoint_polys(system, frozenset(), word)
             with pytest.raises(InvalidMatrix, match="letter 2"):
                 strolls.decorate(system, frozenset(), word, (1,) * len(word))
+            with pytest.raises(InvalidMatrix, match="letter 2"):
+                strolls.decorations(system, frozenset(), word)
 
     def test_a_stroll_past_the_budget_fails_as_a_decoration_does(self, inf_dihedral):
         # Budget 8: a stroll of nine up-steps leaves the ball.
@@ -199,14 +213,39 @@ class TestEndpointWalk:
                 except BudgetExceeded:
                     with pytest.raises(BudgetExceeded):
                         strolls.endpoint_polys(inf_dihedral, J, word)
+                    with pytest.raises(BudgetExceeded):
+                        strolls.decorations(inf_dihedral, J, word)
                     outcomes.add("raises")
                 else:
                     assert strolls.endpoint_polys(inf_dihedral, J, word) == want
+                    assert strolls.decorations(inf_dihedral, J, word) == every_decoration(
+                        inf_dihedral, J, word)
                     outcomes.add("fits")
         assert outcomes == {"raises", "fits"}
 
 
+def per_bits_products(system, word):
+    """The product w^e of each subexpression, one bit sequence at a time."""
+    out = Counter()
+    for bits in strolls.subexpressions(len(word)):
+        w = IDENTITY
+        for s, b in zip(word, bits):
+            if b:
+                w = system.right_mult(w, s)
+        out[w] += 1
+    return out
+
+
 class TestLocalize:
+    @pytest.mark.parametrize("name", ["a2", "b3", "h3", "affine_a2_12"])
+    def test_matches_the_per_bits_products(self, request, name):
+        system = system_named(request, name)
+        rank = system.matrix.rank
+        for n in range(8 - rank):
+            for word in itertools.product(range(rank), repeat=n):
+                assert strolls.localized_summands(system, word) == per_bits_products(
+                    system, word), word
+
     def test_ss(self, a2):
         assert strolls.localized_summands(a2, (S, S)) == {IDENTITY: 2, (S,): 2}
 

@@ -63,8 +63,8 @@ def test_a_failing_case_is_named_by_its_coordinates(inf_dihedral):
 @pytest.mark.parametrize("target,attr,suite,check,first", [
     # A check that never yields: its only counterexamples are raised.
     (verify.HeckeAlgebra, "b_wJ_and_pi", "hecke", "bwj-pi-identity", "J=[]"),
-    # The index set a check enumerates its cases from.
-    (verify.strolls, "double_leaf_index", "lightleaf", "double-leaves", "J=[], ()/()"),
+    # The decorations a check joins into the index set it enumerates its cases from.
+    (verify.strolls, "decorations", "lightleaf", "double-leaves", "J=[], ()/()"),
 ], ids=["bwj-pi-identity", "double-leaves"])
 def test_a_raised_package_error_is_named_by_its_case(monkeypatch, a2, target, attr,
                                                      suite, check, first):
