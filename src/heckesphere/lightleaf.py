@@ -19,7 +19,8 @@ z_k (ShortLex-minimal, unless a target expression pins the last one).  A
 step's degree is read off its elementary operation: +1 for a dot, -1 for a
 merge or a wall plug-in, 0 otherwise.  On a correct leaf that is +1 for
 U0/X0, -1 for D0/X1 and 0 for U1/D1, so the degrees sum to the spherical
-defect, which `verify` compares them with.
+defect, which `verify` compares them with.  Each degree is summed once, where
+its record is built: a recipe's as its steps are built, a double leaf's by `glue`.
 The five steps without a wall plug-in are written once, in `_strand_op`.
 Every rex move a step builds from smaller ones is a `_chain` of block moves,
 each applied at its offset in the current word.
@@ -82,31 +83,21 @@ class LLStep(NamedTuple):
     post_rex: RexMove
     intermediate: Word  # the expression after the step
 
-    @property
-    def degree(self) -> int:
-        return OP_DEGREE[self.elementary.partition(":")[0]]
-
 
 class LLRecipe(NamedTuple):
     word: Word
     bits: Bits
     steps: tuple[LLStep, ...]
     target: Word  # expression after the last step
+    degree: int  # OP_DEGREE summed over the steps' elementary operations
     flipped: bool = False  # True for the upper half of a double leaf
-
-    @property
-    def degree(self) -> int:
-        return sum(s.degree for s in self.steps)
 
 
 class DoubleLeafRecipe(NamedTuple):
     lower: LLRecipe
     upper: LLRecipe  # flipped
     through: Word  # the shared reduced word of the endpoint
-
-    @property
-    def degree(self) -> int:
-        return self.lower.degree + self.upper.degree
+    degree: int  # lower.degree + upper.degree
 
 
 # -- spherical light-leaves ----------------------------------------------------
@@ -144,6 +135,7 @@ def build_sll(system: CoxeterSystem, J: frozenset[int],
             )
     steps = []
     cur: Word = IDENTITY
+    degree = 0
     for k in range(1, n + 1):
         s = word[k - 1]
         label = dec.labels[k - 1]
@@ -157,16 +149,21 @@ def build_sll(system: CoxeterSystem, J: frozenset[int],
             pre, elementary, mid = _strand_op(system, label, cur, s)
         post = system.rex_path(mid, chosen)
         steps.append(LLStep(k, label, pre, elementary, post, chosen))
+        degree += OP_DEGREE[elementary.partition(":")[0]]
         cur = chosen
-    return LLRecipe(word, bits, tuple(steps), cur)
+    return LLRecipe(word, bits, tuple(steps), cur, degree)
 
 
 def build_sdl(system: CoxeterSystem, J: frozenset[int],
               x_word: Sequence[int], e_bits: Sequence[int],
               y_word: Sequence[int], f_bits: Sequence[int]) -> DoubleLeafRecipe:
     """Double leaf: the light-leaf for (x_, e) glued to the light-leaf for
-    (y_, f)."""
-    return glue(build_sll(system, J, x_word, e_bits), build_sll(system, J, y_word, f_bits))
+    (y_, f); endpoints that differ are named as words."""
+    lower, upper = build_sll(system, J, x_word, e_bits), build_sll(system, J, y_word, f_bits)
+    if lower.target != upper.target:
+        raise EndpointMismatch(f"endpoints differ: {_fmt_word(system, lower.target)} "
+                               f"vs {_fmt_word(system, upper.target)}")
+    return glue(lower, upper)
 
 
 def glue(lower: LLRecipe, upper: LLRecipe) -> DoubleLeafRecipe:
@@ -175,7 +172,8 @@ def glue(lower: LLRecipe, upper: LLRecipe) -> DoubleLeafRecipe:
     endpoint, where both light leaves end."""
     if lower.target != upper.target:
         raise EndpointMismatch(f"endpoints differ: {lower.target} vs {upper.target}")
-    return DoubleLeafRecipe(lower, upper._replace(flipped=True), lower.target)
+    return DoubleLeafRecipe(lower, upper._replace(flipped=True), lower.target,
+                            lower.degree + upper.degree)
 
 
 # -- sweeps ---------------------------------------------------------------------
@@ -225,8 +223,6 @@ class NSStep(NamedTuple):  # an LLStep with its classical label and (u, z) block
     u_part: Word
     z_part: Word
 
-    degree = LLStep.degree  # a wall-transfer, a classical U1, has degree 0
-
 
 def build_nsll(system: CoxeterSystem, J: frozenset[int],
                word: Sequence[int], bits: Sequence[int]) -> LLRecipe:
@@ -238,6 +234,7 @@ def build_nsll(system: CoxeterSystem, J: frozenset[int],
     dec = decorate(system, J, word, bits)
     steps = []
     u: Word = IDENTITY  # canonical word of u_k
+    degree = 0
     for k, (s, d_spherical, b) in enumerate(zip(dec.word, dec.labels, dec.bits), 1):
         zw, z_after = dec.stroll[k - 1], dec.stroll[k]
         w_elem = system.mult(u, zw)
@@ -291,8 +288,9 @@ def build_nsll(system: CoxeterSystem, J: frozenset[int],
         steps.append(NSStep(k, d_spherical, pre, elementary, post, u_after + z_after,
                             classical_label=d_classical,
                             u_part=u_after, z_part=z_after))
+        degree += OP_DEGREE[elementary.partition(":")[0]]
         u = u_after
-    return LLRecipe(dec.word, dec.bits, tuple(steps), u + dec.endpoint)
+    return LLRecipe(dec.word, dec.bits, tuple(steps), u + dec.endpoint, degree)
 
 
 # -- rendering --------------------------------------------------------------------

@@ -36,7 +36,7 @@ from . import linear
 from .coxeter import IDENTITY, Word
 from .errors import InternalInconsistency, NotDivisible, PreconditionViolated
 from .hecke import HeckeAlgebra, HeckeElt
-from .laurent import LaurentPoly, ONE, V, sum_of_products
+from .laurent import LaurentPoly, ONE, V, add_products, finish, sum_of_products
 
 
 class SphericalElt(linear.Combo):
@@ -109,16 +109,20 @@ class SphericalModule:
     # -- form and embedding ---------------------------------------------------------------
 
     def phi_embed(self, a: SphericalElt) -> HeckeElt:
-        """m_x -> b_{w_J} delta_x, extended linearly (injective: the leading
-        term delta_{w_J x} of each image is distinct)."""
-        return self.algebra.multiply(self.b_wJ, HeckeElt.wrap(a.support))
+        """m_x -> b_{w_J} delta_x, extended linearly: one keyed sum of the
+        images `_phi` memoizes (injective: the leading term delta_{w_J x} of
+        each image is distinct)."""
+        raw = {}
+        for x, c in a.support.items():
+            add_products(raw, self._phi(x).support, c)
+        return HeckeElt.wrap(finish(raw))
 
     def _phi(self, x: Word) -> HeckeElt:
         """phi(m_x) = b_{w_J} delta_x, memoized per mcr."""
         got = self._phi_memo.get(x)
         if got is None:
             self._check_mcr(x)
-            got = self._phi_memo[x] = self.phi_embed(SphericalElt.wrap({x: ONE}))
+            got = self._phi_memo[x] = self.algebra.multiply(self.b_wJ, self.algebra.delta(x))
         return got
 
     def pairing(self, a: SphericalElt, b: SphericalElt) -> LaurentPoly:

@@ -18,6 +18,9 @@ the step rule `_step`, which `decorate` follows along one path.  The
 double-leaf index pairs `join` two words' decorations by endpoint; rank_poly
 sums v^{deg} over them as the form of two defect expansions (endpoint_polys,
 in M(J)), which keep their own walk as the reference the pairs are checked by.
+Each degree is summed once, where its record is built: a decoration's sdef
+by `decorate`, or from its parent's by `decorations`, and a pair's degree by
+`join`.
 """
 
 from __future__ import annotations
@@ -41,14 +44,11 @@ class Decoration(NamedTuple):
     bits: Bits
     labels: tuple[str, ...]
     stroll: tuple[Word, ...]  # z_0 .. z_n
+    sdef: int  # STEP_DEGREE summed over the labels
 
     @property
     def endpoint(self) -> Word:
         return self.stroll[-1]
-
-    @property
-    def sdef(self) -> int:
-        return sum(map(STEP_DEGREE.__getitem__, self.labels))
 
 
 def _step(system: CoxeterSystem, J: frozenset[int], z: Word, s: int) -> tuple[str, Word]:
@@ -66,13 +66,15 @@ def decorate(system: CoxeterSystem, J: frozenset[int],
     if len(word) != len(bits) or any(b not in (0, 1) for b in bits):
         raise WordMismatch("bits must be a 0/1 sequence matching the word length")
     system.check_letters(word)
+    system.check_letters(J)
     stroll = [IDENTITY]
     labels = []
     for s, b in zip(word, bits):
         letter, up = _step(system, J, stroll[-1], s)
         labels.append(f"{letter}{b}")
         stroll.append(up if b else stroll[-1])
-    return Decoration(word, bits, tuple(labels), tuple(stroll))
+    return Decoration(word, bits, tuple(labels), tuple(stroll),
+                      sum(map(STEP_DEGREE.__getitem__, labels)))
 
 
 def decorations(system: CoxeterSystem, J: frozenset[int],
@@ -82,12 +84,15 @@ def decorations(system: CoxeterSystem, J: frozenset[int],
     before its bit-1 children, so the new bit is the most significant."""
     word = tuple(word)
     system.check_letters(word)
-    nodes = [Decoration(word, (), (), (IDENTITY,))]
+    system.check_letters(J)
+    nodes = [Decoration(word, (), (), (IDENTITY,), 0)]
     for s in word:
         steps = [_step(system, J, dec.endpoint, s) for dec in nodes]
-        nodes = [Decoration(word, dec.bits + (b,), dec.labels + (f"{letter}{b}",),
-                            dec.stroll + (up if b else dec.endpoint,))
-                 for b in (0, 1) for dec, (letter, up) in zip(nodes, steps)]
+        nodes = [Decoration(word, dec.bits + (b,), dec.labels + (label,),
+                            dec.stroll + (up if b else dec.endpoint,),
+                            dec.sdef + STEP_DEGREE[label])
+                 for b in (0, 1) for dec, (letter, up) in zip(nodes, steps)
+                 for label in (f"{letter}{b}",)]
     return nodes
 
 
@@ -129,14 +134,11 @@ def pair_preceq(system: CoxeterSystem, J: frozenset[int],
 class DoubleLeafPair(NamedTuple):
     e: Decoration
     f: Decoration
+    degree: int  # e.sdef + f.sdef
 
     @property
     def endpoint(self) -> Word:
         return self.e.endpoint
-
-    @property
-    def degree(self) -> int:
-        return self.e.sdef + self.f.sdef
 
 
 def join(xs: Sequence[Decoration], ys: Sequence[Decoration]) -> list[DoubleLeafPair]:
@@ -144,7 +146,8 @@ def join(xs: Sequence[Decoration], ys: Sequence[Decoration]) -> list[DoubleLeafP
     by_end: dict[Word, list[Decoration]] = {}
     for f in ys:
         by_end.setdefault(f.endpoint, []).append(f)
-    return [DoubleLeafPair(e, f) for e in xs for f in by_end.get(e.endpoint, ())]
+    return [DoubleLeafPair(e, f, e.sdef + f.sdef)
+            for e in xs for f in by_end.get(e.endpoint, ())]
 
 
 def double_leaf_index(system: CoxeterSystem, J: frozenset[int],
@@ -164,6 +167,7 @@ def endpoint_polys(system: CoxeterSystem, J: frozenset[int],
     module action that `strolls/defect-expansion` checks it against; the 2^n
     leaves are counted by end and defect."""
     system.check_letters(word)
+    system.check_letters(J)
     nodes = [(IDENTITY, 0)]
     for s in word:
         nxt = []

@@ -27,7 +27,7 @@ from typing import Callable, Iterable, Iterator, NamedTuple
 
 from . import strolls
 from .coxeter import CoxeterSystem, Word
-from .errors import BudgetExceeded, HeckesphereError
+from .errors import BudgetExceeded, HeckesphereError, PreconditionViolated
 from .hecke import HeckeAlgebra, HeckeElt
 from .laurent import LaurentPoly, ONE
 from .lightleaf import NSStep, build_nsll, build_sll, find_sweep, glue
@@ -549,5 +549,9 @@ SUITES: dict[str, list[tuple[str, Check]]] = {
 
 
 def run_suites(system: CoxeterSystem, names: Iterable[str]) -> list[CheckResult]:
+    names = list(names)
+    for name in names:
+        if name not in SUITES:
+            raise PreconditionViolated(f"unknown suite {name!r}; known: {', '.join(SUITES)}")
     run = Run(system)
     return [run.check(suite, name, fn) for suite in names for name, fn in SUITES[suite]]

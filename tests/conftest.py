@@ -13,6 +13,10 @@ H4 = CoxeterMatrix(("s", "t", "u", "v"),
 F4 = CoxeterMatrix(("s", "t", "u", "v"),
                    ((1, 3, 2, 2), (3, 1, 4, 2), (2, 4, 1, 3), (2, 2, 3, 1)))
 
+# (system fixture, longest word): the domain on which each stored degree is
+# checked against its definition, every finitary J included.
+DEGREE_COVER = [("a2", 4), ("b2", 4), ("a3", 3), ("b3", 3), ("h3", 3)]
+
 
 @pytest.fixture(scope="session")
 def affine_a2():

@@ -109,6 +109,11 @@ class TestLightleaf:
                            "-x", "t", "--bits", "1", "-y", "t", "--bits2", "0")
         assert code == 4 and "endpoint" in err
 
+    def test_sdl_endpoint_mismatch_names_the_endpoints_as_words(self, capsys):
+        code, out, err = run(capsys, "sdl", "--system", "a2", "--J", "s",
+                             "-x", "s", "--bits", "1", "-y", "t", "--bits2", "1")
+        assert (code, out, err) == (4, "", "endpoint mismatch: endpoints differ: e vs t\n")
+
     def test_nsll(self, capsys, a2_file):
         code, out, _ = run(capsys, "nsll", "--system", a2_file, "--J", "s",
                            "-x", "tst", "--bits", "111")

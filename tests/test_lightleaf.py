@@ -8,12 +8,14 @@ from heckesphere import catalog, lightleaf, strolls, verify
 from heckesphere.coxeter import IDENTITY, CoxeterSystem, RexMove
 from heckesphere.errors import (
     EndpointMismatch,
+    InvalidMatrix,
     PreconditionViolated,
     TargetMismatch,
     WordMismatch,
 )
 from heckesphere.lightleaf import (
     NSStep,
+    OP_DEGREE,
     build_nsll,
     build_sdl,
     build_sll,
@@ -22,6 +24,8 @@ from heckesphere.lightleaf import (
     recipe_to_json,
     render,
 )
+
+from conftest import DEGREE_COVER
 
 S, T, U = 0, 1, 2
 J_S = frozenset({S})
@@ -310,6 +314,44 @@ def test_recipes_match_recorded_digest(a2, b2, a3):
     assert kinds == {("U1", "U1"), ("U0", "U0"), ("D0", "D0"), ("D1", "D1"),
                      ("X0", "U0"), ("X1", "U1"), ("X1", "D1"), ("X0", "D0")}
     assert digest.hexdigest() == RECIPES_SHA256
+
+
+@pytest.mark.parametrize("build", [build_sll, build_nsll])
+@pytest.mark.parametrize("name,max_len", DEGREE_COVER)
+def test_a_recipe_degree_sums_its_operations(request, name, max_len, build):
+    system = request.getfixturevalue(name)
+    for J in verify.finitary_subsets(system):
+        for word in _words(system, max_len):
+            for bits in strolls.subexpressions(len(word)):
+                recipe = build(system, J, word, bits)
+                assert recipe.degree == sum(
+                    OP_DEGREE[st.elementary.partition(":")[0]] for st in recipe.steps)
+
+
+@pytest.mark.parametrize("name,max_len", DEGREE_COVER)
+def test_a_double_leaf_degree_adds_its_halves(request, name, max_len):
+    """Each light leaf glued to and under the first leaf of its (J, endpoint)."""
+    system = request.getfixturevalue(name)
+    first = {}
+    for J in verify.finitary_subsets(system):
+        for word in _words(system, max_len):
+            for bits in strolls.subexpressions(len(word)):
+                leaf = build_sll(system, J, word, bits)
+                other = first.setdefault((J, leaf.target), leaf)
+                for lower, upper in ((leaf, other), (other, leaf)):
+                    dl = lightleaf.glue(lower, upper)
+                    assert dl.degree == lower.degree + upper.degree
+                    assert dl.upper.flipped and dl.upper.degree == upper.degree
+
+
+@pytest.mark.parametrize("build", [
+    lambda a2, J: build_sll(a2, J, (T,), (1,)),
+    lambda a2, J: build_nsll(a2, J, (T,), (1,)),
+    lambda a2, J: build_sdl(a2, J, (T,), (1,), (T,), (1,)),
+], ids=["sll", "nsll", "sdl"])
+def test_a_J_letter_outside_S_is_rejected(a2, build):
+    with pytest.raises(InvalidMatrix, match="letter 7"):
+        build(a2, frozenset({S, 7}))
 
 
 def test_nsll_z_block_is_the_spherical_stroll(a2, b2, a3):

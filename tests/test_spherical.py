@@ -316,6 +316,10 @@ class TestPhi:
         got = mod_a2_s.phi_embed(mod_a2_s.m((T,)))
         assert got == HeckeElt({(S, T): ONE, (T,): V})
 
+    def test_a_key_that_is_not_an_mcr_is_rejected(self, mod_a2_s):
+        with pytest.raises(PreconditionViolated, match="not a minimal coset representative"):
+            mod_a2_s.phi_embed(SphericalElt({(S,): ONE}))
+
     def test_equivariance_instance(self, mod_a2_s, a2_algebra):
         alg = a2_algebra
         lhs = mod_a2_s.phi_embed(mod_a2_s.act_bs(mod_a2_s.unit(), S))

@@ -12,7 +12,7 @@ from heckesphere.laurent import LaurentPoly, ONE, V, VINV
 from heckesphere.spherical import SphericalElt, SphericalModule
 from heckesphere.verify import finitary_subsets
 
-from conftest import AFFINE_A2
+from conftest import AFFINE_A2, DEGREE_COVER
 
 S, T = 0, 1
 J_S = frozenset({S})
@@ -199,6 +199,17 @@ class TestEndpointWalk:
             with pytest.raises(InvalidMatrix, match="letter 2"):
                 strolls.decorations(system, frozenset(), word)
 
+    @pytest.mark.parametrize("call", [
+        lambda a2, J: strolls.decorate(a2, J, (S,), (1,)),
+        lambda a2, J: strolls.decorations(a2, J, (S,)),
+        lambda a2, J: strolls.endpoint_polys(a2, J, (S,)),
+        lambda a2, J: strolls.rank_poly(a2, J, (S,), (S,)),
+        lambda a2, J: strolls.double_leaf_index(a2, J, (S,), (S,)),
+    ], ids=["decorate", "decorations", "endpoint_polys", "rank_poly", "double_leaf_index"])
+    def test_a_J_letter_outside_S_is_rejected(self, a2, call):
+        with pytest.raises(InvalidMatrix, match="letter 7"):
+            call(a2, frozenset({S, 7}))
+
     def test_a_stroll_past_the_budget_fails_as_a_decoration_does(self, inf_dihedral):
         # Budget 8: a stroll of nine up-steps leaves the ball.
         rng = random.Random(0)
@@ -222,6 +233,22 @@ class TestEndpointWalk:
                         inf_dihedral, J, word)
                     outcomes.add("fits")
         assert outcomes == {"raises", "fits"}
+
+
+@pytest.mark.parametrize("name,max_len", DEGREE_COVER)
+def test_each_stored_degree_is_its_definition(request, name, max_len):
+    """A decoration's sdef sums STEP_DEGREE over its labels, from `decorate`
+    and from `decorations`; a pair's degree is the sum of its two sdefs."""
+    system = request.getfixturevalue(name)
+    letters = range(system.matrix.rank)
+    for J in finitary_subsets(system):
+        for n in range(max_len + 1):
+            for word in itertools.product(letters, repeat=n):
+                decs = strolls.decorations(system, J, word)
+                for dec in decs + every_decoration(system, J, word):
+                    assert dec.sdef == sum(strolls.STEP_DEGREE[lbl] for lbl in dec.labels)
+                for pair in strolls.join(decs, decs):
+                    assert pair.degree == pair.e.sdef + pair.f.sdef
 
 
 def per_bits_products(system, word):

@@ -7,6 +7,15 @@ from heckesphere.coxeter import CoxeterSystem
 from heckesphere.errors import InternalInconsistency, PreconditionViolated
 
 
+def test_an_unknown_suite_is_rejected_before_any_check_runs(monkeypatch, a2):
+    ran = []
+    monkeypatch.setattr(verify.Run, "check", lambda self, *args: ran.append(args))
+    with pytest.raises(PreconditionViolated,
+                       match="unknown suite 'nope'; known: hecke, spherical, strolls, lightleaf"):
+        verify.run_suites(a2, ["strolls", "nope"])
+    assert ran == []
+
+
 def test_a_case_past_the_budget_is_skipped(inf_dihedral):
     def check(run):
         for n in range(12):
