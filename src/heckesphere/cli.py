@@ -16,8 +16,8 @@ Subcommands:
 sdl and nsll print text or json; verify prints text.  Any other value, and
 any unknown --suite, exits 2, as does sll without exactly one of --bits and
 --all, nsll without --bits, and sdl without --bits and --bits2.  Every
-subcommand but verify builds its JSON document, its text and, where csv is
-accepted, its rows, and `_emit` prints the one --format asks for.
+subcommand builds its text and, where it accepts json or csv, its JSON
+document or its rows, and `_emit` prints the one --format asks for.
 
 Exit codes: 0 success (an EMPTY check is not a failure), 1 verification
 failure, 2 parse/configuration error, 3 length budget exceeded, 4 endpoint
@@ -176,16 +176,16 @@ def cmd_nsll(args, system: CoxeterSystem) -> int:
 
 def cmd_verify(args, system: CoxeterSystem) -> int:
     names = list(verify.SUITES) if "all" in args.suite else args.suite
-    failed = False
-    for res in verify.run_suites(system, names):
-        print(f"{res.status} {res.suite}/{res.name}")
+    results = verify.run_suites(system, names)
+    lines = []
+    for res in results:
+        lines.append(f"{res.status} {res.suite}/{res.name}")
         if res.status == "FAIL":
-            failed = True
-            for msg in res.failures[:5]:
-                print(f"  counterexample: {msg}")
+            lines += [f"  counterexample: {msg}" for msg in res.failures[:5]]
             if len(res.failures) > 5:
-                print(f"  ... and {len(res.failures) - 5} more")
-    return 1 if failed else 0
+                lines.append(f"  ... and {len(res.failures) - 5} more")
+    _emit(args, None, "\n".join(lines))
+    return 1 if any(res.status == "FAIL" for res in results) else 0
 
 
 @functools.cache

@@ -230,6 +230,11 @@ class CoxeterSystem:
             if not 0 <= s < self.matrix.rank:
                 raise InvalidMatrix(f"letter {s} out of range")
 
+    def check_J(self, J: Iterable[int]):
+        for s in sorted(J):
+            if not 0 <= s < self.matrix.rank:
+                raise InvalidMatrix(f"J={sorted(J)}: letter {s} out of range")
+
     def right_mult(self, w: Word, s: int) -> Word:
         """Canonical word of w*s."""
         out = self._elems[w].right_mult.get(s)
@@ -372,7 +377,7 @@ class CoxeterSystem:
         J = frozenset(J)
         if J in self._parabolic_memo:
             return self._parabolic_memo[J]
-        self.check_letters(sorted(J))
+        self.check_J(J)
         seen = {IDENTITY}
         frontier = [IDENTITY]
         while frontier:
@@ -398,6 +403,11 @@ class CoxeterSystem:
         """True iff w is the minimal representative of its coset W_J w."""
         return J.isdisjoint(self.left_descents(w))
 
+    def check_mcr(self, w: Word, J: frozenset[int]):
+        if not self.is_mcr(w, J):
+            raise PreconditionViolated(
+                f"{w} is not a minimal coset representative for J={sorted(J)}")
+
     def min_coset_reps(self, J: Iterable[int], max_length: int | None = None) -> list[Word]:
         J = frozenset(J)
         return [w for w in self.elements(max_length) if self.is_mcr(w, J)]
@@ -421,8 +431,7 @@ class CoxeterSystem:
 
     def wall_cross(self, z: Word, s: int, J: frozenset[int]) -> int:
         """The unique t in J with z*s = t*z, for z an m.c.r. with z*s not one."""
-        if not self.is_mcr(z, J):
-            raise PreconditionViolated(f"{z} is not a minimal coset representative")
+        self.check_mcr(z, J)
         zs = self.right_mult(z, s)
         if self.is_mcr(zs, J):
             raise PreconditionViolated(f"z*s stays a minimal coset representative")

@@ -63,10 +63,15 @@ class HeckeAlgebra:
     # -- Kazhdan-Lusztig basis -----------------------------------------------------
 
     def kl_basis(self, x: Word) -> HeckeElt:
+        """b_x, memoized along x's prefixes, shortest first, so that the
+        recursion on xs finds its element stored however long x is."""
         got = self._kl_memo.get(x)
         if got is None:
-            got = linear.kl_step(self.system, NO_J, x, self.kl_basis, "KL")
-            self._kl_memo[x] = got
+            for n in range(1, len(x) + 1):
+                if x[:n] not in self._kl_memo:
+                    self._kl_memo[x[:n]] = linear.kl_step(self.system, NO_J, x[:n],
+                                                          self.kl_basis, "KL")
+            got = self._kl_memo[x]
         return got
 
     # -- trace, anti-involution, bilinear form -----------------------------------------

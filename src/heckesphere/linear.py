@@ -7,7 +7,8 @@ coefficients.  Its subclass names the basis, `HeckeElt` (delta_x) or
 indexed by ^J W (the algebra is J = {}); over it, one walk of the prefix
 tree of a set of words y yields each a * delta_y: `prefix_tree_product`
 sums them into a * b, and `trace_walk` reads each at the identity alone,
-dropping before each step the terms it would land too long to reach it;
+dropping before each step the terms it would land too long to reach it
+under any key the new node serves, which it reads from the sorted keys;
 `bar` is the memoized bar involution.  `kl_step` is the one Kazhdan-Lusztig
 recursion, for the algebra's basis b_x and every module's basis c_x: the
 element below times b_s, mu-corrected by `kl_correct`.
@@ -175,24 +176,6 @@ def _shared_prefixes(keys: list[Word]) -> list[int]:
     return out
 
 
-def _longest_below(keys: list[Word]) -> list[list[int]]:
-    """For each sorted key y, [R(y[:j]) for j in 0..len(y)], where R(p) is the
-    length of the longest key that starts with p.  Keys that share a prefix
-    are contiguous in sorted order, so one backward pass carries R from each
-    key to the one before it: the prefixes they share gain the earlier key,
-    the others are new."""
-    shared = _shared_prefixes(keys)
-    out = []
-    longest: list[int] = []
-    k = -1  # no later key, so no prefix is shared with one
-    for i in range(len(keys) - 1, -1, -1):
-        n = len(keys[i])
-        longest = [max(r, n) for r in longest[:k + 1]] + [n] * (n - k)
-        out.append(longest)
-        k = shared[i]
-    return out[::-1]
-
-
 def _landing_within(system: CoxeterSystem, a: Combo, s: int, r: int) -> Combo:
     """The terms x of a, in the algebra, whose step along s lands no longer than r."""
     return a.wrap({x: c for x, c in a.support.items()
@@ -200,18 +183,26 @@ def _landing_within(system: CoxeterSystem, a: Combo, s: int, r: int) -> Combo:
 
 
 def _prefix_walk(system: CoxeterSystem, J: frozenset[int], a: Combo, keys: list[Word],
-                 cut: Callable[[int, int], int] | None = None) -> Iterator[tuple[Word, Combo]]:
+                 trace: bool = False) -> Iterator[tuple[Word, Combo]]:
     """(y, a * delta_y) for each of the sorted reduced words `keys`, walking
     their prefix tree depth first: path[k] = a * delta_{y[:k]} is cut back to
     the prefix y shares with the key before and extended one step per new
-    letter, so each prefix product is computed once.  With `cut`, the step
-    along y[k] of key i first drops the terms it lands longer than cut(i, k)."""
+    letter, so each prefix product is computed once.  With `trace`, the step
+    along y[k] of key i first drops the terms it lands longer than R - k - 1,
+    R the length of the longest key that starts with y[:k + 1]: key i, the
+    first such key as it builds that node, and the keys after it while each
+    shares more than k letters with the one before."""
     shared = _shared_prefixes(keys)
     path = [a]
     for i, y in enumerate(keys):
         del path[shared[i] + 1:]
         for k in range(shared[i], len(y)):
-            node = path[-1] if cut is None else _landing_within(system, path[-1], y[k], cut(i, k))
+            node = path[-1]
+            if trace:
+                reach, j = len(y), i + 1
+                while j < len(keys) and shared[j] > k:
+                    reach, j = max(reach, len(keys[j])), j + 1
+                node = _landing_within(system, node, y[k], reach - k - 1)
             path.append(delta_step(system, J, node, y[k]))
         yield y, path[-1]
 
@@ -232,13 +223,12 @@ def trace_walk(system: CoxeterSystem, a: Combo, keys: Iterable[Word]) -> Combo:
     when b's keys are among them.
 
     The step along s = y[k] moves a term x to xs, one shorter exactly at a
-    right descent s; a term landing longer than R(y[:k + 1]) - k - 1, R(p)
-    the longest key that starts with p, reaches the identity under no key
-    and is dropped first.  So no term passes the longest key, and a walk
-    whose a and keys lie in the ball never leaves it."""
-    keys = sorted(keys)
-    longest = _longest_below(keys)
-    walk = _prefix_walk(system, frozenset(), a, keys, lambda i, k: longest[i][k + 1] - k - 1)
+    right descent s; a term landing longer than R - k - 1, R the length of
+    the longest key that starts with y[:k + 1], reaches the identity under
+    no key and is dropped first (`_prefix_walk` with `trace`).  So no term
+    passes the longest key, and a walk whose a and keys lie in the ball
+    never leaves it."""
+    walk = _prefix_walk(system, frozenset(), a, sorted(keys), trace=True)
     return a.wrap({y: node.support[IDENTITY] for y, node in walk if IDENTITY in node.support})
 
 
@@ -251,10 +241,7 @@ def bar(system: CoxeterSystem, J: frozenset[int], memo: dict[Word, Combo],
     raw = {}
     for x, c in a.support.items():
         if x not in memo:
-            if not system.is_mcr(x, J):
-                raise PreconditionViolated(
-                    f"{x} is not a minimal coset representative for J={sorted(J)}"
-                )
+            system.check_mcr(x, J)
             for n in range(1, len(x) + 1):
                 if x[:n] not in memo:
                     memo[x[:n]] = step_plus(system, J, memo[x[:n - 1]], x[n - 1], V - VINV)

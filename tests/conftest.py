@@ -1,3 +1,6 @@
+import contextlib
+import sys
+
 import pytest
 
 from heckesphere import catalog
@@ -12,6 +15,23 @@ H4 = CoxeterMatrix(("s", "t", "u", "v"),
                    ((1, 5, 2, 2), (5, 1, 3, 2), (2, 3, 1, 3), (2, 2, 3, 1)))
 F4 = CoxeterMatrix(("s", "t", "u", "v"),
                    ((1, 3, 2, 2), (3, 1, 4, 2), (2, 4, 1, 3), (2, 2, 3, 1)))
+
+
+@contextlib.contextmanager
+def shallow_stack(headroom=100):
+    """Run the block with the recursion limit `headroom` frames above the
+    caller's stack depth, so that a call recursing once per letter of a long
+    word raises RecursionError; the old limit is restored afterwards."""
+    depth, frame = 0, sys._getframe()
+    while frame is not None:
+        depth, frame = depth + 1, frame.f_back
+    old = sys.getrecursionlimit()
+    sys.setrecursionlimit(depth + headroom)
+    try:
+        yield
+    finally:
+        sys.setrecursionlimit(old)
+
 
 # (system fixture, longest word): the domain on which each stored degree is
 # checked against its definition, every finitary J included.

@@ -219,7 +219,7 @@ class TestWallCross:
 
     def test_preconditions(self, a2):
         J = frozenset({S})
-        with pytest.raises(PreconditionViolated):
+        with pytest.raises(PreconditionViolated, match=r"for J=\[0\]"):
             a2.wall_cross((S,), T, J)  # s is not an mcr
         with pytest.raises(PreconditionViolated):
             a2.wall_cross((T,), S, J)  # ts stays an mcr

@@ -12,7 +12,7 @@ from heckesphere.laurent import LaurentPoly, ONE, V, VINV, ZERO
 from heckesphere.spherical import SphericalElt, SphericalModule
 from heckesphere.verify import finitary_subsets
 
-from conftest import AFFINE_A2
+from conftest import AFFINE_A2, shallow_stack
 
 S, T = 0, 1
 
@@ -67,6 +67,17 @@ class TestBar:
 class TestKLBasis:
     def test_identity(self, a2_algebra):
         assert a2_algebra.kl_basis(IDENTITY) == a2_algebra.unit()
+
+    def test_a_long_word_takes_no_frame_per_letter(self):
+        # The memo fills along x's prefixes, so the recursion on xs finds b_xs
+        # stored; a frame per letter would pass the limit.  In the infinite
+        # dihedral group every P_{y,x} is 1: b_x = sum_{y <= x} v^{l(x)-l(y)} delta_y.
+        system = CoxeterSystem(catalog.INF_DIHEDRAL, 400)
+        x = (S, T) * 50
+        with shallow_stack():
+            got = HeckeAlgebra(system).kl_basis(x)
+        below = system.elements(len(x) - 1) + [x]
+        assert got == HeckeElt({y: LaurentPoly.monomial(len(x) - len(y)) for y in below})
 
     def test_simple(self, a2_algebra):
         assert a2_algebra.kl_basis((S,)) == a2_algebra.b_s(S)
@@ -468,6 +479,16 @@ class TestTraceOnlyProduct:
         for x in ball:
             assert linear.trace_walk(system, alg.delta(system.inverse(x)), ball) == alg.delta(x)
 
+    def test_the_walk_takes_no_frame_per_letter(self):
+        system = CoxeterSystem(catalog.INF_DIHEDRAL, 400)
+        alg = HeckeAlgebra(system)
+        x = (S, T) * 100
+        with shallow_stack():
+            assert alg.pairing_trace(alg.delta(x), alg.delta(x)) == ONE
+            got = alg.multiply(alg.delta(x[:3]), alg.delta(x))
+            assert got == alg.multiply(alg.delta(x[:1]), alg.multiply(alg.delta(x[1:3]),
+                                                                       alg.delta(x)))
+
     def test_a_node_keeps_what_its_longest_key_needs(self, a2_algebra):
         # The keys s and st share the node s.  delta_ts * delta_s = delta_t +
         # (v^-1 - v) delta_ts; cut by the length of s alone the node would
@@ -477,3 +498,8 @@ class TestTraceOnlyProduct:
         assert alg.pairing_trace(alg.delta((S, T)), b) == ONE
         assert alg.pairing_trace(alg.delta((S,)), b) == ONE
         assert alg.pairing_trace(alg.delta((T,)), b) == ZERO
+        # With sts the node s serves three keys, and its longest is two keys
+        # on: read from st alone, the node would lose what sts needs.
+        b = HeckeElt({(S,): ONE, (S, T): ONE, (S, T, S): ONE})
+        for x, want in (((S,), ONE), ((S, T), ONE), ((T, S), ZERO), ((S, T, S), ONE)):
+            assert alg.pairing_trace(alg.delta(x), b) == want, x

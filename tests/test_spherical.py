@@ -6,14 +6,14 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from heckesphere.coxeter import IDENTITY, CoxeterSystem
-from heckesphere import linear
+from heckesphere import catalog, linear
 from heckesphere.errors import InternalInconsistency, InvalidMatrix, PreconditionViolated
 from heckesphere.hecke import HeckeAlgebra, HeckeElt
 from heckesphere.laurent import LaurentPoly, ONE, V, VINV, ZERO
 from heckesphere.spherical import SphericalElt, SphericalModule
 from heckesphere.verify import finitary_subsets
 
-from conftest import AFFINE_A2
+from conftest import AFFINE_A2, shallow_stack
 
 S, T = 0, 1
 
@@ -58,8 +58,8 @@ class TestAction:
     def test_a_letter_out_of_range_is_rejected(self, mod_a2_s, a2_algebra):
         with pytest.raises(InvalidMatrix, match="letter 5"):
             mod_a2_s.act_bs(mod_a2_s.m((T,)), 5)
-        with pytest.raises(InvalidMatrix, match="letter 5"):
-            SphericalModule(a2_algebra, {5})
+        with pytest.raises(InvalidMatrix, match=r"^J=\[7\]: letter 7 out of range$"):
+            SphericalModule(a2_algebra, {7})
 
 
 class TestBar:
@@ -107,6 +107,22 @@ class TestKLC:
     def test_c_ts(self, mod_a2_s):
         want = SphericalElt({(T, S): ONE, (T,): V, IDENTITY: V * V})
         assert mod_a2_s.kl_c((T, S)) == want
+
+    def test_a_long_word_takes_no_frame_per_letter(self):
+        # In the infinite dihedral group c_x = sum over mcrs y <= x of v^{l(x)-l(y)} m_y.
+        system = CoxeterSystem(catalog.INF_DIHEDRAL, 400)
+        x = (T, S) * 50
+        with shallow_stack():
+            got = SphericalModule(HeckeAlgebra(system), {S}).kl_c(x)
+        assert got == SphericalElt({y: LaurentPoly.monomial(len(x) - len(y))
+                                    for y in system.min_coset_reps({S}, len(x))})
+
+    def test_no_prefix_that_fails_self_duality_is_stored(self, a2, monkeypatch):
+        mod = SphericalModule(HeckeAlgebra(a2), {S})
+        monkeypatch.setattr(mod, "bar", lambda a: a + a if (T,) in a.support else a)
+        with pytest.raises(InternalInconsistency, match=r"c_\(1,\) is not self-dual"):
+            mod.kl_c((T, S))
+        assert list(mod._kl_memo) == [IDENTITY]
 
     @pytest.mark.parametrize("basis", ["hecke", "spherical"])
     def test_skipped_correction_is_caught(self, a2, monkeypatch, basis):
