@@ -7,15 +7,17 @@ reach a layer: each layer depends only on the layers below it, so a call
 pays for the longest element it touches, not for the whole ball.  A lookup
 of a word, a product w*s, `elements`, `is_finite` and the W_J search of
 `parabolic` are where that growth happens.  Besides w*s for every
-generator s, each element keeps its inverse and, for every pair {s, t}, the
-length of the W_{s,t} factor in its decomposition w = w^{st} w_{st} (w^{st}
-minimal in the coset w W_{s,t}).  Those lengths solve the word problem
-without searching: for x = w*s one layer up, t != s is a right descent of x
-exactly when the factor length of w for {s, t} is m_st - 1 (du Cloux's
-parabolic transducer, restricted to rank-2 parabolics).  Reduced words, rex
-graphs and rex moves are generated on demand by breadth-first search over
-braid moves.  No geometric representation is used, so arbitrary Coxeter
-matrices (including infinite entries, encoded as 0) are supported uniformly.
+generator s, each element keeps its inverse, set as it is added from the
+inverse of wd one layer down (d its least right descent), and, for every
+pair {s, t}, the length of the W_{s,t} factor in its decomposition
+w = w^{st} w_{st} (w^{st} minimal in the coset w W_{s,t}).  Those lengths
+solve the word problem without searching: for x = w*s one layer up, t != s
+is a right descent of x exactly when the factor length of w for {s, t} is
+m_st - 1 (du Cloux's parabolic transducer, restricted to rank-2
+parabolics).  Reduced words, rex graphs and rex moves are generated on
+demand by breadth-first search over braid moves.  No geometric
+representation is used, so arbitrary Coxeter matrices (including infinite
+entries, encoded as 0) are supported uniformly.
 """
 
 from __future__ import annotations
@@ -54,6 +56,8 @@ class CoxeterMatrix(_MatrixFields):
             raise InvalidMatrix("generator names must be nonempty and distinct")
         if len(m) != n or any(len(row) != n for row in m):
             raise InvalidMatrix("matrix shape does not match generator count")
+        if any(type(x) is not int for row in m for x in row):
+            raise InvalidMatrix("matrix entries must be integers")
         for i in range(n):
             if m[i][i] != 1:
                 raise InvalidMatrix("diagonal entries must be 1")
@@ -81,8 +85,8 @@ class CoxeterMatrix(_MatrixFields):
     def from_json(cls, data: dict) -> "CoxeterMatrix":
         try:
             gens = tuple(str(g) for g in data["generators"])
-            m = tuple(tuple(int(x) for x in row) for row in data["m"])
-        except (KeyError, TypeError, ValueError) as exc:
+            m = tuple(tuple(row) for row in data["m"])
+        except (KeyError, TypeError) as exc:
             raise InvalidMatrix(f"malformed matrix data: {exc}") from exc
         return cls(gens, m)
 
@@ -100,14 +104,14 @@ class ParabolicData(NamedTuple):
 
 
 class _ElemData:
-    # factor[s * rank + t]: length of the W_{s,t} factor of the element;
-    # descents: its right descents.
-    __slots__ = ("factor", "right_mult", "descents", "inverse")
+    # word: the element's key in the table; factor[s * rank + t]: length of
+    # the W_{s,t} factor of the element; descents: its right descents.
+    __slots__ = ("word", "factor", "right_mult", "descents", "inverse")
 
-    def __init__(self, factor: tuple[int, ...], right_mult: dict[int, Word],
-                 descents: frozenset[int]):
-        self.factor, self.right_mult, self.descents = factor, right_mult, descents
-        self.inverse: Word = IDENTITY
+    def __init__(self, word: Word, factor: tuple[int, ...], right_mult: dict[int, Word],
+                 descents: frozenset[int], inverse: Word):
+        self.word, self.factor, self.right_mult = word, factor, right_mult
+        self.descents, self.inverse = descents, inverse
 
 
 class _Table(dict):
@@ -154,7 +158,8 @@ class CoxeterSystem:
         self.matrix = matrix
         self.budget = length_budget
         self._elems: dict[Word, _ElemData] = _Table(self)
-        self._elems[IDENTITY] = _ElemData((0,) * matrix.rank ** 2, {}, frozenset())
+        self._elems[IDENTITY] = _ElemData(IDENTITY, (0,) * matrix.rank ** 2, {}, frozenset(),
+                                          IDENTITY)
         self._layers: list[list[Word]] = [[IDENTITY]]
         self._closed = False  # the top layer is the longest element
         self._bruhat_memo: dict[tuple[Word, Word], bool] = {}
@@ -177,12 +182,12 @@ class CoxeterSystem:
                         layer.append(self._add_product(w, s))
             layer.sort()
             self._layers.append(layer)
-            for x in layer:
-                self._elems[x].inverse = self.mult(IDENTITY, x[::-1])
             self._closed = all(len(self._elems[x].descents) == n for x in layer)
 
     def _add_product(self, w: Word, s: int) -> Word:
-        """Add x = w*s, one layer above w, with all of its right descents."""
+        """Add x = w*s, one layer above w, with all of its right descents and
+        its inverse: the least right descent d of x is the least left descent
+        of x^-1, the first letter of its ShortLex word, so x^-1 = d (xd)^-1."""
         n = self.matrix.rank
         factor = self._elems[w].factor
         down = {s: w}  # right descent d of x -> x*d
@@ -200,7 +205,11 @@ class CoxeterSystem:
                 d = a if a in down else b if b in down else None
                 if a != b and d is not None:
                     grown[a * n + b] = self._elems[down[d]].factor[a * n + b] + 1
-        self._elems[x] = _ElemData(tuple(grown), down, frozenset(down))
+        d = min(down)
+        inv = (d,) + self._elems[down[d]].inverse
+        if inv in self._elems:  # x^-1 came first in this layer: share its two tuples
+            x, inv = self._elems[inv].inverse, self._elems[inv].word
+        self._elems[x] = _ElemData(x, tuple(grown), down, frozenset(down), inv)
         for d, u in down.items():
             self._elems[u].right_mult[d] = x
         return x
@@ -282,22 +291,28 @@ class CoxeterSystem:
     # -- Bruhat order ----------------------------------------------------------
 
     def bruhat_leq(self, x: Word, y: Word) -> bool:
-        """x <= y in Bruhat order, by the lifting-property recursion."""
-        if len(x) > len(y):
-            return False
-        if x == y or not x:
-            return True
-        key = (x, y)
+        """x <= y in Bruhat order, by the lifting property along y's letters:
+        with s = y[0], a left descent of y (its canonical word starts with
+        one), x <= y iff sx <= sy when s is a left descent of x, and iff
+        x <= sy otherwise.  One loop, so a long y does not recurse; the
+        answer is memoized at every pair the walk passed."""
+        if len(x) > len(y) or not x or x == y:  # most calls: no walk to set up
+            return len(x) <= len(y)
         memo = self._bruhat_memo
-        if key in memo:
-            return memo[key]
-        s = y[0]  # left descent of y (canonical word starts with one)
-        sy = self.left_mult(s, y)
-        if s in self.left_descents(x):
-            out = self.bruhat_leq(self.left_mult(s, x), sy)
-        else:
-            out = self.bruhat_leq(x, sy)
-        memo[key] = out
+        passed = []
+        while len(x) <= len(y) and x and x != y:
+            out = memo.get((x, y))
+            if out is not None:
+                break
+            passed.append((x, y))
+            s = y[0]
+            if s in self.left_descents(x):
+                x = self.left_mult(s, x)
+            y = self.left_mult(s, y)
+        else:  # x is longer than y (False), the identity or y (True)
+            out = len(x) <= len(y)
+        for key in passed:
+            memo[key] = out
         return out
 
     def left_mult(self, s: int, w: Word) -> Word:

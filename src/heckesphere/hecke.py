@@ -4,11 +4,12 @@ Elements are HeckeElt, the linear.Combo over the standard basis delta_x:
 a map from group element (canonical reduced word) to nonzero LaurentPoly.
 The multiply and the bar are linear's, shared with the spherical modules
 (the algebra is J = {}): a * b walks the prefix tree of b's support, one
-generator at a time by delta_s^2 = 1 + (v^-1 - v) delta_s, and bar(delta_x)
-is memoized per x.  The trace form walks the same tree for the delta_e
-coefficient alone (linear.trace_walk).  The Kazhdan-Lusztig basis is
-linear.kl_step, the recursion b_{xs} * b_s minus mu-corrections that every
-spherical module shares; only the characterizing properties (bar-invariance,
+generator at a time by delta_s^2 = 1 + (v^-1 - v) delta_s.  The trace form
+walks the same tree for the delta_e coefficient alone (linear.trace_walk).
+The Kazhdan-Lusztig basis is linear.kl_step, the recursion b_{xs} * b_s minus
+mu-corrections that every spherical module shares.  bar(delta_x) and b_x
+are memoized by linear.along, each from its value at xs, x = (xs)s along
+x's word.  Only the characterizing properties (bar-invariance,
 unitriangularity, coefficients in vZ[v]) are asserted.  b_{w_J} is built in
 closed form and certified by |J| eigen-steps b delta_s = v^-1 b, linear in |W_J|.
 """
@@ -63,16 +64,9 @@ class HeckeAlgebra:
     # -- Kazhdan-Lusztig basis -----------------------------------------------------
 
     def kl_basis(self, x: Word) -> HeckeElt:
-        """b_x, memoized along x's prefixes, shortest first, so that the
-        recursion on xs finds its element stored however long x is."""
-        got = self._kl_memo.get(x)
-        if got is None:
-            for n in range(1, len(x) + 1):
-                if x[:n] not in self._kl_memo:
-                    self._kl_memo[x[:n]] = linear.kl_step(self.system, NO_J, x[:n],
-                                                          self.kl_basis, "KL")
-            got = self._kl_memo[x]
-        return got
+        """b_x, each from b_{xs} by linear.kl_step, memoized by linear.along."""
+        return linear.along(self.system, NO_J, self._kl_memo, x, lambda p, prev: linear.kl_step(
+            self.system, NO_J, p, prev, self.kl_basis, "KL"))
 
     # -- trace, anti-involution, bilinear form -----------------------------------------
 

@@ -8,10 +8,13 @@ indexed by ^J W (the algebra is J = {}); over it, one walk of the prefix
 tree of a set of words y yields each a * delta_y: `prefix_tree_product`
 sums them into a * b, and `trace_walk` reads each at the identity alone,
 dropping before each step the terms it would land too long to reach it
-under any key the new node serves, which it reads from the sorted keys;
-`bar` is the memoized bar involution.  `kl_step` is the one Kazhdan-Lusztig
-recursion, for the algebra's basis b_x and every module's basis c_x: the
-element below times b_s, mu-corrected by `kl_correct`.
+under any key the new node serves, which it reads from the sorted keys.
+`along` is the one fill of a memo keyed by ^J W: the value at x = x's is
+made from the one at x', prefix by prefix, shortest first.  The bar,
+Kazhdan-Lusztig and phi memos fill through it: `bar` is the bar involution,
+and `kl_step` the one Kazhdan-Lusztig recursion, for the algebra's basis b_x
+and every module's basis c_x: the element at x' times b_s, mu-corrected by
+`kl_correct`.
 
 Every sum of combinations is one keyed sum of laurent's (`add_products`,
 then `finish`), and `Combo.dot` is one `sum_of_products`; the polynomials'
@@ -232,20 +235,30 @@ def trace_walk(system: CoxeterSystem, a: Combo, keys: Iterable[Word]) -> Combo:
     return a.wrap({y: node.support[IDENTITY] for y, node in walk if IDENTITY in node.support})
 
 
+def along(system: CoxeterSystem, J: frozenset[int], memo: dict[Word, Combo], x: Word,
+          make: Callable[[Word, Combo], Combo]) -> Combo:
+    """memo[x], x in ^J W, for a memo that holds e and whose value at p is
+    make(p, memo[p[:-1]]): a miss checks that x is an mcr (PreconditionViolated)
+    and stores each prefix the memo lacks, each an mcr as x is, shortest first."""
+    got = memo.get(x)
+    if got is None:
+        system.check_mcr(x, J)
+        for n in range(1, len(x) + 1):
+            if x[:n] not in memo:
+                memo[x[:n]] = make(x[:n], memo[x[:n - 1]])
+        got = memo[x]
+    return got
+
+
 def bar(system: CoxeterSystem, J: frozenset[int], memo: dict[Word, Combo],
         a: Combo) -> Combo:
-    """The bar involution, semilinear over memo[x] = bar(e_x), which must
-    hold the identity: for x = x's along its canonical word, x' is in ^J W
-    and bar(e_x) = bar(e_{x'}) delta_s^-1 = bar(e_{x'}) (delta_s + v - v^-1).
-    A key that misses the memo and is not an mcr raises PreconditionViolated."""
+    """The bar involution, semilinear over memo[x] = bar(e_x), filled by
+    `along`: for x = x's, bar(e_x) = bar(e_{x'}) delta_s^-1 = bar(e_{x'})
+    (delta_s + v - v^-1).  A key that is not an mcr raises PreconditionViolated."""
     raw = {}
     for x, c in a.support.items():
-        if x not in memo:
-            system.check_mcr(x, J)
-            for n in range(1, len(x) + 1):
-                if x[:n] not in memo:
-                    memo[x[:n]] = step_plus(system, J, memo[x[:n - 1]], x[n - 1], V - VINV)
-        add_products(raw, memo[x].support, c.bar())
+        bx = along(system, J, memo, x, lambda p, prev: step_plus(system, J, prev, p[-1], V - VINV))
+        add_products(raw, bx.support, c.bar())
     return a.wrap(finish(raw))
 
 
@@ -269,12 +282,8 @@ def kl_correct(cand: Combo, x: Word, lower: Callable[[Word], Combo], what: str) 
     return cand
 
 
-def kl_step(system: CoxeterSystem, J: frozenset[int], x: Word,
+def kl_step(system: CoxeterSystem, J: frozenset[int], x: Word, prev: Combo,
             lower: Callable[[Word], Combo], what: str) -> Combo:
-    """The KL element at x != e from the elements below it: with s = x[-1]
-    and prev = lower(xs), the candidate prev * b_s = prev delta_s + v prev,
-    mu-corrected.  xs < x is an mcr whenever x is; a non-canonical x fails
-    the table lookup with PreconditionViolated."""
-    s = x[-1]
-    prev = lower(system.right_mult(x, s))
-    return kl_correct(step_plus(system, J, prev, s, V), x, lower, what)
+    """The KL element at x != e from prev, the one at xs, s = x[-1]: the
+    candidate prev * b_s = prev delta_s + v prev, mu-corrected by `lower`."""
+    return kl_correct(step_plus(system, J, prev, x[-1], V), x, lower, what)

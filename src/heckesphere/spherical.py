@@ -8,13 +8,15 @@ one the algebra uses with J = {}:
                   m_{xs} + (v^-1 - v) m_x     if xs < x,
                   v^-1 m_x                    if xs is not an mcr,
 
-and b_s = delta_s + v acts as delta_s plus v times the identity.  The bar
-involution is computed in the module (linear.bar): an mcr x = x's has x' an
-mcr and m_x = m_{x'} delta_s, so bar(m_x) = bar(m_{x'}) delta_s^-1, memoized
-per mcr.  Elements are SphericalElt, the linear.Combo over the basis m_x.
-The KL basis c_x is linear.kl_step, the recursion c_{xs} * b_s minus
-mu-corrections that the algebra's KL basis also uses, and each c_x is then
-checked to be bar-invariant.
+and b_s = delta_s + v acts as delta_s plus v times the identity.  Elements
+are SphericalElt, the linear.Combo over the basis m_x.  An mcr x = x's has
+x' an mcr and m_x = m_{x'} delta_s, so each table keyed by ^J W is filled by
+linear.along from its value at x': bar(m_x) = bar(m_{x'}) delta_s^-1 (the
+bar involution, computed in the module by linear.bar); c_x by
+linear.kl_step, the recursion c_{x'} * b_s minus mu-corrections that the
+algebra's KL basis also uses, each c_x then checked to be bar-invariant;
+and phi(m_x) = phi(m_{x'}) delta_s, one step in the algebra from
+phi(m_e) = b_{w_J}.
 
 The pairing <a, b>_M is computed coordinatewise and cross-checked on every
 call against the embedding m_x -> b_{w_J} delta_x, under which v^{d_J} pi(J)
@@ -22,8 +24,8 @@ times it is the trace form.  The cross-check is bilinear over a Gram memo:
 G(x, y) = trace(i(phi m_x) * phi m_y) is computed once per ordered pair of
 minimal coset representatives, a row at a time: one linear.trace_walk, the
 Hecke product by the quadratic relation read at delta_e alone, of
-i(phi m_x) over the keys of every phi m_y the row lacks, from embeddings
-phi(m_x) memoized per representative; each call then forms
+i(phi m_x) over the keys of every phi m_y the row lacks, from the memoized
+embeddings phi(m_x); each call then forms
 sum a_x b_y G(x, y) as one laurent.sum_of_products and compares it with
 v^{d_J} pi(J) times the coordinatewise value.
 """
@@ -35,7 +37,7 @@ from typing import Iterable
 from . import linear
 from .coxeter import IDENTITY, Word
 from .errors import InternalInconsistency, PreconditionViolated
-from .hecke import HeckeAlgebra, HeckeElt
+from .hecke import NO_J, HeckeAlgebra, HeckeElt
 from .laurent import LaurentPoly, ONE, V, add_products, finish, sum_of_products
 
 
@@ -55,7 +57,7 @@ class SphericalModule:
         self.d_J = max(len(w) for w in self.b_wJ.support)
         self._kl_memo: dict[Word, SphericalElt] = {IDENTITY: self.unit()}
         self._bar_memo: dict[Word, SphericalElt] = {IDENTITY: self.unit()}
-        self._phi_memo: dict[Word, HeckeElt] = {}
+        self._phi_memo: dict[Word, HeckeElt] = {IDENTITY: self.b_wJ}
         self._gram_memo: dict[tuple[Word, Word], LaurentPoly] = {}
 
     # -- basis ------------------------------------------------------------------
@@ -91,19 +93,14 @@ class SphericalModule:
     # -- KL basis ---------------------------------------------------------------------
 
     def kl_c(self, x: Word) -> SphericalElt:
-        """c_x, memoized along x's prefixes, shortest first (each an mcr, as x
-        is), so that the recursion on xs finds its element stored; each is
-        checked to be self-dual before it is stored."""
-        got = self._kl_memo.get(x)
-        if got is None:
-            self.system.check_mcr(x, self.J)
-            for n in range(1, len(x) + 1):
-                if x[:n] not in self._kl_memo:
-                    got = linear.kl_step(self.system, self.J, x[:n], self.kl_c, "spherical KL")
-                    if self.bar(got) != got:
-                        raise InternalInconsistency(f"c_{x[:n]} is not self-dual")
-                    self._kl_memo[x[:n]] = got
-            got = self._kl_memo[x]
+        """c_x, each from c_{xs} by linear.kl_step and checked to be self-dual
+        before it is stored, memoized by linear.along."""
+        return linear.along(self.system, self.J, self._kl_memo, x, self._kl_c_step)
+
+    def _kl_c_step(self, x: Word, prev: SphericalElt) -> SphericalElt:
+        got = linear.kl_step(self.system, self.J, x, prev, self.kl_c, "spherical KL")
+        if self.bar(got) != got:
+            raise InternalInconsistency(f"c_{x} is not self-dual")
         return got
 
     # -- form and embedding ---------------------------------------------------------------
@@ -118,12 +115,10 @@ class SphericalModule:
         return HeckeElt.wrap(finish(raw))
 
     def _phi(self, x: Word) -> HeckeElt:
-        """phi(m_x) = b_{w_J} delta_x, memoized per mcr."""
-        got = self._phi_memo.get(x)
-        if got is None:
-            self.system.check_mcr(x, self.J)
-            got = self._phi_memo[x] = self.algebra.multiply(self.b_wJ, self.algebra.delta(x))
-        return got
+        """phi(m_x) = b_{w_J} delta_x, memoized per mcr by linear.along: the
+        image at x = x's is the one at x' times delta_s, one algebra step."""
+        return linear.along(self.system, self.J, self._phi_memo, x, lambda p, prev:
+                            linear.delta_step(self.system, NO_J, prev, p[-1]))
 
     def pairing(self, a: SphericalElt, b: SphericalElt) -> LaurentPoly:
         """<a, b>_M, coordinatewise (the m_x are orthonormal), cross-checked

@@ -140,6 +140,14 @@ class TestErrors:
         code, _, err = run(capsys, "kl", "--system", "/nonexistent.json", "-x", "s")
         assert code == 2
 
+    @pytest.mark.parametrize("m", [[[1, 3.9], [3.9, 1]], [[True, 3], [3, True]],
+                                   [[1, "4"], ["4", 1]]], ids=["float", "bool", "string"])
+    def test_non_integer_matrix_entry_exits_2(self, capsys, tmp_path, m):
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps({"generators": ["s", "t"], "m": m}))
+        code, out, err = run(capsys, "kl", "--system", str(path), "-x", "sts")
+        assert code == 2 and not out and "matrix entries must be integers" in err
+
     def test_budget_exceeded_exits_3(self, capsys):
         code, _, err = run(capsys, "kl", "--system", "infinite_dihedral",
                            "--budget", "2", "-x", "stst")

@@ -20,7 +20,7 @@ from heckesphere.hecke import HeckeAlgebra
 from heckesphere.laurent import LaurentPoly
 from heckesphere.spherical import SphericalModule
 
-from conftest import AFFINE_A2, F4, H4
+from conftest import AFFINE_A2, F4, H4, shallow_stack
 
 S, T, U = 0, 1, 2
 
@@ -35,6 +35,15 @@ class TestMatrix:
             CoxeterMatrix(("s", "t"), ((1, 1), (1, 1)))
         with pytest.raises(InvalidMatrix):
             CoxeterMatrix(("s", "s"), ((1, 3), (3, 1)))
+
+    @pytest.mark.parametrize("m", [((1, 3.9), (3.9, 1)), ((True, 3), (3, 1)), ((1, "4"), ("4", 1))],
+                             ids=["float", "bool", "string"])
+    def test_entries_must_be_integers(self, m):
+        # int() would make each a valid entry: 3.9 -> 3, True -> 1, "4" -> 4.
+        with pytest.raises(InvalidMatrix, match="integers"):
+            CoxeterMatrix(("s", "t"), m)
+        with pytest.raises(InvalidMatrix, match="integers"):
+            CoxeterMatrix.from_json({"generators": ["s", "t"], "m": [list(r) for r in m]})
 
     def test_json_round_trip(self):
         m = catalog.B3
@@ -117,6 +126,13 @@ class TestBruhat:
     def test_incomparable(self, a2):
         assert not a2.bruhat_leq((S, T), (T, S))
         assert not a2.bruhat_leq((T, S), (S, T))
+
+    def test_a_long_word_takes_no_frame_per_letter(self):
+        system = CoxeterSystem(catalog.INF_DIHEDRAL, 300)
+        x, y = system.element((T, S) * 100), system.element((S, T) * 110)
+        with shallow_stack():
+            assert system.bruhat_leq(x, y)
+            assert not system.bruhat_leq(y, x)
 
 
 class TestRexGraph:
@@ -234,6 +250,14 @@ class TestWords:
     def test_inverse(self, b2):
         for w in b2.elements():
             assert b2.mult(w, b2.inverse(w)) == IDENTITY
+
+    @pytest.mark.parametrize("matrix,budget", [(F4, 24), (AFFINE_A2, 40)],
+                             ids=["f4@24", "affine_a2@40"])
+    def test_each_inverse_inverts_and_is_inverted(self, matrix, budget):
+        system = CoxeterSystem(matrix, budget)
+        for w in system.elements():
+            assert system.inverse(system.inverse(w)) == w
+            assert system.mult(w, system.inverse(w)) == IDENTITY
 
 
 class TestNonCanonicalWords:
@@ -412,6 +436,15 @@ class TestLazyGrowth:
             for s in range(matrix.rank):
                 assert _outcome(lambda: lazy.right_mult(w, s)) == \
                     _outcome(lambda: full.right_mult(w, s))
+
+    def test_growth_multiplies_no_words(self, monkeypatch):
+        # Each element takes its inverse from one layer down as it is added.
+        calls = []
+        mult = CoxeterSystem.mult
+        monkeypatch.setattr(CoxeterSystem, "mult",
+                            lambda self, x, y: calls.append((x, y)) or mult(self, x, y))
+        assert len(CoxeterSystem(catalog.INF_DIHEDRAL, 200).elements()) == 401
+        assert calls == []
 
     def test_messages_are_unchanged(self):
         def fresh(budget=3):

@@ -7,7 +7,12 @@ from hypothesis import given, settings, strategies as st
 
 from heckesphere.coxeter import IDENTITY, CoxeterSystem
 from heckesphere import catalog, linear
-from heckesphere.errors import InternalInconsistency, InvalidMatrix, PreconditionViolated
+from heckesphere.errors import (
+    BudgetExceeded,
+    InternalInconsistency,
+    InvalidMatrix,
+    PreconditionViolated,
+)
 from heckesphere.hecke import HeckeAlgebra, HeckeElt
 from heckesphere.laurent import LaurentPoly, ONE, V, VINV, ZERO
 from heckesphere.spherical import SphericalElt, SphericalModule
@@ -341,6 +346,31 @@ class TestPhi:
         lhs = mod_a2_s.phi_embed(mod_a2_s.act_bs(mod_a2_s.unit(), S))
         rhs = alg.multiply(alg.b_s(S), alg.b_s(S))
         assert lhs == rhs
+
+    @pytest.mark.parametrize("name", ["h3", "affine_a2"])
+    def test_each_image_is_the_product_it_stands_for(self, request, name):
+        # On the cut ball of affine A2, w_J x can pass the budget: then both
+        # routes raise BudgetExceeded.
+        system = request.getfixturevalue(name)
+        alg = HeckeAlgebra(system)
+        for J in finitary_subsets(system):
+            mod = SphericalModule(alg, J)
+            for x in system.min_coset_reps(J):
+                try:
+                    want = alg.multiply(mod.b_wJ, alg.delta(x))
+                except BudgetExceeded:
+                    with pytest.raises(BudgetExceeded):
+                        mod._phi(x)
+                else:
+                    assert mod._phi(x) == want, (J, x)
+
+    def test_a_long_word_takes_no_frame_per_letter(self):
+        system = CoxeterSystem(catalog.INF_DIHEDRAL, 400)
+        x = (T, S) * 100
+        mod = SphericalModule(HeckeAlgebra(system), {S})
+        with shallow_stack():
+            got = mod._phi(x)
+        assert got == HeckeElt({(S,) + x: ONE, x: V})
 
     def test_equivariance_exhaustive(self, b2_algebra):
         alg = b2_algebra
