@@ -51,19 +51,6 @@ def _load_system(args) -> CoxeterSystem:
     return CoxeterSystem(matrix, args.budget)
 
 
-def _parse_J(system: CoxeterSystem, spec: str | None) -> frozenset[int]:
-    if not spec:
-        return frozenset()
-    names = {g: i for i, g in enumerate(system.matrix.generators)}
-    out = set()
-    for part in spec.split(","):
-        part = part.strip()
-        if part not in names:
-            raise HeckesphereError(f"unknown generator {part!r} in --J")
-        out.add(names[part])
-    return frozenset(out)
-
-
 def _parse_bits(spec: str, n: int, flag: str) -> tuple[int, ...]:
     spec = spec.strip()
     if len(spec) != n or any(ch not in "01" for ch in spec):
@@ -99,19 +86,19 @@ def cmd_kl(args, system: CoxeterSystem) -> int:
 
 
 def cmd_act(args, system: CoxeterSystem) -> int:
-    mod = SphericalModule(HeckeAlgebra(system), _parse_J(system, args.J))
+    mod = SphericalModule(HeckeAlgebra(system), frozenset(system.parse_word(args.J)))
     m = mod.expand_expression(system.parse_word(args.x))
     return _emit(args, mod.to_json(m), mod.format(m), _element_rows(system, m))
 
 
 def cmd_rank(args, system: CoxeterSystem) -> int:
-    J = _parse_J(system, args.J)
+    J = frozenset(system.parse_word(args.J))
     poly = strolls.rank_poly(system, J, system.parse_word(args.x), system.parse_word(args.y))
     return _emit(args, poly.to_json(), str(poly), indent=None)
 
 
 def cmd_stroll(args, system: CoxeterSystem) -> int:
-    J = _parse_J(system, args.J)
+    J = frozenset(system.parse_word(args.J))
     word = system.parse_word(args.x)
     if args.bits is not None:
         decs = [strolls.decorate(system, J, word, _parse_bits(args.bits, len(word), "--bits"))]
@@ -145,7 +132,7 @@ def cmd_localize(args, system: CoxeterSystem) -> int:
 
 
 def cmd_sll(args, system: CoxeterSystem) -> int:
-    J = _parse_J(system, args.J)
+    J = frozenset(system.parse_word(args.J))
     word = system.parse_word(args.x)
     if args.all:
         bit_lists = list(strolls.subexpressions(len(word)))
@@ -158,7 +145,7 @@ def cmd_sll(args, system: CoxeterSystem) -> int:
 
 
 def cmd_sdl(args, system: CoxeterSystem) -> int:
-    J = _parse_J(system, args.J)
+    J = frozenset(system.parse_word(args.J))
     x = system.parse_word(args.x)
     y = system.parse_word(args.y)
     e = _parse_bits(args.bits, len(x), "--bits")
@@ -168,7 +155,7 @@ def cmd_sdl(args, system: CoxeterSystem) -> int:
 
 
 def cmd_nsll(args, system: CoxeterSystem) -> int:
-    J = _parse_J(system, args.J)
+    J = frozenset(system.parse_word(args.J))
     word = system.parse_word(args.x)
     recipe = lightleaf.build_nsll(system, J, word, _parse_bits(args.bits, len(word), "--bits"))
     return _emit(args, lightleaf.recipe_to_json(system, recipe), lightleaf.render(system, recipe))
@@ -209,7 +196,8 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--format", choices=formats, default="text")
         if needs_J:
             p.add_argument("--J", default="",
-                           help="comma-separated generator names, e.g. 's' or 's,t'")
+                           help="generator names, as a word is written: e.g. 's', 's,t' "
+                                "or, when every name is one character, 'st'")
         return p
 
     p = command("kl", cmd_kl, "Kazhdan-Lusztig basis element", WITH_CSV, needs_J=False)

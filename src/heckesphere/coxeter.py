@@ -5,9 +5,9 @@ generator indices).  The group is stored as a right-multiplication table,
 grown one length layer at a time, never past the budget, as queries first
 reach a layer: each layer depends only on the layers below it, so a call
 pays for the longest element it touches, not for the whole ball.  A lookup
-of a word, a product w*s, `elements`, `is_finite` and the W_J search of
-`parabolic` are where that growth happens.  Besides w*s for every
-generator s, each element keeps its inverse, set as it is added from the
+of a word, a product w*s, `elements`, `is_finite` and `parabolic`, which
+reads W_J off the layers, are where that growth happens.  Besides w*s for
+every generator s, each element keeps its inverse, set as it is added from the
 inverse of wd one layer down (d its least right descent), and, for every
 pair {s, t}, the length of the W_{s,t} factor in its decomposition
 w = w^{st} w_{st} (w^{st} minimal in the coset w W_{s,t}).  Those lengths
@@ -84,11 +84,13 @@ class CoxeterMatrix(_MatrixFields):
     @classmethod
     def from_json(cls, data: dict) -> "CoxeterMatrix":
         try:
-            gens = tuple(str(g) for g in data["generators"])
+            gens = data["generators"]
             m = tuple(tuple(row) for row in data["m"])
         except (KeyError, TypeError) as exc:
             raise InvalidMatrix(f"malformed matrix data: {exc}") from exc
-        return cls(gens, m)
+        if type(gens) is not list or any(type(g) is not str for g in gens):
+            raise InvalidMatrix("generator names must be a list of strings")
+        return cls(tuple(gens), m)
 
     @classmethod
     def load(cls, path: str) -> "CoxeterMatrix":
@@ -296,8 +298,14 @@ class CoxeterSystem:
         one), x <= y iff sx <= sy when s is a left descent of x, and iff
         x <= sy otherwise.  One loop, so a long y does not recurse; the
         answer is memoized at every pair the walk passed."""
-        if len(x) > len(y) or not x or x == y:  # most calls: no walk to set up
-            return len(x) <= len(y)
+        # Most calls take no walk; each shortcut first rejects a word that is
+        # not canonical, as the walk's lookups do.
+        if not x or x == y:
+            self._elems[y]
+            return True
+        if len(x) > len(y):
+            self._elems[x], self._elems[y]
+            return False
         memo = self._bruhat_memo
         passed = []
         while len(x) <= len(y) and x and x != y:
@@ -388,31 +396,26 @@ class CoxeterSystem:
     # -- parabolic data -----------------------------------------------------------
 
     def parabolic(self, J: Iterable[int]) -> ParabolicData:
-        """W_J, certified finite within the budget, and its longest element; memoized."""
+        """W_J, certified finite within the budget, and its longest element; memoized.
+        Every reduced word of an element of W_J uses only letters of J, so
+        W_J is the table's elements whose canonical word lies in J*, read
+        layer by layer up to w_J, its one element with every s in J a right
+        descent."""
         J = frozenset(J)
         if J in self._parabolic_memo:
             return self._parabolic_memo[J]
         self.check_J(J)
-        seen = {IDENTITY}
-        frontier = [IDENTITY]
-        while frontier:
-            nxt = []
-            for w in frontier:
-                for s in J:
-                    try:
-                        ws = self.right_mult(w, s)
-                    except BudgetExceeded:
-                        raise BudgetExceeded(
-                            f"cannot certify that J={sorted(J)} is finitary "
-                            f"within budget {self.budget}"
-                        ) from None
-                    if ws not in seen:
-                        seen.add(ws)
-                        nxt.append(ws)
-            frontier = nxt
-        members = tuple(sorted(seen, key=lambda w: (len(w), w)))
-        out = self._parabolic_memo[J] = ParabolicData(J, members, members[-1], len(members[-1]))
-        return out
+        members: list[Word] = []
+        for length in range(self.budget + 1):
+            self._grow(length)  # W_J has an element of each length up to l(w_J)
+            layer = [w for w in self._layers[length] if J.issuperset(w)]
+            members += layer
+            if J <= self._elems[layer[0]].descents:
+                out = self._parabolic_memo[J] = ParabolicData(J, tuple(members), layer[0], length)
+                return out
+        raise BudgetExceeded(
+            f"cannot certify that J={sorted(J)} is finitary within budget {self.budget}"
+        )
 
     def is_mcr(self, w: Word, J: frozenset[int]) -> bool:
         """True iff w is the minimal representative of its coset W_J w."""

@@ -54,7 +54,7 @@ class SphericalModule:
         self.J = frozenset(J)
         # Certifies J is finitary (BudgetExceeded otherwise) and b_{w_J}, caches pi(J).
         self.b_wJ, self.pi = algebra.b_wJ_and_pi(self.J)
-        self.d_J = max(len(w) for w in self.b_wJ.support)
+        self.d_J = self.system.parabolic(self.J).d_J
         self._kl_memo: dict[Word, SphericalElt] = {IDENTITY: self.unit()}
         self._bar_memo: dict[Word, SphericalElt] = {IDENTITY: self.unit()}
         self._phi_memo: dict[Word, HeckeElt] = {IDENTITY: self.b_wJ}

@@ -134,7 +134,22 @@ class TestErrors:
     def test_unknown_generator(self, capsys, a2_file):
         code, _, err = run(capsys, "rank", "--system", a2_file, "--J", "q",
                            "-x", "t", "-y", "t")
-        assert code == 2
+        assert code == 2 and "unknown generator 'q'" in err
+
+    def test_J_is_read_as_a_word_is(self, capsys):
+        # With one-character names, 'st' is {s, t}, as -x st is the word s t.
+        argv = ("act", "--system", "b3", "-x", "tsut")
+        joined = run(capsys, *argv, "--J", "st")
+        assert joined[0] == 0 and joined == run(capsys, *argv, "--J", "s,t")
+        assert joined != run(capsys, *argv, "--J", "s")
+
+    @pytest.mark.parametrize("generators", [[1, 2], [None, True], "st"],
+                             ids=["integers", "null-and-bool", "string"])
+    def test_generator_names_must_be_a_list_of_strings(self, capsys, tmp_path, generators):
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps({"generators": generators, "m": [[1, 3], [3, 1]]}))
+        code, out, err = run(capsys, "kl", "--system", str(path), "-x", "sts")
+        assert code == 2 and not out and "generator names must be a list of strings" in err
 
     def test_missing_file(self, capsys):
         code, _, err = run(capsys, "kl", "--system", "/nonexistent.json", "-x", "s")

@@ -45,6 +45,13 @@ class TestMatrix:
         with pytest.raises(InvalidMatrix, match="integers"):
             CoxeterMatrix.from_json({"generators": ["s", "t"], "m": [list(r) for r in m]})
 
+    @pytest.mark.parametrize("generators", [[1, 2], [None, True], "st"],
+                             ids=["integers", "null-and-bool", "string"])
+    def test_generator_names_must_be_a_list_of_strings(self, generators):
+        # str() would make each a pair of names: '1', '2'; 'None', 'True'; s, t.
+        with pytest.raises(InvalidMatrix, match="generator names must be a list of strings"):
+            CoxeterMatrix.from_json({"generators": generators, "m": [[1, 3], [3, 1]]})
+
     def test_json_round_trip(self):
         m = catalog.B3
         assert CoxeterMatrix.from_json(m.to_json()) == m
@@ -191,6 +198,23 @@ class TestParabolic:
         assert b3.parabolic((T, S)) is data
         assert b3.parabolic([S]) is not data
 
+    def test_budget_edges(self):
+        # At budget 3 w_J is in the ball's last layer; at budget 2 it is past it.
+        data = CoxeterSystem(catalog.A2, 3).parabolic({S, T})
+        assert data.w_J == (S, T, S) and data.d_J == 3 and len(data.members) == 6
+        with pytest.raises(BudgetExceeded,
+                           match=r"^cannot certify that J=\[0, 1\] is finitary within budget 2$"):
+            CoxeterSystem(catalog.A2, 2).parabolic({S, T})
+
+    def test_read_off_the_table(self, monkeypatch):
+        # Once the ball is built, W_J takes no product.
+        system = CoxeterSystem(catalog.B3, 12)
+        system.elements()
+        for name in ("right_mult", "mult"):
+            monkeypatch.setattr(CoxeterSystem, name, lambda *args: pytest.fail("a product"))
+        for J in _subsets(range(3)):
+            system.parabolic(J)
+
     def test_w_J_descents(self, b3):
         for J in [{S}, {T}, {S, T}, {T, U}, {S, U}, {S, T, U}]:
             data = b3.parabolic(J)
@@ -280,6 +304,13 @@ class TestNonCanonicalWords:
     def test_not_reduced(self, a2):
         with pytest.raises(PreconditionViolated, match=r"\(0, 0\)"):
             a2.inverse((S, S))
+
+    @pytest.mark.parametrize("x,y", [((T, S, T), (T, S, T)), ((S, S, S, S), (T,)),
+                                     (IDENTITY, (S, S))],
+                             ids=["equal", "longer", "identity"])
+    def test_bruhat_leq_checks_both_words_before_its_shortcuts(self, x, y):
+        with pytest.raises(PreconditionViolated, match="is not the canonical word"):
+            CoxeterSystem(catalog.A2, 10).bruhat_leq(x, y)
 
 
 def _alternating(a, b, length):
@@ -568,3 +599,44 @@ class TestRankFourAnchors:
         alg = HeckeAlgebra(CoxeterSystem(matrix, N))
         _, pi = alg.b_wJ_and_pi(range(4))
         assert pi == LaurentPoly((2 * k - N, c) for k, c in enumerate(_poincare(degrees)))
+
+
+def _subsets(letters):
+    letters = list(letters)
+    return [frozenset(c) for k in range(len(letters) + 1)
+            for c in itertools.combinations(letters, k)]
+
+
+def _parabolic_search(system, J):
+    """Reference: W_J by breadth-first search along right products by J,
+    sorted by (length, ShortLex), and BudgetExceeded when a product leaves
+    the ball."""
+    seen, frontier = {IDENTITY}, [IDENTITY]
+    while frontier:
+        nxt = []
+        for w in frontier:
+            for s in J:
+                try:
+                    ws = system.right_mult(w, s)
+                except BudgetExceeded:
+                    raise BudgetExceeded(f"cannot certify that J={sorted(J)} is finitary "
+                                         f"within budget {system.budget}") from None
+                if ws not in seen:
+                    seen.add(ws)
+                    nxt.append(ws)
+        frontier = nxt
+    members = tuple(sorted(seen, key=lambda w: (len(w), w)))
+    return members, members[-1], len(members[-1])
+
+
+class TestParabolicAgainstSearch:
+    @pytest.mark.parametrize("matrix,budget", [
+        (catalog.A3, 12), (catalog.B3, 12), (catalog.H3, 18), (_chain(4, 3, 3), 16),
+        (TestRankFourAnchors.D4, 12), (F4, 24), (AFFINE_A2, 3), (AFFINE_A2, 8), (AFFINE_A2, 12),
+    ], ids=["A3", "B3", "H3", "B4", "D4", "F4", "affine_a2@3", "affine_a2@8", "affine_a2@12"])
+    def test_every_J(self, matrix, budget):
+        # Each side on its own fresh system, so each grows the table itself.
+        for J in _subsets(range(matrix.rank)):
+            got, want = (_outcome(lambda: CoxeterSystem(matrix, budget).parabolic(J)[1:]),
+                         _outcome(lambda: _parabolic_search(CoxeterSystem(matrix, budget), J)))
+            assert got == want, J

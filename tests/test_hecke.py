@@ -3,7 +3,7 @@ import re
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from heckesphere import catalog, linear
+from heckesphere import catalog, hecke, linear
 from heckesphere.coxeter import IDENTITY, CoxeterSystem
 from heckesphere.errors import (BudgetExceeded, InternalInconsistency, InvalidMatrix, NotDivisible,
                                PreconditionViolated)
@@ -194,11 +194,13 @@ class TestBwJ:
         assert pi == LaurentPoly([(3, 1), (1, 2), (-1, 2), (-3, 1)])
 
     def test_certified_once_per_J(self, a2, monkeypatch):
-        # M(J), schur_compose and check_bwj_pi share the first call's certificate.
+        # M(J), schur_compose and check_bwj_pi share the first call's certificate;
+        # M(J) reads d_J from the memoized W_J, so the sentinel is the certificate's
+        # last step, the sum that pi(J) must equal.
         alg = HeckeAlgebra(a2)
         b, _ = got = alg.b_wJ_and_pi({S, T})
-        monkeypatch.setattr(CoxeterSystem, "parabolic",
-                            lambda self, J: pytest.fail("b_(w_J) certified again"))
+        monkeypatch.setattr(hecke, "sum_of_products",
+                            lambda pairs: pytest.fail("b_(w_J) certified again"))
         assert alg.b_wJ_and_pi((T, S)) is got
         assert SphericalModule(alg, {S, T}).b_wJ is b
         assert alg.schur_compose(b, b, {S, T}) == b
