@@ -51,6 +51,8 @@ class CoxeterMatrix(_MatrixFields):
     __slots__ = ()
 
     def __new__(cls, generators: tuple[str, ...], m: tuple[tuple[int, ...], ...]):
+        if any(type(g) is not str for g in generators):
+            raise InvalidMatrix("generator names must be a list of strings")
         n = len(generators)
         if len(set(generators)) != n or n == 0:
             raise InvalidMatrix("generator names must be nonempty and distinct")
@@ -88,7 +90,7 @@ class CoxeterMatrix(_MatrixFields):
             m = tuple(tuple(row) for row in data["m"])
         except (KeyError, TypeError) as exc:
             raise InvalidMatrix(f"malformed matrix data: {exc}") from exc
-        if type(gens) is not list or any(type(g) is not str for g in gens):
+        if type(gens) is not list:
             raise InvalidMatrix("generator names must be a list of strings")
         return cls(tuple(gens), m)
 
@@ -155,8 +157,8 @@ class CoxeterSystem:
     """A Coxeter group enumerated up to a length budget."""
 
     def __init__(self, matrix: CoxeterMatrix, length_budget: int):
-        if length_budget < 0:
-            raise InvalidMatrix("length budget must be nonnegative")
+        if type(length_budget) is not int or length_budget < 0:
+            raise InvalidMatrix("length budget must be a nonnegative integer")
         self.matrix = matrix
         self.budget = length_budget
         self._elems: dict[Word, _ElemData] = _Table(self)
@@ -226,13 +228,12 @@ class CoxeterSystem:
     def elements(self, max_length: int | None = None) -> list[Word]:
         """All elements within the budget, or of length at most max_length,
         sorted by (length, ShortLex)."""
-        self._grow(self.budget if max_length is None else max_length)
-        if max_length is not None and max_length > self.budget and not self._closed:
+        cap = self.budget if max_length is None else max_length
+        self._grow(cap)
+        if cap > self.budget and not self._closed:
             raise BudgetExceeded(f"requested length {max_length} > budget {self.budget}")
         out = []
-        for layer in self._layers:
-            if max_length is not None and layer and len(layer[0]) > max_length:
-                break
+        for layer in self._layers[:max(cap + 1, 0)]:
             out.extend(layer)
         return out
 
@@ -262,9 +263,7 @@ class CoxeterSystem:
     def normalize(self, word: Sequence[int]) -> tuple[Word, bool]:
         """Canonical element of a word, plus whether the word was reduced."""
         self.check_letters(word)
-        w = IDENTITY
-        for s in word:
-            w = self.right_mult(w, s)
+        w = self.mult(IDENTITY, word)
         return w, len(w) == len(word)
 
     def element(self, word: Sequence[int]) -> Word:
@@ -428,37 +427,32 @@ class CoxeterSystem:
 
     def min_coset_reps(self, J: Iterable[int], max_length: int | None = None) -> list[Word]:
         J = frozenset(J)
+        self.check_J(J)
         return [w for w in self.elements(max_length) if self.is_mcr(w, J)]
 
     def coset_decompose(self, w: Word, J: frozenset[int]) -> tuple[Word, Word]:
         """The unique w = u*z with u in W_J, z a minimal coset representative,
         and l(w) = l(u) + l(z)."""
-        z = w
-        stripped: list[int] = []
-        while True:
-            desc = self.left_descents(z) & J
-            if not desc:
-                break
-            s = min(desc)
-            stripped.append(s)
-            z = self.left_mult(s, z)
-        u = IDENTITY
-        for s in stripped:
-            u = self.right_mult(u, s)
-        return u, z
+        z, stripped = w, []
+        while desc := self.left_descents(z) & J:
+            stripped.append(min(desc))
+            z = self.left_mult(stripped[-1], z)
+        return self.mult(IDENTITY, stripped), z
 
     def wall_cross(self, z: Word, s: int, J: frozenset[int]) -> int:
-        """The unique t in J with z*s = t*z, for z an m.c.r. with z*s not one."""
+        """The unique t in J with z*s = t*z, for z an m.c.r. with z*s not one.
+        Then z*s lies in W_J z one above its minimal element z, so t is the
+        one left descent of z*s in J (Deodhar, J. Algebra 111, 1987)."""
         self.check_mcr(z, J)
         zs = self.right_mult(z, s)
         if self.is_mcr(zs, J):
             raise PreconditionViolated(f"z*s stays a minimal coset representative")
         if len(zs) <= len(z):
             raise PreconditionViolated("z*s should be longer than z (wall-crossing)")
-        t_elem = self.mult(zs, self.inverse(z))
-        if len(t_elem) != 1 or t_elem[0] not in J:
-            raise NotInJ(f"conjugate {t_elem} is not a generator in J")
-        return t_elem[0]
+        desc = self.left_descents(zs) & J
+        if len(desc) != 1:
+            raise NotInJ(f"z*s has left descents {sorted(desc)} in J, not exactly one")
+        return min(desc)
 
     # -- word <-> string -----------------------------------------------------------
 

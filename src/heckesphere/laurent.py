@@ -265,7 +265,7 @@ class LaurentPoly:
             raise PreconditionViolated(
                 f"expected [[exponent, coefficient], ...] of integers, got {data!r}"
             )
-        return cls({e: c for e, c in data})
+        return cls(data)
 
 
 def _poly(coeffs: dict[int, int]) -> LaurentPoly:

@@ -27,13 +27,14 @@ each applied at its offset in the current word.
 
 Non-spherical light-leaves keep the same shape but their intermediate words
 are concatenations (u_k, z_k) of the coset decomposition w_k = u_k z_k of the
-classical Bruhat stroll, whose z-block z_k is the spherical stroll.  A step
-whose classical and spherical labels agree, and an X0 going up (a plain U0),
-is the spherical step on the z-block.  Only the wall steps differ: X1 going
-up transfers t into the u-block, X1 going down caps after sliding t out of
-the u-block, and X0 going down merges through a sweep, whose rex-move
-choices are made explicit.  A double leaf is two spherical light-leaves
-with the same endpoint, the upper one flipped.
+classical Bruhat stroll, whose z-block z_k is the spherical stroll.  Off a
+wall the classical step is the spherical one; it and an X0 going up (a plain
+U0) are the spherical step on the z-block.  On a wall, z s_k = t z, the
+classical step goes up exactly when t is not a right descent of u_{k-1}: X1
+going up transfers t into the u-block, X1 going down caps after sliding t
+out of it (either way u_k = u_{k-1} t), and X0 going down merges through a
+sweep, whose rex-move choices are made explicit.  A double leaf is two
+spherical light-leaves with the same endpoint, the upper one flipped.
 """
 
 from __future__ import annotations
@@ -42,6 +43,7 @@ from typing import NamedTuple, Sequence
 
 from .coxeter import IDENTITY, CoxeterSystem, RexMove, Word
 from .errors import (
+    BudgetExceeded,
     EndpointMismatch,
     PreconditionViolated,
     TargetMismatch,
@@ -141,7 +143,7 @@ def build_sll(system: CoxeterSystem, J: frozenset[int],
         label = dec.labels[k - 1]
         chosen = target_rex if (k == n and target_rex is not None) else dec.stroll[k]
         if label == "X1":
-            t = system.wall_cross(system.element(cur), s, J)
+            t = system.wall_cross(dec.stroll[k - 1], s, J)
             pre = system.find_rex(cur + (s,), lambda w: w[0] == t)
             elementary = f"wall-plug:{system.matrix.generators[t]}"
             mid = pre.target[1:]
@@ -237,49 +239,52 @@ def build_nsll(system: CoxeterSystem, J: frozenset[int],
     degree = 0
     for k, (s, d_spherical, b) in enumerate(zip(dec.word, dec.labels, dec.bits), 1):
         zw, z_after = dec.stroll[k - 1], dec.stroll[k]
-        w_elem = system.mult(u, zw)
-        d_letter = "U" if len(system.right_mult(w_elem, s)) > len(w_elem) else "D"
-        d_classical = f"{d_letter}{b}"
         full = u + zw
         u_after, post = u, None
-        if d_spherical[0] != "X" or d_classical == "U0":
+        if d_spherical[0] == "X":
+            t_gen = system.wall_cross(zw, s, J)
+            d_classical = f"{'D' if t_gen in system.right_descents(u) else 'U'}{b}"
+            if b:
+                u_after = system.right_mult(u, t_gen)
+        else:
+            d_classical = d_spherical  # off a wall, u*z*s steps as z*s does
+        if d_classical[0] == "U" and len(u) + len(zw) >= system.budget:  # u*z*s leaves the ball
+            raise BudgetExceeded(f"product of length {len(u) + len(zw) + 1} "
+                                 f"exceeds budget {system.budget}")
+        if d_classical in (d_spherical, "U0"):
             # The classical and spherical steps agree (an X0 going up is a
             # plain U0); everything happens inside the z-block.
             beta, elementary, mid_z = _strand_op(system, d_spherical, zw, s)
             pre = _chain(u + beta.source, (len(u), beta))
             mid = u + mid_z
-        else:
-            t_gen = system.wall_cross(system.element(zw), s, J)
-            if d_classical == "U1":
-                # d' = X1: pull t across the z-block and let it join u.
-                delta = system.rex_path(zw + (s,), (t_gen,) + zw)
-                pre = _chain(full + (s,), (len(u), delta))
-                elementary = f"wall-transfer:{system.matrix.generators[t_gen]}"
-                mid = pre.target
-                u_after = system.right_mult(system.element(u), t_gen)
-            elif d_classical == "D1":
-                # d' = X1: t is a right descent of u; expose it, slide it
-                # across the z-block to the right, and cap the incoming strand.
-                gamma = system.find_rex(u, lambda w: bool(w) and w[-1] == t_gen)
-                delta = system.rex_path((t_gen,) + zw, zw + (s,))
-                pre = _chain(full, (0, gamma), (len(u) - 1, delta))
-                elementary = "cap"
-                mid = pre.target[:-1]
-                u_after = system.element(gamma.target[:-1])
-            else:  # d_classical == "D0", d' = X0
-                # Sweep-based construction: expose t at the right of u, sweep
-                # it across a suitable rex of z, merge with the incoming
-                # strand, then sweep back.
-                gamma = system.find_rex(u, lambda w: bool(w) and w[-1] == t_gen)
-                z_tilde, sweep = find_sweep(system, t_gen, zw, s)
-                pre = _chain(full, (0, gamma), (len(u), system.rex_path(zw, z_tilde)),
-                             (len(u) - 1, sweep))
-                elementary = "trivalent-merge"
-                mid = pre.target
-                # The post moves reverse the sweep and renormalize the z-block.
-                post = _chain(mid, (len(u) - 1, _reverse_move(sweep)),
-                              (0, _reverse_move(gamma)),
-                              (len(u), system.rex_path(z_tilde, z_after)))
+        elif d_classical == "U1":
+            # d' = X1: pull t across the z-block and let it join u.
+            delta = system.rex_path(zw + (s,), (t_gen,) + zw)
+            pre = _chain(full + (s,), (len(u), delta))
+            elementary = f"wall-transfer:{system.matrix.generators[t_gen]}"
+            mid = pre.target
+        elif d_classical == "D1":
+            # d' = X1: t is a right descent of u; expose it, slide it
+            # across the z-block to the right, and cap the incoming strand.
+            gamma = system.find_rex(u, lambda w: bool(w) and w[-1] == t_gen)
+            delta = system.rex_path((t_gen,) + zw, zw + (s,))
+            pre = _chain(full, (0, gamma), (len(u) - 1, delta))
+            elementary = "cap"
+            mid = pre.target[:-1]
+        else:  # d_classical == "D0", d' = X0
+            # Sweep-based construction: expose t at the right of u, sweep
+            # it across a suitable rex of z, merge with the incoming
+            # strand, then sweep back.
+            gamma = system.find_rex(u, lambda w: bool(w) and w[-1] == t_gen)
+            z_tilde, sweep = find_sweep(system, t_gen, zw, s)
+            pre = _chain(full, (0, gamma), (len(u), system.rex_path(zw, z_tilde)),
+                         (len(u) - 1, sweep))
+            elementary = "trivalent-merge"
+            mid = pre.target
+            # The post moves reverse the sweep and renormalize the z-block.
+            post = _chain(mid, (len(u) - 1, _reverse_move(sweep)),
+                          (0, _reverse_move(gamma)),
+                          (len(u), system.rex_path(z_tilde, z_after)))
         if post is None:
             # Normalize both blocks to their canonical words.
             cut = len(mid) - len(z_after)

@@ -15,6 +15,10 @@ H4 = CoxeterMatrix(("s", "t", "u", "v"),
                    ((1, 5, 2, 2), (5, 1, 3, 2), (2, 3, 1, 3), (2, 2, 3, 1)))
 F4 = CoxeterMatrix(("s", "t", "u", "v"),
                    ((1, 3, 2, 2), (3, 1, 4, 2), (2, 4, 1, 3), (2, 2, 3, 1)))
+B4 = CoxeterMatrix(("s", "t", "u", "v"),
+                   ((1, 4, 2, 2), (4, 1, 3, 2), (2, 3, 1, 3), (2, 2, 3, 1)))
+D4 = CoxeterMatrix(("s", "t", "u", "v"),
+                   ((1, 3, 2, 2), (3, 1, 3, 3), (2, 3, 1, 2), (2, 3, 2, 1)))
 
 
 @contextlib.contextmanager

@@ -20,7 +20,7 @@ from heckesphere.hecke import HeckeAlgebra
 from heckesphere.laurent import LaurentPoly
 from heckesphere.spherical import SphericalModule
 
-from conftest import AFFINE_A2, F4, H4, shallow_stack
+from conftest import AFFINE_A2, B4, D4, F4, H4, shallow_stack
 
 S, T, U = 0, 1, 2
 
@@ -52,6 +52,16 @@ class TestMatrix:
         with pytest.raises(InvalidMatrix, match="generator names must be a list of strings"):
             CoxeterMatrix.from_json({"generators": generators, "m": [[1, 3], [3, 1]]})
 
+    @pytest.mark.parametrize("make", [
+        lambda: CoxeterMatrix((0, 1), ((1, 3), (3, 1))),
+        lambda: catalog.A2._replace(generators=(0, 1)),
+        lambda: CoxeterMatrix._make(((["s"], "t"), ((1, 3), (3, 1)))),
+    ], ids=["new", "replace", "make-unhashable"])
+    def test_every_constructor_takes_only_string_names(self, make):
+        # Such a matrix used to be accepted, and format_word then raised a bare TypeError.
+        with pytest.raises(InvalidMatrix, match="generator names must be a list of strings"):
+            make()
+
     def test_json_round_trip(self):
         m = catalog.B3
         assert CoxeterMatrix.from_json(m.to_json()) == m
@@ -73,6 +83,12 @@ class TestBuild:
     def test_budget_zero(self):
         sys = CoxeterSystem(catalog.A2, 0)
         assert sys.elements() == [IDENTITY]
+
+    @pytest.mark.parametrize("budget", [2.5, True, "3", None, -1])
+    def test_budget_must_be_a_nonnegative_int(self, budget):
+        # 2.5 would cut elements() at length 2, and True would act as 1.
+        with pytest.raises(InvalidMatrix, match="^length budget must be a nonnegative integer$"):
+            CoxeterSystem(catalog.A2, budget)
 
     def test_orders(self, b2, a3, b3, h3, i2_7):
         assert len(b2.elements()) == 8
@@ -230,6 +246,10 @@ class TestCosets:
 
     def test_empty_J_gives_everything(self, a2):
         assert a2.min_coset_reps(set()) == a2.elements()
+
+    def test_a_J_letter_outside_S_is_rejected(self, a2):
+        with pytest.raises(InvalidMatrix, match=r"^J=\[9\]: letter 9 out of range$"):
+            a2.min_coset_reps({9})
 
     def test_decompose_examples(self, a2):
         assert a2.coset_decompose((S, T, S), frozenset({S})) == ((S,), (T, S))
@@ -533,7 +553,7 @@ class TestUnclosedBall:
 
     def test_wall_crossing_into_top_layer(self):
         # H3 at budget 12 has z*s in the top layer for four wall-crossings;
-        # t = z*s*z^-1 is found by walking down from z*s.
+        # t is read off the left descents of z*s there.
         h3 = CoxeterSystem(catalog.H3, 12)
         z = (S, T, S, T, U, T, S, T, S, U, T)
         assert h3.wall_cross(z, U, frozenset({T})) == T
@@ -564,14 +584,9 @@ def _poincare(degrees):
 
 
 class TestRankFourAnchors:
-    D4 = CoxeterMatrix(
-        ("s", "t", "u", "v"),
-        ((1, 3, 2, 2), (3, 1, 3, 3), (2, 3, 1, 2), (2, 3, 2, 1)),
-    )
-
     @pytest.mark.parametrize("matrix,order,degrees", [
         (_chain(3, 3, 3), 120, (2, 3, 4, 5)),
-        (_chain(4, 3, 3), 384, (2, 4, 6, 8)),
+        (B4, 384, (2, 4, 6, 8)),
         (D4, 192, (2, 4, 4, 6)),
         (F4, 1152, (2, 6, 8, 12)),
         (H4, 14400, (2, 12, 20, 30)),
@@ -588,7 +603,7 @@ class TestRankFourAnchors:
 
     @pytest.mark.parametrize("matrix,degrees", [
         (_chain(3, 3, 3), (2, 3, 4, 5)),
-        (_chain(4, 3, 3), (2, 4, 6, 8)),
+        (B4, (2, 4, 6, 8)),
         (D4, (2, 4, 4, 6)),
         (F4, (2, 6, 8, 12)),
         (H4, (2, 12, 20, 30)),
@@ -631,8 +646,8 @@ def _parabolic_search(system, J):
 
 class TestParabolicAgainstSearch:
     @pytest.mark.parametrize("matrix,budget", [
-        (catalog.A3, 12), (catalog.B3, 12), (catalog.H3, 18), (_chain(4, 3, 3), 16),
-        (TestRankFourAnchors.D4, 12), (F4, 24), (AFFINE_A2, 3), (AFFINE_A2, 8), (AFFINE_A2, 12),
+        (catalog.A3, 12), (catalog.B3, 12), (catalog.H3, 18), (B4, 16),
+        (D4, 12), (F4, 24), (AFFINE_A2, 3), (AFFINE_A2, 8), (AFFINE_A2, 12),
     ], ids=["A3", "B3", "H3", "B4", "D4", "F4", "affine_a2@3", "affine_a2@8", "affine_a2@12"])
     def test_every_J(self, matrix, budget):
         # Each side on its own fresh system, so each grows the table itself.
@@ -640,3 +655,25 @@ class TestParabolicAgainstSearch:
             got, want = (_outcome(lambda: CoxeterSystem(matrix, budget).parabolic(J)[1:]),
                          _outcome(lambda: _parabolic_search(CoxeterSystem(matrix, budget), J)))
             assert got == want, J
+
+
+class TestWallCrossAgainstMultiplyingBack:
+    @pytest.mark.parametrize("matrix,budget", [
+        (catalog.A3, 12), (catalog.B3, 12), (catalog.H3, 18), (B4, 16),
+        (D4, 12), (F4, 24), (AFFINE_A2, 8), (AFFINE_A2, 12),
+    ], ids=["A3", "B3", "H3", "B4", "D4", "F4", "affine_a2@8", "affine_a2@12"])
+    def test_every_wall(self, matrix, budget):
+        # Reference: t = z*s*z^-1, walking z*s down along z^-1, which never
+        # leaves the ball z*s lies in.
+        system = CoxeterSystem(matrix, budget)
+        walls = 0
+        for J in verify.finitary_subsets(system):
+            for z in system.min_coset_reps(J, budget - 1):  # so z*s is in the ball
+                for s in range(matrix.rank):
+                    zs = system.right_mult(z, s)
+                    if not system.is_mcr(zs, J):
+                        t = system.mult(zs, system.inverse(z))
+                        assert len(t) == 1 and t[0] in J
+                        assert system.wall_cross(z, s, J) == t[0], (J, z, s)
+                        walls += 1
+        assert walls

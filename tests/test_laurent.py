@@ -117,6 +117,11 @@ class TestRendering:
     def test_json_round_trip_random(self, p):
         assert LaurentPoly.from_json(p.to_json()) == p
 
+    def test_json_sums_repeated_exponents_as_the_constructor_does(self):
+        summed = LaurentPoly.from_json([[0, 1], [0, 2]])
+        assert summed == LaurentPoly([(0, 1), (0, 2)]) == poly((0, 3))
+        assert LaurentPoly.from_json([[1, 2], [1, -2]]) == ZERO
+
     @pytest.mark.parametrize("data", [[[1]], [[1, 2, 3]], "x", 5, [1, 2], [["1", 2]],
                                       [[1.5, 2]], [[0, True]], None],
                              ids=["short", "long", "string", "int", "flat", "str-exp",

@@ -1,12 +1,14 @@
 import hashlib
 import itertools
 import json
+import re
 
 import pytest
 
 from heckesphere import catalog, lightleaf, strolls, verify
 from heckesphere.coxeter import IDENTITY, CoxeterSystem, RexMove
 from heckesphere.errors import (
+    BudgetExceeded,
     EndpointMismatch,
     InvalidMatrix,
     PreconditionViolated,
@@ -25,7 +27,7 @@ from heckesphere.lightleaf import (
     render,
 )
 
-from conftest import DEGREE_COVER
+from conftest import AFFINE_A2, B4, D4, DEGREE_COVER, F4
 
 S, T, U = 0, 1, 2
 J_S = frozenset({S})
@@ -359,3 +361,64 @@ def test_nsll_z_block_is_the_spherical_stroll(a2, b2, a3):
         stroll = strolls.decorate(system, J, word, bits).stroll
         recipe = build_nsll(system, J, word, bits)
         assert [st.z_part for st in recipe.steps] == list(stroll[1:])
+
+
+def _classical_steps(system, J, word, bits):
+    """Reference: each step's classical label and (u, z) blocks, read off the
+    product w = u*z of the classical stroll: U when l(w*s) > l(w), and w
+    takes the step when its bit is 1."""
+    u = z = IDENTITY
+    for s, b in zip(word, bits):
+        w = system.mult(u, z)
+        ws = system.right_mult(w, s)
+        label = f"{'U' if len(ws) > len(w) else 'D'}{b}"
+        u, z = system.coset_decompose(ws if b else w, J)
+        yield label, u, z
+
+
+@pytest.mark.parametrize("matrix,budget,max_len", [
+    (catalog.B2, 10, 4), (catalog.B3, 12, 3), (catalog.H3, 18, 3), (AFFINE_A2, 8, 3),
+], ids=["B2", "B3", "H3", "affine_a2@8"])
+def test_nsll_classical_steps_match_the_product_u_z(matrix, budget, max_len):
+    system = CoxeterSystem(matrix, budget)
+    kinds = set()
+    for J in verify.finitary_subsets(system):
+        for word in _words(system, max_len):
+            for bits in strolls.subexpressions(len(word)):
+                steps = build_nsll(system, J, word, bits).steps
+                kinds.update((st.label, st.classical_label) for st in steps)
+                assert [(st.classical_label, st.u_part, st.z_part) for st in steps] == \
+                    list(_classical_steps(system, J, word, bits)), (J, word, bits)
+    assert {("X1", "U1"), ("X1", "D1"), ("X0", "U0"), ("X0", "D0")} <= kinds
+
+
+@pytest.mark.parametrize("matrix,budget", [(catalog.INF_DIHEDRAL, 3), (AFFINE_A2, 3)],
+                         ids=["infinite_dihedral@3", "affine_a2@3"])
+def test_nsll_leaves_the_ball_where_its_classical_stroll_does(matrix, budget):
+    # Past the budget, the first classical step up out of the ball raises, as
+    # the product u*z*s does.
+    system = CoxeterSystem(matrix, budget)
+    raised = 0
+    for J in verify.finitary_subsets(system):
+        for word in _words(system, budget + 1):
+            for bits in strolls.subexpressions(len(word)):
+                try:
+                    want = list(_classical_steps(system, J, word, bits))
+                except BudgetExceeded as exc:
+                    with pytest.raises(BudgetExceeded, match=f"^{re.escape(str(exc))}$"):
+                        build_nsll(system, J, word, bits)
+                    raised += 1
+                    continue
+                steps = build_nsll(system, J, word, bits).steps
+                assert [(st.classical_label, st.u_part, st.z_part) for st in steps] == want
+    assert raised
+
+
+@pytest.mark.parametrize("suite,name", [("spherical", "decomp-wallcross"),
+                                        ("lightleaf", "non-spherical")])
+@pytest.mark.parametrize("matrix,budget", [(B4, 16), (D4, 12), (F4, 24)],
+                         ids=["B4", "D4", "F4"])
+def test_rank_four_wall_crossings_pass_verify(matrix, budget, suite, name):
+    run = verify.Run(CoxeterSystem(matrix, budget))
+    res = run.check(suite, name, dict(verify.SUITES[suite])[name])
+    assert res.failures == [] and res.cases > 0 and res.skipped_budget == 0
