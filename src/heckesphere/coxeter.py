@@ -242,10 +242,13 @@ class CoxeterSystem:
             if not 0 <= s < self.matrix.rank:
                 raise InvalidMatrix(f"letter {s} out of range")
 
-    def check_J(self, J: Iterable[int]):
+    def check_J(self, J: Iterable[int]) -> frozenset[int]:
+        """J as a frozenset, once every letter is checked to lie in S."""
+        J = frozenset(J)
         for s in sorted(J):
             if not 0 <= s < self.matrix.rank:
                 raise InvalidMatrix(f"J={sorted(J)}: letter {s} out of range")
+        return J
 
     def right_mult(self, w: Word, s: int) -> Word:
         """Canonical word of w*s."""
@@ -426,8 +429,7 @@ class CoxeterSystem:
                 f"{w} is not a minimal coset representative for J={sorted(J)}")
 
     def min_coset_reps(self, J: Iterable[int], max_length: int | None = None) -> list[Word]:
-        J = frozenset(J)
-        self.check_J(J)
+        J = self.check_J(J)
         return [w for w in self.elements(max_length) if self.is_mcr(w, J)]
 
     def coset_decompose(self, w: Word, J: frozenset[int]) -> tuple[Word, Word]:

@@ -21,7 +21,7 @@ from typing import Iterable
 from . import linear
 from .coxeter import IDENTITY, CoxeterSystem, Word
 from .errors import InternalInconsistency
-from .laurent import LaurentPoly, ONE, V, VINV, sum_of_products
+from .laurent import LaurentPoly, ONE, V, sum_of_products
 
 NO_J: frozenset[int] = frozenset()  # the algebra's standard basis is indexed by all of W
 
@@ -45,13 +45,14 @@ class HeckeAlgebra:
         return HeckeElt()
 
     def delta(self, x: Word, coeff: LaurentPoly | int = 1) -> HeckeElt:
+        self.system.check_mcr(x, NO_J)
         return HeckeElt({x: coeff})
 
     def unit(self) -> HeckeElt:
-        return self.delta(IDENTITY)
+        return HeckeElt.wrap({IDENTITY: ONE})
 
     def b_s(self, s: int) -> HeckeElt:
-        return HeckeElt({(s,): ONE, IDENTITY: V})
+        return HeckeElt.wrap({(s,): ONE, IDENTITY: V})
 
     # -- ring structure and bar involution ------------------------------------------
 
@@ -75,10 +76,9 @@ class HeckeAlgebra:
         return a.coeff(IDENTITY)
 
     def anti_involution(self, a: HeckeElt) -> HeckeElt:
-        """i(delta_x) = delta_{x^-1}, coefficient-linear."""
-        return HeckeElt(
-            (self.system.inverse(x), c) for x, c in a.support.items()
-        )
+        """i(delta_x) = delta_{x^-1}, coefficient-linear; inversion is a
+        bijection of W, so the terms are relabelled, not summed."""
+        return HeckeElt.wrap({self.system.inverse(x): c for x, c in a.support.items()})
 
     def pairing_trace(self, a: HeckeElt, b: HeckeElt) -> LaurentPoly:
         """<a, b> = trace(i(a) * b), the defining formula, read off one pruned
@@ -100,9 +100,10 @@ class HeckeAlgebra:
         if J in self._bwj_memo:
             return self._bwj_memo[J]
         par = self.system.parabolic(J)
-        b = HeckeElt((w, LaurentPoly.monomial(par.d_J - len(w))) for w in par.members)
+        b = HeckeElt.wrap({w: LaurentPoly.monomial(par.d_J - len(w)) for w in par.members})
+        vinv_b = HeckeElt.wrap({w: c.shift(-1) for w, c in b.support.items()})
         for s in sorted(par.J):
-            if linear.delta_step(self.system, NO_J, b, s) != b.scale(VINV):
+            if linear.delta_step(self.system, NO_J, b, s) != vinv_b:
                 raise InternalInconsistency(
                     f"b_(w_J) delta_s != v^-1 b_(w_J) for s={s}, J={sorted(par.J)}")
         pi = LaurentPoly((2 * len(w) - par.d_J, 1) for w in par.members)
@@ -117,7 +118,7 @@ class HeckeAlgebra:
         ideals H b_{w_J} and b_{w_J} H."""
         _, pi = self.b_wJ_and_pi(J)
         prod = self.multiply(h1, h2)
-        return HeckeElt((x, c.divide_exact(pi)) for x, c in prod.support.items())
+        return HeckeElt.wrap({x: c.divide_exact(pi) for x, c in prod.support.items()})
 
     # -- rendering -----------------------------------------------------------------------
 

@@ -3,7 +3,8 @@ or builds its exponent maps.
 
 A Laurent polynomial is stored as a map from integer exponent to nonzero
 integer coefficient, so equality is plain map equality.  Coefficients are
-Python ints and therefore arbitrary precision.
+Python ints and therefore arbitrary precision; the merging constructor, for
+exponents that can repeat or terms from a caller, takes nothing else.
 
 Sums of products are formed in raw exponent maps, plain dict[int, int] that
 may hold zero coefficients while they accumulate; the zeros are dropped once
@@ -13,6 +14,7 @@ linear combinations with polynomial coefficients: raw += c * support, one
 raw map per key, except that a key's first term stays a LaurentPoly until a
 second term arrives (a `Raw` entry); `total` reads one key and `finish`
 turns every key into its polynomial, dropping keys that summed to zero.
+p * q is one `sum_of_products`, and so are p + q and p - q, over ONE and MINUS_ONE.
 """
 
 from __future__ import annotations
@@ -31,6 +33,9 @@ class LaurentPoly:
         items = coeffs.items() if type(coeffs) is dict or isinstance(coeffs, Mapping) else coeffs
         store: dict[int, int] = {}
         for exp, c in items:
+            if type(exp) is not int or type(c) is not int:
+                raise PreconditionViolated(
+                    f"exponents and coefficients must be integers, got {exp!r}: {c!r}")
             if c:
                 store[exp] = store.get(exp, 0) + c
                 if not store[exp]:
@@ -57,9 +62,6 @@ class LaurentPoly:
         return cls({0: n})
 
     # -- basic queries -----------------------------------------------------
-
-    def is_zero(self) -> bool:
-        return not self.coeffs
 
     def __bool__(self) -> bool:
         return bool(self.coeffs)
@@ -92,20 +94,15 @@ class LaurentPoly:
     def _coerce(other) -> "LaurentPoly":
         if isinstance(other, LaurentPoly):
             return other
-        if isinstance(other, int):
-            return LaurentPoly({0: other})
+        if type(other) is int:
+            return _poly({0: other} if other else {})
         return NotImplemented
 
     def __add__(self, other) -> "LaurentPoly":
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        out = dict(self.coeffs)
-        for e, c in other.coeffs.items():
-            out[e] = out.get(e, 0) + c
-            if not out[e]:
-                del out[e]
-        return _poly(out)
+        return sum_of_products(((self, ONE), (other, ONE)))
 
     __radd__ = __add__
 
@@ -116,13 +113,13 @@ class LaurentPoly:
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        return self + (-other)
+        return sum_of_products(((self, ONE), (other, MINUS_ONE)))
 
     def __rsub__(self, other) -> "LaurentPoly":
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        return other + (-self)
+        return sum_of_products(((other, ONE), (self, MINUS_ONE)))
 
     def __mul__(self, other) -> "LaurentPoly":
         other = self._coerce(other)
@@ -185,9 +182,9 @@ class LaurentPoly:
         Raises NotDivisible if no such q exists over Z[v, v^-1], and
         DivisionByZero if divisor is zero.
         """
-        if divisor.is_zero():
+        if not divisor:
             raise DivisionByZero("division by the zero Laurent polynomial")
-        if self.is_zero():
+        if not self:
             return LaurentPoly.zero()
         div = divisor.coeffs
         top_b = max(div)
@@ -220,9 +217,8 @@ class LaurentPoly:
     # -- comparison, hashing, rendering -------------------------------------
 
     def __eq__(self, other) -> bool:
-        if isinstance(other, int):
-            other = LaurentPoly({0: other})
-        if not isinstance(other, LaurentPoly):
+        other = self._coerce(other)
+        if other is NotImplemented:
             return NotImplemented
         return self.coeffs == other.coeffs
 
@@ -333,3 +329,4 @@ ZERO = LaurentPoly.zero()
 ONE = LaurentPoly.one()
 V = LaurentPoly.monomial(1)
 VINV = LaurentPoly.monomial(-1)
+MINUS_ONE = LaurentPoly.from_int(-1)

@@ -123,6 +123,7 @@ def _strand_op(system: CoxeterSystem, label: str, cur: Word,
 def build_sll(system: CoxeterSystem, J: frozenset[int],
               word: Sequence[int], bits: Sequence[int],
               target_rex: Sequence[int] | None = None) -> LLRecipe:
+    J = system.check_J(J)
     dec = decorate(system, J, word, bits)
     word = dec.word
     bits = dec.bits
@@ -233,6 +234,7 @@ def build_nsll(system: CoxeterSystem, J: frozenset[int],
     classical Bruhat stroll; z_k is the spherical stroll.  Wall plug-ins of
     the spherical construction become transfers of the wall-crossing
     generator into the u-block."""
+    J = system.check_J(J)
     dec = decorate(system, J, word, bits)
     steps = []
     u: Word = IDENTITY  # canonical word of u_k
@@ -248,7 +250,7 @@ def build_nsll(system: CoxeterSystem, J: frozenset[int],
                 u_after = system.right_mult(u, t_gen)
         else:
             d_classical = d_spherical  # off a wall, u*z*s steps as z*s does
-        if d_classical[0] == "U" and len(u) + len(zw) >= system.budget:  # u*z*s leaves the ball
+        if d_classical == "U1" and len(u) + len(zw) >= system.budget:  # u*z*s leaves the ball
             raise BudgetExceeded(f"product of length {len(u) + len(zw) + 1} "
                                  f"exceeds budget {system.budget}")
         if d_classical in (d_spherical, "U0"):

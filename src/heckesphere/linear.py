@@ -18,9 +18,11 @@ and every module's basis c_x: the element at x' times b_s, mu-corrected by
 
 Every sum of combinations is one keyed sum of laurent's (`add_products`,
 then `finish`), and `Combo.dot` is one `sum_of_products`; the polynomials'
-exponent maps are laurent's alone.  `delta_step` forms almost no sum: a
-generator moves the terms that cross no wall one to one, so each is one
-assignment, and only a descent adds (v^-1 - v) c at its own key.
+exponent maps are laurent's alone.  Terms that cannot meet are relabelled,
+not summed: a one-to-one image of the keys is built by `wrap`, and
+`delta_step` forms almost no sum: a generator moves the terms that cross no
+wall one to one, so each is one assignment, and only a descent adds
+(v^-1 - v) c at its own key.
 """
 
 from __future__ import annotations
@@ -29,16 +31,27 @@ from collections.abc import Callable, Iterable, Iterator, Mapping
 
 from .coxeter import IDENTITY, CoxeterSystem, Word
 from .errors import InternalInconsistency, PreconditionViolated
-from .laurent import LaurentPoly, ONE, V, VINV, add_products, finish, sum_of_products, total
+from .laurent import (LaurentPoly, MINUS_ONE, ONE, V, VINV, add_products, finish,
+                      sum_of_products, total)
 
 
 Coeffs = dict[tuple, LaurentPoly]
-MINUS_ONE = LaurentPoly.from_int(-1)
+V_MINUS_VINV = V - VINV  # delta_s^-1 = delta_s + v - v^-1
+
+
+def _coefficient(c: LaurentPoly | int) -> LaurentPoly:
+    """c as a polynomial, if it is an int or a LaurentPoly."""
+    if type(c) is int:
+        return LaurentPoly.from_int(c)
+    if type(c) is not LaurentPoly:
+        raise PreconditionViolated(f"a coefficient must be an int or a LaurentPoly, got {c!r}")
+    return c
 
 
 class Combo:
-    """A finitely supported sum of standard basis elements; the constructor
-    merges repeated keys and drops zeros, arithmetic keeps the left type."""
+    """A finitely supported sum of standard basis elements; arithmetic keeps
+    the left type.  The constructor, for keys that can repeat or coefficients
+    from a caller (each an int or a LaurentPoly), merges keys and drops zeros."""
 
     __slots__ = ("support",)
 
@@ -46,8 +59,7 @@ class Combo:
         pairs = support.items() if type(support) is dict or isinstance(support, Mapping) else support
         raw = {}
         for key, c in pairs:
-            if isinstance(c, int):
-                c = LaurentPoly.from_int(c)
+            c = _coefficient(c)
             if key in raw:
                 add_products(raw, {key: c}, ONE)
             else:
@@ -79,11 +91,10 @@ class Combo:
         return self.wrap(finish(add_products(dict(self.support), other.support, MINUS_ONE)))
 
     def __neg__(self):
-        return self.scale(-1)
+        return self.wrap({k: -x for k, x in self.support.items()})
 
     def scale(self, c: LaurentPoly | int):
-        if isinstance(c, int):
-            c = LaurentPoly.from_int(c)
+        c = _coefficient(c)
         if not c:
             return self.wrap({})
         return self.wrap({k: x * c for k, x in self.support.items()})
@@ -257,7 +268,8 @@ def bar(system: CoxeterSystem, J: frozenset[int], memo: dict[Word, Combo],
     (delta_s + v - v^-1).  A key that is not an mcr raises PreconditionViolated."""
     raw = {}
     for x, c in a.support.items():
-        bx = along(system, J, memo, x, lambda p, prev: step_plus(system, J, prev, p[-1], V - VINV))
+        bx = along(system, J, memo, x,
+                   lambda p, prev: step_plus(system, J, prev, p[-1], V_MINUS_VINV))
         add_products(raw, bx.support, c.bar())
     return a.wrap(finish(raw))
 

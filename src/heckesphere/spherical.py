@@ -70,7 +70,7 @@ class SphericalModule:
         return SphericalElt({x: coeff})
 
     def unit(self) -> SphericalElt:
-        return SphericalElt({IDENTITY: ONE})
+        return SphericalElt.wrap({IDENTITY: ONE})
 
     # -- the action and the bar involution ------------------------------------------
 

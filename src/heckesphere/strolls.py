@@ -66,7 +66,7 @@ def decorate(system: CoxeterSystem, J: frozenset[int],
     if len(word) != len(bits) or any(b not in (0, 1) for b in bits):
         raise WordMismatch("bits must be a 0/1 sequence matching the word length")
     system.check_letters(word)
-    system.check_J(J)
+    J = system.check_J(J)
     stroll = [IDENTITY]
     labels = []
     for s, b in zip(word, bits):
@@ -84,7 +84,7 @@ def decorations(system: CoxeterSystem, J: frozenset[int],
     before its bit-1 children, so the new bit is the most significant."""
     word = tuple(word)
     system.check_letters(word)
-    system.check_J(J)
+    J = system.check_J(J)
     nodes = [Decoration(word, (), (), (IDENTITY,), 0)]
     for s in word:
         steps = [_step(system, J, dec.endpoint, s) for dec in nodes]
@@ -167,7 +167,7 @@ def endpoint_polys(system: CoxeterSystem, J: frozenset[int],
     module action that `strolls/defect-expansion` checks it against; the 2^n
     leaves are counted by end and defect."""
     system.check_letters(word)
-    system.check_J(J)
+    J = system.check_J(J)
     nodes = [(IDENTITY, 0)]
     for s in word:
         nxt = []

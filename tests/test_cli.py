@@ -119,6 +119,19 @@ class TestLightleaf:
                            "-x", "tst", "--bits", "111")
         assert code == 0 and "wall-transfer:s" in out
 
+    def test_nsll_within_the_ball(self, capsys):
+        # Every intermediate (s, st, sts, sts) has length <= 3, so budget 3
+        # prints the recipe that budget 4 does.
+        argv = ("nsll", "--system", "infinite_dihedral", "--J", "s", "-x", "stst",
+                "--bits", "1110")
+        assert run(capsys, *argv, "--budget", "3") == run(capsys, *argv, "--budget", "4") == (
+            0, "word=stst bits=1110\n"
+               "  step 1: X1 [U1] pre=- op=wall-transfer:s post=- -> s\n"
+               "  step 2: U1 [U1] pre=- op=none post=- -> st\n"
+               "  step 3: U1 [U1] pre=- op=none post=- -> sts\n"
+               "  step 4: U0 [U0] pre=- op=dot-kill post=- -> sts\n"
+               "target=sts degree=1\n", "")
+
 
 class TestErrors:
     def test_bad_bits(self, capsys, a2_file):

@@ -251,6 +251,10 @@ class TestCosets:
         with pytest.raises(InvalidMatrix, match=r"^J=\[9\]: letter 9 out of range$"):
             a2.min_coset_reps({9})
 
+    def test_check_J_returns_J_as_a_frozenset(self, a2):
+        assert a2.check_J([T, S, T]) == frozenset({S, T})
+        assert type(a2.check_J(iter([S]))) is frozenset
+
     def test_decompose_examples(self, a2):
         assert a2.coset_decompose((S, T, S), frozenset({S})) == ((S,), (T, S))
         assert a2.coset_decompose((S, T), frozenset({S})) == ((S,), (T,))

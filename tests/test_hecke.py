@@ -218,6 +218,24 @@ class TestBwJ:
             HeckeAlgebra(a2).b_wJ_and_pi({S, T})
 
 
+class TestInput:
+    @pytest.mark.parametrize("call", [
+        lambda alg: HeckeElt({(S,): 1.5}),
+        lambda alg: HeckeElt({(S,): True}),
+        lambda alg: alg.delta((T,), 1.5),
+        lambda alg: alg.delta((T,)).scale(0.5),
+    ], ids=["float-in-constructor", "bool-in-constructor", "float-in-delta", "float-in-scale"])
+    def test_a_coefficient_is_an_int_or_a_laurent_poly(self, a2_algebra, call):
+        with pytest.raises(PreconditionViolated, match="must be an int or a LaurentPoly"):
+            call(a2_algebra)
+
+    @pytest.mark.parametrize("word", [(5,), (S, S), (T, S, T)], ids=["letter", "unreduced",
+                                                                      "not-canonical"])
+    def test_delta_takes_only_a_group_element(self, a2_algebra, word):
+        with pytest.raises(PreconditionViolated, match="canonical word"):
+            a2_algebra.delta(word)
+
+
 class TestSchur:
     def test_bs_star_bs(self, a2_algebra):
         alg = a2_algebra

@@ -139,6 +139,12 @@ class TestRendering:
         with pytest.raises(PreconditionViolated):
             call()
 
+    @pytest.mark.parametrize("coeffs", [{0: 1.5}, {0.5: 1}, {0: True}],
+                             ids=["float-coefficient", "float-exponent", "bool-coefficient"])
+    def test_only_integers_build_a_polynomial(self, coeffs):
+        with pytest.raises(PreconditionViolated, match="must be integers"):
+            LaurentPoly(coeffs)
+
     def test_getitem_and_exponents(self):
         p = poly((2, 3), (-1, 1))
         assert p[2] == 3 and p[0] == 0

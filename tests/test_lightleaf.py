@@ -356,6 +356,15 @@ def test_a_J_letter_outside_S_is_rejected(a2, build):
         build(a2, frozenset({S, 7}))
 
 
+@pytest.mark.parametrize("build", [
+    lambda a2, J: build_sll(a2, J, (T, S, T), (1, 1, 1)),
+    lambda a2, J: build_nsll(a2, J, (S, T, S, T), (1, 1, 1, 1)),
+    lambda a2, J: build_sdl(a2, J, (T, S, T), (1, 1, 1), (T, S), (1, 1)),
+], ids=["sll", "nsll", "sdl"])
+def test_a_list_J_is_read_as_its_set(a2, build):
+    assert build(a2, [S, S]) == build(a2, frozenset({S}))
+
+
 def test_nsll_z_block_is_the_spherical_stroll(a2, b2, a3):
     for system, J, word, bits in _light_leaf_domain(a2, b2, a3):
         stroll = strolls.decorate(system, J, word, bits).stroll
@@ -365,14 +374,15 @@ def test_nsll_z_block_is_the_spherical_stroll(a2, b2, a3):
 
 def _classical_steps(system, J, word, bits):
     """Reference: each step's classical label and (u, z) blocks, read off the
-    product w = u*z of the classical stroll: U when l(w*s) > l(w), and w
-    takes the step when its bit is 1."""
+    product w = u*z of the classical stroll: D when s is a right descent of
+    w, and w takes the step, forming w*s, when its bit is 1.  The spherical
+    stroll is decorated first: it forms z*s at every letter."""
+    strolls.decorate(system, J, word, bits)
     u = z = IDENTITY
     for s, b in zip(word, bits):
         w = system.mult(u, z)
-        ws = system.right_mult(w, s)
-        label = f"{'U' if len(ws) > len(w) else 'D'}{b}"
-        u, z = system.coset_decompose(ws if b else w, J)
+        label = f"{'D' if s in system.right_descents(w) else 'U'}{b}"
+        u, z = system.coset_decompose(system.right_mult(w, s) if b else w, J)
         yield label, u, z
 
 
@@ -395,8 +405,8 @@ def test_nsll_classical_steps_match_the_product_u_z(matrix, budget, max_len):
 @pytest.mark.parametrize("matrix,budget", [(catalog.INF_DIHEDRAL, 3), (AFFINE_A2, 3)],
                          ids=["infinite_dihedral@3", "affine_a2@3"])
 def test_nsll_leaves_the_ball_where_its_classical_stroll_does(matrix, budget):
-    # Past the budget, the first classical step up out of the ball raises, as
-    # the product u*z*s does.
+    # Past the budget, nsll raises where its reference first forms a product
+    # out of the ball: z*s of the spherical stroll, or u*z*s on a bit 1.
     system = CoxeterSystem(matrix, budget)
     raised = 0
     for J in verify.finitary_subsets(system):

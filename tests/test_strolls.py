@@ -210,6 +210,16 @@ class TestEndpointWalk:
         with pytest.raises(InvalidMatrix, match=r"^J=\[0, 7\]: letter 7 out of range$"):
             call(a2, frozenset({S, 7}))
 
+    @pytest.mark.parametrize("call", [
+        lambda a2, J: strolls.decorate(a2, J, (T, S, T), (1, 1, 1)),
+        lambda a2, J: strolls.decorations(a2, J, (T, S, T)),
+        lambda a2, J: strolls.endpoint_polys(a2, J, (T, S, T)),
+        lambda a2, J: strolls.rank_poly(a2, J, (T, S, T), (T, S)),
+        lambda a2, J: strolls.double_leaf_index(a2, J, (T, S, T), (T, S)),
+    ], ids=["decorate", "decorations", "endpoint_polys", "rank_poly", "double_leaf_index"])
+    def test_a_list_J_is_read_as_its_set(self, a2, call):
+        assert call(a2, [S, S]) == call(a2, J_S)
+
     def test_a_stroll_past_the_budget_fails_as_a_decoration_does(self, inf_dihedral):
         # Budget 8: a stroll of nine up-steps leaves the ball.
         rng = random.Random(0)
