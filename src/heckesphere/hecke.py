@@ -5,7 +5,10 @@ a map from group element (canonical reduced word) to nonzero LaurentPoly.
 The multiply and the bar are linear's, shared with the spherical modules
 (the algebra is J = {}): a * b walks the prefix tree of b's support, one
 generator at a time by delta_s^2 = 1 + (v^-1 - v) delta_s.  The trace form
-walks the same tree for the delta_e coefficient alone (linear.trace_walk).
+walks the same tree for the delta_e coefficient alone (linear.trace_walk),
+a row at a time: pairing_trace_row(a, bs) reads <a, b> for every b of the
+row from one walk of the union of their keys, and pairing_trace is its
+one-element case.
 The Kazhdan-Lusztig basis is linear.kl_step, the recursion b_{xs} * b_s minus
 mu-corrections that every spherical module shares.  bar(delta_x) and b_x
 are memoized by linear.along, each from its value at xs, x = (xs)s along
@@ -16,7 +19,7 @@ closed form and certified by |J| eigen-steps b delta_s = v^-1 b, linear in |W_J|
 
 from __future__ import annotations
 
-from typing import Iterable
+from collections.abc import Iterable, Sequence
 
 from . import linear
 from .coxeter import IDENTITY, CoxeterSystem, Word
@@ -46,12 +49,13 @@ class HeckeAlgebra:
 
     def delta(self, x: Word, coeff: LaurentPoly | int = 1) -> HeckeElt:
         self.system.check_mcr(x, NO_J)
-        return HeckeElt({x: coeff})
+        return HeckeElt.single(x, coeff)
 
     def unit(self) -> HeckeElt:
         return HeckeElt.wrap({IDENTITY: ONE})
 
     def b_s(self, s: int) -> HeckeElt:
+        self.system.check_letters((s,))
         return HeckeElt.wrap({(s,): ONE, IDENTITY: V})
 
     # -- ring structure and bar involution ------------------------------------------
@@ -80,10 +84,18 @@ class HeckeAlgebra:
         bijection of W, so the terms are relabelled, not summed."""
         return HeckeElt.wrap({self.system.inverse(x): c for x, c in a.support.items()})
 
+    def pairing_trace_row(self, a: HeckeElt, bs: Sequence[HeckeElt]) -> list[LaurentPoly]:
+        """[<a, b> for b in bs], each <a, b> = trace(i(a) * b), the defining
+        formula: one pruned walk of the union of the bs' keys reads
+        trace(i(a) delta_y) for every key y at once (linear.trace_walk), and
+        each entry is those traces dotted with its own b."""
+        keys = {y for b in bs for y in b.support}
+        traces = linear.trace_walk(self.system, self.anti_involution(a), keys)
+        return [traces.dot(b) for b in bs]
+
     def pairing_trace(self, a: HeckeElt, b: HeckeElt) -> LaurentPoly:
-        """<a, b> = trace(i(a) * b), the defining formula, read off one pruned
-        walk of b's keys for the delta_e coefficient alone (linear.trace_walk)."""
-        return linear.trace_walk(self.system, self.anti_involution(a), b.support).dot(b)
+        """<a, b> = trace(i(a) * b), the one-element row of pairing_trace_row."""
+        return self.pairing_trace_row(a, (b,))[0]
 
     def pairing(self, a: HeckeElt, b: HeckeElt) -> LaurentPoly:
         """<a, b> computed coordinatewise (the standard basis is orthonormal)."""

@@ -33,9 +33,7 @@ class LaurentPoly:
         items = coeffs.items() if type(coeffs) is dict or isinstance(coeffs, Mapping) else coeffs
         store: dict[int, int] = {}
         for exp, c in items:
-            if type(exp) is not int or type(c) is not int:
-                raise PreconditionViolated(
-                    f"exponents and coefficients must be integers, got {exp!r}: {c!r}")
+            _check_term(exp, c)
             if c:
                 store[exp] = store.get(exp, 0) + c
                 if not store[exp]:
@@ -54,8 +52,9 @@ class LaurentPoly:
 
     @classmethod
     def monomial(cls, exp: int, coeff: int = 1) -> "LaurentPoly":
-        """coeff * v^exp"""
-        return cls({exp: coeff})
+        """coeff * v^exp: one term cannot repeat, so no merging loop."""
+        _check_term(exp, coeff)
+        return _poly({exp: coeff} if coeff else {})
 
     @classmethod
     def from_int(cls, n: int) -> "LaurentPoly":
@@ -130,6 +129,8 @@ class LaurentPoly:
     __rmul__ = __mul__
 
     def __pow__(self, n: int) -> "LaurentPoly":
+        if type(n) is not int:
+            raise PreconditionViolated(f"an exponent must be an int, got {n!r}")
         if n < 0:
             raise PreconditionViolated("negative powers not supported")
         out = LaurentPoly.one()
@@ -269,6 +270,13 @@ def _poly(coeffs: dict[int, int]) -> LaurentPoly:
     result = LaurentPoly.__new__(LaurentPoly)
     result.coeffs = coeffs
     return result
+
+
+def _check_term(exp, c) -> None:
+    """A term from a caller: its exponent and coefficient must be ints."""
+    if type(exp) is not int or type(c) is not int:
+        raise PreconditionViolated(
+            f"exponents and coefficients must be integers, got {exp!r}: {c!r}")
 
 
 def sum_of_products(pairs: Iterable[tuple[LaurentPoly, LaurentPoly]]) -> LaurentPoly:

@@ -73,6 +73,12 @@ class Combo:
         out.support = coeffs
         return out
 
+    @classmethod
+    def single(cls, key: Word, c: LaurentPoly | int):
+        """c times one basis element: one key cannot repeat, so nothing merges."""
+        c = _coefficient(c)
+        return cls.wrap({key: c} if c else {})
+
     def __eq__(self, other) -> bool:
         if type(other) is not type(self):
             return NotImplemented

@@ -22,17 +22,18 @@ The pairing <a, b>_M is computed coordinatewise and cross-checked on every
 call against the embedding m_x -> b_{w_J} delta_x, under which v^{d_J} pi(J)
 times it is the trace form.  The cross-check is bilinear over a Gram memo:
 G(x, y) = trace(i(phi m_x) * phi m_y) is computed once per ordered pair of
-minimal coset representatives, a row at a time: one linear.trace_walk, the
-Hecke product by the quadratic relation read at delta_e alone, of
-i(phi m_x) over the keys of every phi m_y the row lacks, from the memoized
-embeddings phi(m_x); each call then forms
+minimal coset representatives, a row at a time by gram_row(x, ys): one
+HeckeAlgebra.pairing_trace_row, a single linear.trace_walk (the Hecke
+product by the quadratic relation read at delta_e alone) of i(phi m_x) over
+the keys of every phi m_y the row lacks, from the memoized embeddings
+phi(m_x).  pairing reads each x of a's row through gram_row, then forms
 sum a_x b_y G(x, y) as one laurent.sum_of_products and compares it with
 v^{d_J} pi(J) times the coordinatewise value.
 """
 
 from __future__ import annotations
 
-from typing import Iterable
+from collections.abc import Collection, Iterable
 
 from . import linear
 from .coxeter import IDENTITY, Word
@@ -67,7 +68,7 @@ class SphericalModule:
 
     def m(self, x: Word, coeff: LaurentPoly | int = 1) -> SphericalElt:
         self.system.check_mcr(x, self.J)
-        return SphericalElt({x: coeff})
+        return SphericalElt.single(x, coeff)
 
     def unit(self) -> SphericalElt:
         return SphericalElt.wrap({IDENTITY: ONE})
@@ -120,28 +121,30 @@ class SphericalModule:
         return linear.along(self.system, self.J, self._phi_memo, x, lambda p, prev:
                             linear.delta_step(self.system, NO_J, prev, p[-1]))
 
+    def gram_row(self, x: Word, ys: Collection[Word]) -> list[LaurentPoly]:
+        """[G(x, y) for y in ys], G(x, y) = trace(i(phi m_x) * phi m_y), x and
+        the ys mcrs, memoized per ordered pair.  The entries the memo lacks
+        come from one algebra.pairing_trace_row of phi m_x against their
+        phi m_y, one trace walk of the union of their keys; entries already
+        held are read, never recomputed."""
+        memo = self._gram_memo
+        cold = [y for y in ys if (x, y) not in memo]
+        if cold:
+            row = self.algebra.pairing_trace_row(self._phi(x), [self._phi(y) for y in cold])
+            for y, g in zip(cold, row):
+                memo[(x, y)] = g
+        return [memo[(x, y)] for y in ys]
+
     def pairing(self, a: SphericalElt, b: SphericalElt) -> LaurentPoly:
         """<a, b>_M, coordinatewise (the m_x are orthonormal), cross-checked
         against the embedded formula v^{-d_J} trace(i(phi a) phi b) / pi(J) by
         one product, exact as Z[v, v^-1] has no zero divisors: the bilinear
-        sum a_x b_y G(x, y) must equal v^{d_J} pi(J) <a, b>_M.
-
-        G(x, y) = trace(i(phi m_x) * phi m_y) is memoized per ordered pair of
-        mcrs.  A row's entries missing from it come from one
-        linear.trace_walk of i(phi m_x) over the keys of every such phi m_y:
-        each entry is the walk's traces dotted with its own phi m_y."""
+        sum a_x b_y G(x, y), each row read by gram_row, must equal
+        v^{d_J} pi(J) <a, b>_M."""
         out = a.dot(b)
         pairs = []
         for x, c in a.support.items():
-            cold = [y for y in b.support if (x, y) not in self._gram_memo]
-            if cold:
-                ix = self.algebra.anti_involution(self._phi(x))
-                phis = [self._phi(y) for y in cold]
-                traces = linear.trace_walk(self.system, ix, [z for p in phis for z in p.support])
-                for y, phi in zip(cold, phis):
-                    self._gram_memo[(x, y)] = traces.dot(phi)
-            for y, d in b.support.items():
-                g = self._gram_memo[(x, y)]
+            for d, g in zip(b.support.values(), self.gram_row(x, b.support)):
                 if g:
                     pairs.append((c * d, g))
         total = sum_of_products(pairs)

@@ -13,6 +13,13 @@ raised outside every case, while the check enumerates its cases, is one
 bare counterexample that ends that check only (BudgetExceeded there still
 ends the run), so one faulty check cannot hide the others' results.  A
 check that fails nowhere reports PASS, or EMPTY if it completed no case.
+The pairing checks read the form a row at a time: each x's row comes from
+one trace walk (`HeckeAlgebra.pairing_trace_row`, or
+`SphericalModule.gram_row`, which fills the Gram memo the spherical
+pairing's cross-check reads), before its cases, and each entry is compared
+in its own case.  A row is read outside every case, with `run.where` set
+to its coordinates (J, x), so a row that raises is one counterexample
+named by them, and it ends that check.
 The CLI and the test suite share these so a green `verify` run and a green
 pytest run mean the same thing.
 """
@@ -29,7 +36,7 @@ from . import strolls
 from .coxeter import CoxeterSystem, Word
 from .errors import BudgetExceeded, HeckesphereError, PreconditionViolated
 from .hecke import HeckeAlgebra, HeckeElt
-from .laurent import LaurentPoly, ONE
+from .laurent import LaurentPoly, ONE, ZERO
 from .lightleaf import NSStep, build_nsll, build_sll, find_sweep, glue
 from .spherical import SphericalModule
 
@@ -137,16 +144,18 @@ class Run:
         message it yields by the case it yields it in.  A package error
         other than BudgetExceeded that the check raises outside every case,
         while it enumerates its cases, is one more counterexample and ends
-        only this check."""
+        only this check; it starts with the coordinates the check set in
+        `where` outside its cases, as a row's (J, x), if any."""
         self.cases = self.skipped_budget = 0
         self.failures = []
+        self.where = ()
         try:
             for msg in fn(self) or ():
                 self.failures.append(_case_name(self.where) + msg)
         except BudgetExceeded:
             raise
         except HeckesphereError as exc:
-            self.failures.append(f"{type(exc).__name__}: {exc}")
+            self.failures.append(f"{_case_name(self.where)}{type(exc).__name__}: {exc}")
         return CheckResult(suite, name, self.failures, self.cases, self.skipped_budget)
 
 
@@ -168,7 +177,7 @@ def _random_elts(rng: random.Random, pool: list[Word], count: int) -> list[Hecke
         terms = []
         for _ in range(2):
             x = rng.choice(pool)
-            c = LaurentPoly({rng.randint(-2, 2): rng.randint(-3, 3)})
+            c = LaurentPoly.monomial(rng.randint(-2, 2), rng.randint(-3, 3))
             terms.append((x, c))
         out.append(HeckeElt(terms))
     return out
@@ -201,21 +210,32 @@ def check_bwj_pi(run: Run) -> Iterator[str]:
 
 
 def check_hecke_orthonormal(run: Run) -> Iterator[str]:
+    """<d_x, d_y> = delta_xy, each x's row read from one trace walk."""
     alg = run.algebra
-    for x, y in itertools.product(run.elements(4), repeat=2):
-        with run.case(x, y):
-            got = alg.pairing_trace(alg.delta(x), alg.delta(y))
-            if got != (ONE if x == y else LaurentPoly.zero()):
-                yield f"<d_x, d_y> = {got}"
+    elts = run.elements(4)
+    deltas = [alg.delta(y) for y in elts]
+    for x in elts:
+        run.where = (x,)
+        row = alg.pairing_trace_row(alg.delta(x), deltas)
+        for y, got in zip(elts, row):
+            with run.case(x, y):
+                if got != (ONE if x == y else ZERO):
+                    yield f"<d_x, d_y> = {got}"
 
 
 def check_pairing_paths(run: Run) -> Iterator[str]:
+    """<b_x, b_y> coordinatewise against trace(i(b_x) b_y), each x's row
+    read from one trace walk."""
     alg = run.algebra
-    for x, y in itertools.product(run.elements(3), repeat=2):
-        with run.case(x, y):
-            a, b = alg.kl_basis(x), alg.kl_basis(y)
-            if alg.pairing(a, b) != alg.pairing_trace(a, b):
-                yield "pairing paths disagree on (b_x, b_y)"
+    elts = run.elements(3)
+    kls = [alg.kl_basis(y) for y in elts]
+    for x, a in zip(elts, kls):
+        run.where = (x,)
+        row = alg.pairing_trace_row(a, kls)
+        for y, b, got in zip(elts, kls, row):
+            with run.case(x, y):
+                if alg.pairing(a, b) != got:
+                    yield "pairing paths disagree on (b_x, b_y)"
 
 
 def check_associativity(run: Run) -> Iterator[str]:
@@ -258,7 +278,7 @@ def check_module_action(run: Run) -> Iterator[str]:
             continue
         for i in range(34):
             with run.case(J, i):
-                m = mod.m(rng.choice(mcrs), LaurentPoly({rng.randint(-1, 1): 1}))
+                m = mod.m(rng.choice(mcrs), LaurentPoly.monomial(rng.randint(-1, 1)))
                 h1, h2 = _random_elts(rng, mcrs, 2)
                 if mod.act(mod.act(m, h1), h2) != mod.act(m, run.algebra.multiply(h1, h2)):
                     yield "action axiom fails on this sample"
@@ -286,16 +306,24 @@ def check_spherical_kl(run: Run) -> None:
 
 
 def check_spherical_orthonormal(run: Run) -> Iterator[str]:
+    """<m_x, m_y>_M = delta_xy: gram_row fills x's row of the Gram memo from
+    one trace walk, and each case's pairing cross-checks its coordinatewise
+    value against its Gram sum, one memo read."""
     for J in run.subsets:
         mod = run.module(J)
         # phi(m_x) reaches length l(x) + d_J; the trace walk of the
         # cross-check stays in the ball that holds both embeddings.
         cap = None if run.system.is_finite else run.system.budget - mod.d_J
-        for x, y in itertools.product(run.mcrs(J, cap), repeat=2):
-            with run.case(J, x, y):
-                got = mod.pairing(mod.m(x), mod.m(y))
-                if got != (ONE if x == y else LaurentPoly.zero()):
-                    yield f"<m_x, m_y> = {got}"
+        mcrs = run.mcrs(J, cap)
+        ms = [mod.m(y) for y in mcrs]
+        for x, mx in zip(mcrs, ms):
+            run.where = (J, x)
+            mod.gram_row(x, mcrs)
+            for y, my in zip(mcrs, ms):
+                with run.case(J, x, y):
+                    got = mod.pairing(mx, my)
+                    if got != (ONE if x == y else ZERO):
+                        yield f"<m_x, m_y> = {got}"
 
 
 def check_bar_M_involutive(run: Run) -> Iterator[str]:

@@ -1,3 +1,4 @@
+import random
 import re
 
 import pytest
@@ -35,6 +36,11 @@ class TestMultiply:
     def test_a_letter_out_of_range_is_rejected(self, a2_algebra):
         with pytest.raises(InvalidMatrix, match="letter 5"):
             a2_algebra.multiply(a2_algebra.unit(), HeckeElt({(5,): 1}))
+
+    @pytest.mark.parametrize("s", [9, -1, 2])
+    def test_b_s_takes_only_a_generator(self, a2_algebra, s):
+        with pytest.raises(InvalidMatrix, match=f"letter {s} out of range"):
+            a2_algebra.b_s(s)
 
 
 class TestBar:
@@ -523,3 +529,59 @@ class TestTraceOnlyProduct:
         b = HeckeElt({(S,): ONE, (S, T): ONE, (S, T, S): ONE})
         for x, want in (((S,), ONE), ((S, T), ONE), ((T, S), ZERO), ((S, T, S), ONE)):
             assert alg.pairing_trace(alg.delta(x), b) == want, x
+
+
+# Two closed rank-3 balls, H3 and a rank-3 ball the budget cuts.
+ROW_SYSTEMS = {
+    "a3": (catalog.A3, 12),
+    "b3": (catalog.B3, 12),
+    "h3": (catalog.H3, 18),
+    "affine_a2": (AFFINE_A2, 8),
+}
+
+
+class TestPairingTraceRow:
+    """pairing_trace_row reads <a, b> for every b of a row from one walk of
+    the union of their keys; each entry must be the identity coefficient of
+    its own full product trace(i(a) * b)."""
+
+    @pytest.mark.parametrize("name", sorted(ROW_SYSTEMS))
+    def test_every_entry_is_its_own_product(self, name):
+        system = CoxeterSystem(*ROW_SYSTEMS[name])
+        alg = HeckeAlgebra(system)
+        pool = _pool(system)
+        rng = random.Random(name)
+        coeffs = [ONE, -ONE, V, VINV, V + VINV, VINV - V]
+
+        def sample():
+            return HeckeElt((rng.choice(pool), rng.choice(coeffs))
+                            for _ in range(rng.randint(1, 4)))
+
+        # Rows of random sums, of standard and KL basis elements whose keys
+        # overlap, and the zero element.
+        bs = ([sample() for _ in range(10)] + [alg.delta(y) for y in rng.sample(pool, 6)]
+              + [alg.kl_basis(y) for y in rng.sample(pool, 6)] + [alg.zero()])
+        for a in [sample() for _ in range(5)] + [alg.kl_basis(rng.choice(pool))]:
+            ia = alg.anti_involution(a)
+            row = alg.pairing_trace_row(a, bs)
+            assert row == [alg.trace(alg.multiply(ia, b)) for b in bs]
+            assert [alg.pairing_trace(a, b) for b in bs] == row
+
+    def test_an_empty_row_is_empty(self, a2_algebra):
+        assert a2_algebra.pairing_trace_row(a2_algebra.b_s(S), []) == []
+
+    @pytest.mark.parametrize("budget", [6, 8])
+    def test_no_row_walk_within_a_cut_ball_raises(self, budget):
+        # The row of delta_x against every element of the ball, and of b_x
+        # against every b_y, whose keys are no longer than y: the walk of the
+        # union never leaves the ball.
+        system = CoxeterSystem(AFFINE_A2, budget)
+        alg = HeckeAlgebra(system)
+        ball = system.elements()
+        assert not system.is_finite and max(map(len, ball)) == budget
+        deltas = [alg.delta(y) for y in ball]
+        kls = [alg.kl_basis(y) for y in ball]
+        for x, b in zip(ball, kls):
+            assert alg.pairing_trace_row(alg.delta(x), deltas) == [
+                ONE if x == y else ZERO for y in ball]
+            assert alg.pairing_trace_row(b, kls) == [b.dot(c) for c in kls]

@@ -145,6 +145,18 @@ class TestRendering:
         with pytest.raises(PreconditionViolated, match="must be integers"):
             LaurentPoly(coeffs)
 
+    @pytest.mark.parametrize("n", [1.5, True], ids=["float", "bool"])
+    def test_a_power_takes_only_an_int(self, n):
+        with pytest.raises(PreconditionViolated, match="exponent must be an int"):
+            V ** n
+
+    @pytest.mark.parametrize("exp,coeff", [(0.5, 1), (0, 1.5), (True, 1), (0, False)],
+                             ids=["float-exponent", "float-coefficient", "bool-exponent",
+                                  "bool-coefficient"])
+    def test_only_integers_build_a_monomial(self, exp, coeff):
+        with pytest.raises(PreconditionViolated, match="must be integers"):
+            LaurentPoly.monomial(exp, coeff)
+
     def test_getitem_and_exponents(self):
         p = poly((2, 3), (-1, 1))
         assert p[2] == 3 and p[0] == 0
@@ -157,9 +169,11 @@ class TestRendering:
 
 # Coefficients past 2^64 and exponents past +-100: a packed representation
 # must keep these sums exact.
-wide_laurents = st.dictionaries(
-    st.integers(-300, 300), st.integers(-2**70, 2**70), max_size=5
-).map(LaurentPoly)
+wide_exponents, wide_coefficients = st.integers(-300, 300), st.integers(-2**70, 2**70)
+# Monomials are built without the merging loop, so the sums draw them on their own too.
+wide_laurents = st.one_of(
+    st.dictionaries(wide_exponents, wide_coefficients, max_size=5).map(LaurentPoly),
+    st.builds(LaurentPoly.monomial, wide_exponents, wide_coefficients))
 keyed = st.dictionaries(st.integers(0, 3), wide_laurents, max_size=4)
 
 
@@ -201,6 +215,17 @@ class TestSums:
             assert plain(total(raw[x])) == nonzero(want[x])
         assert {x: plain(p) for x, p in finish(raw).items()} == {
             x: nonzero(acc) for x, acc in want.items() if nonzero(acc)}
+
+    @given(wide_exponents, wide_coefficients, wide_laurents)
+    def test_monomial(self, e, c, plus):
+        m = LaurentPoly.monomial(e, c)
+        assert plain(m) == nonzero({e: c})
+        # plus + m (v^-1 - v), with and without plus.
+        want = {e - 1: c, e + 1: -c}
+        assert plain(m.mul_vinv_minus_v()) == nonzero(want)
+        for x, n in plain(plus).items():
+            want[x] = want.get(x, 0) + n
+        assert plain(m.mul_vinv_minus_v(plus)) == nonzero(want)
 
     def test_a_key_whose_terms_cancel_is_dropped(self):
         p = poly((-150, 2**65), (120, -3))

@@ -298,6 +298,48 @@ class TestGramCrossCheck:
                 y = rng.choice(top)
                 assert mod.pairing(mod.m(x), mod.m(y)) == (ONE if x == y else ZERO), (J, x, y)
 
+    @pytest.mark.parametrize("name,budget", [("a3", 12), ("b3", 12), ("h3", 18),
+                                             ("affine_a2", 8)])
+    def test_every_gram_row_entry_is_its_embedded_product(self, name, budget):
+        # gram_row(x, ys) against trace(i(phi m_x) phi m_y), one full Hecke
+        # product per entry wherever that product stays in the ball, for a
+        # few x of each J read in two halves (the second half-warm); on the
+        # cut ball every row of in-cap mcrs is read and equals
+        # v^{d_J} pi(J) delta_xy, since the m_x are orthonormal.
+        matrix = AFFINE_A2 if name == "affine_a2" else catalog.BUILTIN[name]
+        system = CoxeterSystem(matrix, budget)
+        alg = HeckeAlgebra(system)
+        rng = random.Random(name)
+        for J in finitary_subsets(system):
+            mod = SphericalModule(alg, J)
+            mcrs = [y for y in system.min_coset_reps(J) if len(y) + mod.d_J <= budget]
+            rows = mcrs if not system.is_finite else rng.sample(mcrs, min(4, len(mcrs)))
+            for x in rows:
+                assert mod.gram_row(x, mcrs[::2]) == [mod._gram_memo[(x, y)] for y in mcrs[::2]]
+                row = mod.gram_row(x, mcrs)
+                assert row == [mod._gram_memo[(x, y)] for y in mcrs]
+                diagonal = mod.pi.shift(mod.d_J)
+                assert row == [diagonal if x == y else ZERO for y in mcrs], (J, x)
+                ix = alg.anti_involution(mod.phi_embed(mod.m(x)))
+                for y, g in zip(mcrs, row):
+                    if len(x) + len(y) + 2 * mod.d_J <= budget or system.is_finite:
+                        want = alg.multiply(ix, mod.phi_embed(mod.m(y))).coeff(IDENTITY)
+                        assert g == want, (J, x, y)
+
+    def test_a_row_reads_warm_entries_and_walks_only_the_cold(self, mod_a2_s):
+        # A corrupted entry survives a row that fills its neighbours, so the
+        # pairing's cross-check still catches it: gram_row never recomputes
+        # an entry the memo holds.
+        mod = SphericalModule(mod_a2_s.algebra, {S})
+        x, y, z = (), (T,), (T, S)
+        good = mod.gram_row(x, [y])[0]
+        mod._gram_memo[(x, y)] = bad = good + ONE
+        assert mod.gram_row(x, [y, z]) == [bad, ZERO]
+        assert mod._gram_memo[(x, y)] == bad and (x, z) in mod._gram_memo
+        with pytest.raises(InternalInconsistency, match="pairing paths disagree"):
+            mod.pairing(mod.m(x), mod.m(y))
+        assert mod.pairing(mod.m(x), mod.m(z)) == ZERO
+
     def test_memo_keys_are_mcr_pairs(self, gram_module):
         mod, mcrs = gram_module
         a = SphericalElt((x, V) for x in mcrs[:6])

@@ -6,6 +6,8 @@ from heckesphere import catalog, cli, lightleaf, verify
 from heckesphere.coxeter import CoxeterSystem
 from heckesphere.errors import InternalInconsistency, PreconditionViolated
 
+from conftest import AFFINE_A2
+
 
 def test_an_unknown_suite_is_rejected_before_any_check_runs(monkeypatch, a2):
     ran = []
@@ -219,3 +221,41 @@ def test_no_case_leaves_a_cut_ball(matrix, budget):
     # check passes without testing it.
     for res in verify.run_suites(CoxeterSystem(matrix, budget), list(verify.SUITES)):
         assert res.cases > 0 and res.skipped_budget == 0, res
+
+
+# (status, cases, skipped_budget) of the three checks that read the form a
+# row at a time, on balls the budget cuts: each x's row comes from one trace
+# walk, and the counts are those of one walk per pair.
+ROW_CHECKS = ("standard-orthonormal", "pairing-paths-agree", "spherical-orthonormal")
+
+
+@pytest.mark.parametrize("matrix,budget,counts", [
+    (catalog.A3, 4, [225, 225, 492]),
+    (catalog.B3, 7, [576, 256, 2996]),
+    (catalog.I2_7, 6, [81, 49, 193]),
+    (catalog.INF_DIHEDRAL, 3, [25, 25, 43]),
+    (AFFINE_A2, 4, [361, 361, 805]),
+], ids=["a3@4", "b3@7", "i2_7@6", "inf@3", "affine_a2@4"])
+def test_the_row_checks_cover_every_pair(matrix, budget, counts):
+    results = verify.run_suites(CoxeterSystem(matrix, budget), ["hecke", "spherical"])
+    got = {r.name: (r.status, r.cases, r.skipped_budget) for r in results}
+    assert [got[name] for name in ROW_CHECKS] == [("PASS", n, 0) for n in counts]
+
+
+def test_a_row_walk_that_raises_fails_only_its_check(monkeypatch, a2):
+    # The row is read before its cases, outside every one of them: its error
+    # is one counterexample named by the row's coordinates, it ends its
+    # check, and the checks that read no row pass.
+    def broken(self, a, bs):
+        raise InternalInconsistency("no row")
+
+    monkeypatch.setattr(verify.HeckeAlgebra, "pairing_trace_row", broken)
+    results = verify.run_suites(a2, ["hecke", "spherical"])
+    first_row = {"standard-orthonormal": "(): ", "pairing-paths-agree": "(): ",
+                 "spherical-orthonormal": "J=[], (): "}
+    for res in results:
+        if res.name in ROW_CHECKS:
+            assert (res.status, res.failures) == (
+                "FAIL", [first_row[res.name] + "InternalInconsistency: no row"])
+        else:
+            assert res.status == "PASS", res
