@@ -239,12 +239,18 @@ class CoxeterSystem:
 
     def check_letters(self, word: Sequence[int]):
         for s in word:
+            if type(s) is not int:
+                raise InvalidMatrix(f"letter {s!r} is not an int")
             if not 0 <= s < self.matrix.rank:
                 raise InvalidMatrix(f"letter {s} out of range")
 
     def check_J(self, J: Iterable[int]) -> frozenset[int]:
-        """J as a frozenset, once every letter is checked to lie in S."""
-        J = frozenset(J)
+        """J as a frozenset, once every letter is checked to be an int in S."""
+        letters = tuple(J)  # checked before a set merges True into 1
+        for s in letters:
+            if type(s) is not int:
+                raise InvalidMatrix(f"J: letter {s!r} is not an int")
+        J = frozenset(letters)
         for s in sorted(J):
             if not 0 <= s < self.matrix.rank:
                 raise InvalidMatrix(f"J={sorted(J)}: letter {s} out of range")
@@ -403,10 +409,9 @@ class CoxeterSystem:
         W_J is the table's elements whose canonical word lies in J*, read
         layer by layer up to w_J, its one element with every s in J a right
         descent."""
-        J = frozenset(J)
+        J = self.check_J(J)
         if J in self._parabolic_memo:
             return self._parabolic_memo[J]
-        self.check_J(J)
         members: list[Word] = []
         for length in range(self.budget + 1):
             self._grow(length)  # W_J has an element of each length up to l(w_J)

@@ -108,10 +108,10 @@ class HeckeAlgebra:
         in |J| steps (Soergel): b delta_s = v^-1 b for s in J, so b^2 = (sum_w b_w v^-l(w)) b,
         and that scalar must be pi(J).  verify.check_bwj_pi squares b and runs KL on w_J.
         Memoized per J, so M(J), schur_compose and that check share one certificate."""
-        J = frozenset(J)
+        par = self.system.parabolic(J)  # checks J first: [True] would hit the memo of {1}
+        J = par.J
         if J in self._bwj_memo:
             return self._bwj_memo[J]
-        par = self.system.parabolic(J)
         b = HeckeElt.wrap({w: LaurentPoly.monomial(par.d_J - len(w)) for w in par.members})
         vinv_b = HeckeElt.wrap({w: c.shift(-1) for w, c in b.support.items()})
         for s in sorted(par.J):

@@ -143,7 +143,9 @@ class LaurentPoly:
         return out
 
     def shift(self, k: int) -> "LaurentPoly":
-        """Multiply by v^k."""
+        """Multiply by v^k, k an int."""
+        if type(k) is not int:
+            raise PreconditionViolated(f"a shift must be an int, got {k!r}")
         return _poly({e + k: c for e, c in self.coeffs.items()})
 
     def mul_vinv_minus_v(self, plus: "LaurentPoly | None" = None) -> "LaurentPoly":

@@ -18,28 +18,22 @@ algebra's KL basis also uses, each c_x then checked to be bar-invariant;
 and phi(m_x) = phi(m_{x'}) delta_s, one step in the algebra from
 phi(m_e) = b_{w_J}.
 
-The pairing <a, b>_M is computed coordinatewise and cross-checked on every
-call against the embedding m_x -> b_{w_J} delta_x, under which v^{d_J} pi(J)
-times it is the trace form.  The cross-check is bilinear over a Gram memo:
-G(x, y) = trace(i(phi m_x) * phi m_y) is computed once per ordered pair of
-minimal coset representatives, a row at a time by gram_row(x, ys): one
-HeckeAlgebra.pairing_trace_row, a single linear.trace_walk (the Hecke
-product by the quadratic relation read at delta_e alone) of i(phi m_x) over
-the keys of every phi m_y the row lacks, from the memoized embeddings
-phi(m_x).  pairing reads each x of a's row through gram_row, then forms
-sum a_x b_y G(x, y) as one laurent.sum_of_products and compares it with
-v^{d_J} pi(J) times the coordinatewise value.
+The pairing <a, b>_M is the coordinatewise form, in which the m_x are
+orthonormal.  Under the embedding m_x -> b_{w_J} delta_x, v^{d_J} pi(J)
+times it is the trace form of H (Soergel); both forms are bilinear, and
+verify's spherical-orthonormal and rank-matching compare them.
 """
 
 from __future__ import annotations
 
-from collections.abc import Collection, Iterable
+import itertools
+from collections.abc import Iterable
 
 from . import linear
 from .coxeter import IDENTITY, Word
 from .errors import InternalInconsistency, PreconditionViolated
 from .hecke import NO_J, HeckeAlgebra, HeckeElt
-from .laurent import LaurentPoly, ONE, V, add_products, finish, sum_of_products
+from .laurent import LaurentPoly, ONE, V, add_products, finish
 
 
 class SphericalElt(linear.Combo):
@@ -52,14 +46,14 @@ class SphericalModule:
     def __init__(self, algebra: HeckeAlgebra, J: Iterable[int]):
         self.algebra = algebra
         self.system = algebra.system
-        self.J = frozenset(J)
-        # Certifies J is finitary (BudgetExceeded otherwise) and b_{w_J}, caches pi(J).
+        # Checks J's letters and certifies J is finitary (BudgetExceeded otherwise).
+        par = self.system.parabolic(J)
+        self.J, self.d_J = par.J, par.d_J
+        # Certifies b_{w_J}, caches pi(J).
         self.b_wJ, self.pi = algebra.b_wJ_and_pi(self.J)
-        self.d_J = self.system.parabolic(self.J).d_J
         self._kl_memo: dict[Word, SphericalElt] = {IDENTITY: self.unit()}
         self._bar_memo: dict[Word, SphericalElt] = {IDENTITY: self.unit()}
         self._phi_memo: dict[Word, HeckeElt] = {IDENTITY: self.b_wJ}
-        self._gram_memo: dict[tuple[Word, Word], LaurentPoly] = {}
 
     # -- basis ------------------------------------------------------------------
 
@@ -121,38 +115,12 @@ class SphericalModule:
         return linear.along(self.system, self.J, self._phi_memo, x, lambda p, prev:
                             linear.delta_step(self.system, NO_J, prev, p[-1]))
 
-    def gram_row(self, x: Word, ys: Collection[Word]) -> list[LaurentPoly]:
-        """[G(x, y) for y in ys], G(x, y) = trace(i(phi m_x) * phi m_y), x and
-        the ys mcrs, memoized per ordered pair.  The entries the memo lacks
-        come from one algebra.pairing_trace_row of phi m_x against their
-        phi m_y, one trace walk of the union of their keys; entries already
-        held are read, never recomputed."""
-        memo = self._gram_memo
-        cold = [y for y in ys if (x, y) not in memo]
-        if cold:
-            row = self.algebra.pairing_trace_row(self._phi(x), [self._phi(y) for y in cold])
-            for y, g in zip(cold, row):
-                memo[(x, y)] = g
-        return [memo[(x, y)] for y in ys]
-
     def pairing(self, a: SphericalElt, b: SphericalElt) -> LaurentPoly:
-        """<a, b>_M, coordinatewise (the m_x are orthonormal), cross-checked
-        against the embedded formula v^{-d_J} trace(i(phi a) phi b) / pi(J) by
-        one product, exact as Z[v, v^-1] has no zero divisors: the bilinear
-        sum a_x b_y G(x, y), each row read by gram_row, must equal
-        v^{d_J} pi(J) <a, b>_M."""
-        out = a.dot(b)
-        pairs = []
-        for x, c in a.support.items():
-            for d, g in zip(b.support.values(), self.gram_row(x, b.support)):
-                if g:
-                    pairs.append((c * d, g))
-        total = sum_of_products(pairs)
-        if total != out.shift(self.d_J) * self.pi:
-            raise InternalInconsistency(
-                f"spherical pairing paths disagree: v^d_J pi(J) ({out}) != {total}"
-            )
-        return out
+        """<a, b>_M, coordinatewise (the m_x are orthonormal), for a and b
+        with every key an mcr."""
+        for x in itertools.chain(a.support, b.support):
+            self.system.check_mcr(x, self.J)
+        return a.dot(b)
 
     # -- rendering ---------------------------------------------------------------------------
 

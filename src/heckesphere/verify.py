@@ -13,13 +13,13 @@ raised outside every case, while the check enumerates its cases, is one
 bare counterexample that ends that check only (BudgetExceeded there still
 ends the run), so one faulty check cannot hide the others' results.  A
 check that fails nowhere reports PASS, or EMPTY if it completed no case.
-The pairing checks read the form a row at a time: each x's row comes from
-one trace walk (`HeckeAlgebra.pairing_trace_row`, or
-`SphericalModule.gram_row`, which fills the Gram memo the spherical
-pairing's cross-check reads), before its cases, and each entry is compared
-in its own case.  A row is read outside every case, with `run.where` set
-to its coordinates (J, x), so a row that raises is one counterexample
-named by them, and it ends that check.
+The pairing checks compare the coordinatewise form with the trace form,
+the spherical ones through the embedding m_x -> b_{w_J} delta_x, and read
+the trace form a row at a time: each x's row comes from one trace walk
+(`HeckeAlgebra.pairing_trace_row`), before its cases, and each entry is
+compared in its own case.  A row is read outside every case, with
+`run.where` set to its coordinates (J, x), so a row that raises is one
+counterexample named by them, and it ends that check.
 The CLI and the test suite share these so a green `verify` run and a green
 pytest run mean the same thing.
 """
@@ -36,7 +36,7 @@ from . import strolls
 from .coxeter import CoxeterSystem, Word
 from .errors import BudgetExceeded, HeckesphereError, PreconditionViolated
 from .hecke import HeckeAlgebra, HeckeElt
-from .laurent import LaurentPoly, ONE, ZERO
+from .laurent import LaurentPoly, ONE, ZERO, sum_of_products
 from .lightleaf import NSStep, build_nsll, build_sll, find_sweep, glue
 from .spherical import SphericalModule
 
@@ -306,21 +306,26 @@ def check_spherical_kl(run: Run) -> None:
 
 
 def check_spherical_orthonormal(run: Run) -> Iterator[str]:
-    """<m_x, m_y>_M = delta_xy: gram_row fills x's row of the Gram memo from
-    one trace walk, and each case's pairing cross-checks its coordinatewise
-    value against its Gram sum, one memo read."""
+    """<m_x, m_y>_M = delta_xy, and the embedded form trace(i(phi m_x) phi m_y)
+    = v^{d_J} pi(J) delta_xy, each x's row of it read from one trace walk."""
+    alg = run.algebra
     for J in run.subsets:
         mod = run.module(J)
-        # phi(m_x) reaches length l(x) + d_J; the trace walk of the
-        # cross-check stays in the ball that holds both embeddings.
+        # phi(m_x) reaches length l(x) + d_J; the trace walk stays in the
+        # ball that holds both embeddings.
         cap = None if run.system.is_finite else run.system.budget - mod.d_J
         mcrs = run.mcrs(J, cap)
         ms = [mod.m(y) for y in mcrs]
-        for x, mx in zip(mcrs, ms):
+        run.where = (J,)
+        phis = [mod.phi_embed(m) for m in ms]
+        diagonal = mod.pi.shift(mod.d_J)
+        for x, mx, px in zip(mcrs, ms, phis):
             run.where = (J, x)
-            mod.gram_row(x, mcrs)
-            for y, my in zip(mcrs, ms):
+            row = alg.pairing_trace_row(px, phis)
+            for y, my, g in zip(mcrs, ms, row):
                 with run.case(J, x, y):
+                    if g != (diagonal if x == y else ZERO):
+                        yield f"trace(i(phi m_x) phi m_y) = {g}"
                     got = mod.pairing(mx, my)
                     if got != (ONE if x == y else ZERO):
                         yield f"<m_x, m_y> = {got}"
@@ -374,19 +379,33 @@ def check_1bx(run: Run) -> Iterator[str]:
 
 
 def check_rank_matching(run: Run) -> Iterator[str]:
+    """v^{d_J} pi(J) times the rank polynomial P_x . P_y against the embedded
+    form trace(i(phi a) phi b) of a = 1 (x) b_x and b = 1 (x) b_y, read by
+    linearity from one row of the form per mcr in the expansions' supports."""
     system = run.system
+    alg = run.algebra
     for J in run.subsets:
         mod = run.module(J)
         cap = 4 if system.is_finite else min(4, system.budget - mod.d_J)
+        words = run.words(cap)
         # Each word's P_w and 1 (x) b_w are computed once per J and paired
-        # with every partner; every pair still runs the pairing cross-check.
+        # with every partner.
         polys = functools.cache(functools.partial(strolls.endpoint_polys, system, J))
-        expand = functools.cache(mod.expand_expression)
-        for x_word, y_word in itertools.product(run.words(cap), repeat=2):
+        run.where = (J,)
+        expand = {word: mod.expand_expression(word) for word in words}
+        zs = list(dict.fromkeys(z for a in expand.values() for z in a.support))
+        phis = [mod.phi_embed(mod.m(z)) for z in zs]
+        form = {}
+        for z, pz in zip(zs, phis):
+            run.where = (J, z)
+            form[z] = {y: g for y, g in zip(zs, alg.pairing_trace_row(pz, phis)) if g}
+        scale = mod.pi.shift(mod.d_J)
+        for x_word, y_word in itertools.product(words, repeat=2):
             with run.case(J, x_word, y_word):
-                lhs = polys(x_word).dot(polys(y_word))
-                rhs = mod.pairing(expand(x_word), expand(y_word))
-                if lhs != rhs:
+                a, b = expand[x_word].support, expand[y_word].support
+                embedded = sum_of_products((c * b[y], g) for x, c in a.items()
+                                           for y, g in form[x].items() if y in b)
+                if embedded != polys(x_word).dot(polys(y_word)) * scale:
                     yield "rank mismatch"
 
 

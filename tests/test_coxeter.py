@@ -5,7 +5,7 @@ import re
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from heckesphere import catalog, verify
+from heckesphere import catalog, strolls, verify
 from heckesphere.cli import main
 from heckesphere.coxeter import IDENTITY, INFINITY, CoxeterMatrix, CoxeterSystem, RexMove
 from heckesphere.errors import (
@@ -250,6 +250,29 @@ class TestCosets:
     def test_a_J_letter_outside_S_is_rejected(self, a2):
         with pytest.raises(InvalidMatrix, match=r"^J=\[9\]: letter 9 out of range$"):
             a2.min_coset_reps({9})
+
+    @pytest.mark.parametrize("call,message", [
+        (lambda a2: HeckeAlgebra(a2).b_s("s"), "letter 's' is not an int"),
+        (lambda a2: HeckeAlgebra(a2).b_s(1.0), "letter 1.0 is not an int"),
+        (lambda a2: a2.right_mult((), "s"), "letter 's' is not an int"),
+        (lambda a2: SphericalModule(HeckeAlgebra(a2), "s"), "J: letter 's' is not an int"),
+        (lambda a2: SphericalModule(HeckeAlgebra(a2), [True]), "J: letter True is not an int"),
+        (lambda a2: SphericalModule(HeckeAlgebra(a2), [T, True]), "J: letter True is not an int"),
+        (lambda a2: a2.check_J([T, True]), "J: letter True is not an int"),
+        (lambda a2: a2.check_J([S, "t", None]), "J: letter 't' is not an int"),
+        (lambda a2: strolls.decorations(a2, ["s"], (S, T)), "J: letter 's' is not an int"),
+        # {True} equals the cached {1}, so the memos must not answer first.
+        (lambda a2: a2.parabolic({T}) and a2.parabolic([True]), "J: letter True is not an int"),
+        (lambda a2: (alg := HeckeAlgebra(a2)).b_wJ_and_pi({T}) and alg.b_wJ_and_pi([True]),
+         "J: letter True is not an int"),
+    ], ids=["b_s-str", "b_s-float", "right_mult-str", "module-str", "module-bool",
+            "module-bool-after-1", "check_J-bool-after-1", "check_J-mixed", "decorations-str",
+            "parabolic-bool-after-cached-1", "b_wJ-bool-after-cached-1"])
+    def test_a_letter_that_is_not_an_int_is_rejected(self, a2, call, message):
+        # The first bad letter in J's order is named; letters of mixed types
+        # are never sorted against each other.
+        with pytest.raises(InvalidMatrix, match=f"^{re.escape(message)}$"):
+            call(a2)
 
     def test_check_J_returns_J_as_a_frozenset(self, a2):
         assert a2.check_J([T, S, T]) == frozenset({S, T})

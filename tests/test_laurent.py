@@ -150,6 +150,14 @@ class TestRendering:
         with pytest.raises(PreconditionViolated, match="exponent must be an int"):
             V ** n
 
+    @pytest.mark.parametrize("k", [0.5, 1.0, True], ids=["float", "integral-float", "bool"])
+    def test_a_shift_takes_only_an_int(self, k):
+        # A float shift would leave a float exponent, which no constructor
+        # admits; True would shift by 1.
+        with pytest.raises(PreconditionViolated, match="shift must be an int"):
+            V.shift(k)
+        assert V.shift(-1) == ONE and ZERO.shift(3) == ZERO
+
     @pytest.mark.parametrize("exp,coeff", [(0.5, 1), (0, 1.5), (True, 1), (0, False)],
                              ids=["float-exponent", "float-coefficient", "bool-exponent",
                                   "bool-coefficient"])

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from heckesphere.coxeter import IDENTITY, CoxeterSystem
-from heckesphere import catalog, linear
+from heckesphere import catalog, linear, verify
 from heckesphere.errors import (
     BudgetExceeded,
     InternalInconsistency,
@@ -14,7 +14,7 @@ from heckesphere.errors import (
     PreconditionViolated,
 )
 from heckesphere.hecke import HeckeAlgebra, HeckeElt
-from heckesphere.laurent import LaurentPoly, ONE, V, VINV, ZERO
+from heckesphere.laurent import LaurentPoly, ONE, V, VINV, ZERO, sum_of_products
 from heckesphere.spherical import SphericalElt, SphericalModule
 from heckesphere.verify import finitary_subsets
 
@@ -231,51 +231,62 @@ GRAM_CASES = [
 ]
 
 
+def gram_rows(mod, xs, ys):
+    """{x: [trace(i(phi m_x) phi m_y) for y in ys]}, each x's row from one
+    pairing_trace_row, as verify reads the embedded form."""
+    phis = [mod.phi_embed(mod.m(y)) for y in ys]
+    return {x: mod.algebra.pairing_trace_row(mod.phi_embed(mod.m(x)), phis) for x in xs}
+
+
 @pytest.fixture(scope="module", params=GRAM_CASES, ids=lambda c: f"{c[0]}-{c[1]}")
 def gram_module(request, a3, b3, h3):
     name, J = request.param
     system = {"a3": a3, "b3": b3, "h3": h3}[name]
     mod = SphericalModule(HeckeAlgebra(system), J)
-    return mod, system.min_coset_reps(J, 4)
+    mcrs = system.min_coset_reps(J, 4)
+    rows = gram_rows(mod, mcrs, mcrs)
+    return mod, mcrs, {(x, y): g for x in mcrs for y, g in zip(mcrs, rows[x])}
 
 
 class TestGramCrossCheck:
+    """The coordinatewise pairing against the embedded trace form, which
+    only verify reads: v^{d_J} pi(J) <a, b>_M = trace(i(phi a) phi b)."""
+
     @settings(max_examples=15, deadline=None)
     @given(data=st.data())
     def test_memoized_form_matches_the_full_product(self, gram_module, data):
-        mod, mcrs = gram_module
+        # The Gram entries, memoized per pair of mcrs and summed by
+        # linearity as rank-matching sums them, against the full product.
+        mod, mcrs, gram = gram_module
         a = data.draw(module_elements(mcrs))
         b = data.draw(module_elements(mcrs))
         want = embedded_trace(mod, a, b)
-        assert mod.pairing(a, b) == want.divide_exact(mod.pi).shift(-mod.d_J) == a.dot(b)
-        gram = LaurentPoly.zero()
-        for x, c in a.support.items():
-            for y, d in b.support.items():
-                gram = gram + c * d * mod._gram_memo[(x, y)]
-        assert gram == want
+        assert mod.pairing(a, b) == a.dot(b)
+        assert a.dot(b).shift(mod.d_J) * mod.pi == want
+        assert sum_of_products((c * d, gram[(x, y)]) for x, c in a.support.items()
+                               for y, d in b.support.items()) == want
 
     @pytest.mark.parametrize("J", list(itertools.chain.from_iterable(
         itertools.combinations(range(3), r) for r in range(4))), ids=str)
     def test_every_batched_entry_of_h3_is_its_own_product(self, h3, J):
-        # One pairing of the sums of all mcrs fills the memo a row at a time;
-        # each entry must be the trace of its own full Hecke product.
+        # Each entry of a row read by one trace walk must be the trace of
+        # its own full Hecke product.
         alg = HeckeAlgebra(h3)
         mod = SphericalModule(alg, J)
         mcrs = h3.min_coset_reps(J)
         everything = SphericalElt((x, ONE) for x in mcrs)
         assert mod.pairing(everything, everything) == LaurentPoly.from_int(len(mcrs))
-        assert len(mod._gram_memo) == len(mcrs) ** 2
-        for x in mcrs:
+        for x, row in gram_rows(mod, mcrs, mcrs).items():
             ix = alg.anti_involution(mod.phi_embed(mod.m(x)))
-            for y in mcrs:
-                want = alg.multiply(ix, mod.phi_embed(mod.m(y))).coeff(IDENTITY)
-                assert mod._gram_memo[(x, y)] == want, (x, y)
+            for y, g in zip(mcrs, row):
+                assert g == alg.multiply(ix, mod.phi_embed(mod.m(y))).coeff(IDENTITY), (x, y)
 
     @pytest.mark.parametrize("budget", [6, 12])
     def test_no_pairing_within_a_cut_ball_raises(self, budget):
-        # Every <m_x, m_y> whose embeddings lie in the ball has a value,
-        # delta_xy, whether a row is walked for one column, for several or
-        # for all of them at once: the trace walk never leaves the ball.
+        # Every entry trace(i(phi m_x) phi m_y) whose embeddings lie in the
+        # ball has a value, v^{d_J} pi(J) delta_xy, whether a row is walked
+        # for one column, for several or for all of them at once: the trace
+        # walk never leaves the ball.
         system = CoxeterSystem(AFFINE_A2, budget)
         alg = HeckeAlgebra(system)
         rng = random.Random(budget)
@@ -285,26 +296,23 @@ class TestGramCrossCheck:
             assert max(map(len, mcrs)) + mod.d_J == budget
             everything = SphericalElt((x, ONE) for x in mcrs)
             assert mod.pairing(everything, everything) == LaurentPoly.from_int(len(mcrs))
-            # <m_x, m_y> = v^{-d_J} G(x, y) / pi(J) = delta_xy, entry by entry.
             diagonal = mod.pi.shift(mod.d_J)
-            for x, y in itertools.product(mcrs, repeat=2):
-                assert mod._gram_memo[(x, y)] == (diagonal if x == y else ZERO), (J, x, y)
+            for x, row in gram_rows(mod, mcrs, mcrs).items():
+                assert row == [diagonal if x == y else ZERO for y in mcrs], (J, x)
             top = [x for x in mcrs if len(x) + mod.d_J == budget]
             for x in top:
-                mod._gram_memo.clear()
                 columns = rng.sample([y for y in mcrs if y != x], 3) + [x]
-                assert mod.pairing(mod.m(x), SphericalElt((y, ONE) for y in columns)) == ONE
-                mod._gram_memo.clear()
+                assert gram_rows(mod, [x], columns)[x] == [ZERO] * 3 + [diagonal], (J, x)
                 y = rng.choice(top)
-                assert mod.pairing(mod.m(x), mod.m(y)) == (ONE if x == y else ZERO), (J, x, y)
+                assert gram_rows(mod, [x], [y])[x] == [diagonal if x == y else ZERO], (J, x, y)
 
     @pytest.mark.parametrize("name,budget", [("a3", 12), ("b3", 12), ("h3", 18),
                                              ("affine_a2", 8)])
     def test_every_gram_row_entry_is_its_embedded_product(self, name, budget):
-        # gram_row(x, ys) against trace(i(phi m_x) phi m_y), one full Hecke
-        # product per entry wherever that product stays in the ball, for a
-        # few x of each J read in two halves (the second half-warm); on the
-        # cut ball every row of in-cap mcrs is read and equals
+        # A row against trace(i(phi m_x) phi m_y), one full Hecke product per
+        # entry wherever that product stays in the ball, for a few x of each
+        # J, read over every other column and over all of them; on the cut
+        # ball every row of in-cap mcrs is read.  Each equals
         # v^{d_J} pi(J) delta_xy, since the m_x are orthonormal.
         matrix = AFFINE_A2 if name == "affine_a2" else catalog.BUILTIN[name]
         system = CoxeterSystem(matrix, budget)
@@ -313,12 +321,12 @@ class TestGramCrossCheck:
         for J in finitary_subsets(system):
             mod = SphericalModule(alg, J)
             mcrs = [y for y in system.min_coset_reps(J) if len(y) + mod.d_J <= budget]
-            rows = mcrs if not system.is_finite else rng.sample(mcrs, min(4, len(mcrs)))
-            for x in rows:
-                assert mod.gram_row(x, mcrs[::2]) == [mod._gram_memo[(x, y)] for y in mcrs[::2]]
-                row = mod.gram_row(x, mcrs)
-                assert row == [mod._gram_memo[(x, y)] for y in mcrs]
-                diagonal = mod.pi.shift(mod.d_J)
+            xs = mcrs if not system.is_finite else rng.sample(mcrs, min(4, len(mcrs)))
+            halves, rows = gram_rows(mod, xs, mcrs[::2]), gram_rows(mod, xs, mcrs)
+            diagonal = mod.pi.shift(mod.d_J)
+            for x in xs:
+                row = rows[x]
+                assert halves[x] == row[::2]
                 assert row == [diagonal if x == y else ZERO for y in mcrs], (J, x)
                 ix = alg.anti_involution(mod.phi_embed(mod.m(x)))
                 for y, g in zip(mcrs, row):
@@ -326,49 +334,38 @@ class TestGramCrossCheck:
                         want = alg.multiply(ix, mod.phi_embed(mod.m(y))).coeff(IDENTITY)
                         assert g == want, (J, x, y)
 
-    def test_a_row_reads_warm_entries_and_walks_only_the_cold(self, mod_a2_s):
-        # A corrupted entry survives a row that fills its neighbours, so the
-        # pairing's cross-check still catches it: gram_row never recomputes
-        # an entry the memo holds.
-        mod = SphericalModule(mod_a2_s.algebra, {S})
-        x, y, z = (), (T,), (T, S)
-        good = mod.gram_row(x, [y])[0]
-        mod._gram_memo[(x, y)] = bad = good + ONE
-        assert mod.gram_row(x, [y, z]) == [bad, ZERO]
-        assert mod._gram_memo[(x, y)] == bad and (x, z) in mod._gram_memo
-        with pytest.raises(InternalInconsistency, match="pairing paths disagree"):
-            mod.pairing(mod.m(x), mod.m(y))
-        assert mod.pairing(mod.m(x), mod.m(z)) == ZERO
-
-    def test_memo_keys_are_mcr_pairs(self, gram_module):
-        mod, mcrs = gram_module
-        a = SphericalElt((x, V) for x in mcrs[:6])
-        mod.pairing(a, a - SphericalElt({mcrs[-1]: VINV}))
-        assert mod._gram_memo
-        for x, y in mod._gram_memo:
-            assert mod.system.is_mcr(x, mod.J) and mod.system.is_mcr(y, mod.J)
-
     def test_a_key_that_is_not_an_mcr_is_rejected(self, mod_a2_s):
         raw = SphericalElt({(S,): ONE})
         with pytest.raises(PreconditionViolated, match="minimal coset"):
             mod_a2_s.pairing(raw, mod_a2_s.unit())
-        assert not any((S,) in key for key in mod_a2_s._gram_memo)
+        with pytest.raises(PreconditionViolated, match="minimal coset"):
+            mod_a2_s.pairing(mod_a2_s.unit(), raw)
 
     @pytest.mark.parametrize("corrupt", [lambda g, mod: g + mod.pi * V ** mod.d_J,
                                          lambda g, mod: g + ONE],
                              ids=["divisible", "not-divisible"])
-    def test_a_corrupted_entry_is_caught(self, a2_algebra, corrupt):
-        mod = SphericalModule(a2_algebra, {S})
-        a = mod.expand_expression((T, S, T))
-        assert mod.pairing(a, a) == embedded_trace(mod, a, a).divide_exact(mod.pi).shift(-1)
-        key = ((T,), (T,))
-        assert key in mod._gram_memo
-        mod._gram_memo[key] = corrupt(mod._gram_memo[key], mod)
-        mod.pairing(mod.m((T, S)), mod.m((T, S)))  # misses the entry
-        with pytest.raises(InternalInconsistency, match="pairing paths disagree"):
-            mod.pairing(a, a)
-        with pytest.raises(InternalInconsistency, match="pairing paths disagree"):
-            mod.pairing(mod.m((T,)), mod.m((T,)))
+    def test_a_corrupted_entry_is_caught(self, a2, monkeypatch, corrupt):
+        # One entry of the embedded form, trace(i(phi m_t) phi m_t) in
+        # M({s}), read wrong by every row walk: both checks that read the
+        # form report it, and only under that J.
+        run = verify.Run(a2)
+        mod = run.module(frozenset({S}))
+        target = mod.phi_embed(mod.m((T,)))
+        real = HeckeAlgebra.pairing_trace_row
+
+        def corrupted(self, a, bs):
+            return [corrupt(g, mod) if a == b == target else g
+                    for b, g in zip(bs, real(self, a, bs))]
+
+        monkeypatch.setattr(HeckeAlgebra, "pairing_trace_row", corrupted)
+        orthonormal = run.check("spherical", "spherical-orthonormal",
+                                verify.check_spherical_orthonormal)
+        assert orthonormal.failures == [
+            f"J=[0], (1,)/(1,): trace(i(phi m_x) phi m_y) = {corrupt(mod.pi.shift(1), mod)}"]
+        rank = run.check("strolls", "rank-matching", verify.check_rank_matching)
+        assert rank.failures
+        assert all(msg.startswith("J=[0], ") and msg.endswith(": rank mismatch")
+                   for msg in rank.failures)
 
 
 class TestPhi:

@@ -5,6 +5,7 @@ import pytest
 from heckesphere import catalog, cli, lightleaf, verify
 from heckesphere.coxeter import CoxeterSystem
 from heckesphere.errors import InternalInconsistency, PreconditionViolated
+from heckesphere.laurent import ONE
 
 from conftest import AFFINE_A2
 
@@ -250,12 +251,27 @@ def test_a_row_walk_that_raises_fails_only_its_check(monkeypatch, a2):
         raise InternalInconsistency("no row")
 
     monkeypatch.setattr(verify.HeckeAlgebra, "pairing_trace_row", broken)
-    results = verify.run_suites(a2, ["hecke", "spherical"])
+    results = verify.run_suites(a2, ["hecke", "spherical", "strolls"])
     first_row = {"standard-orthonormal": "(): ", "pairing-paths-agree": "(): ",
-                 "spherical-orthonormal": "J=[], (): "}
+                 "spherical-orthonormal": "J=[], (): ", "rank-matching": "J=[], (): "}
     for res in results:
-        if res.name in ROW_CHECKS:
+        if res.name in first_row:
             assert (res.status, res.failures) == (
                 "FAIL", [first_row[res.name] + "InternalInconsistency: no row"])
         else:
             assert res.status == "PASS", res
+
+
+@pytest.mark.parametrize("check", [verify.check_spherical_orthonormal, verify.check_rank_matching],
+                         ids=["spherical-orthonormal", "rank-matching"])
+def test_a_wrong_pi_fails_the_form_checks_under_its_J_alone(monkeypatch, a2, check):
+    # Only verify compares the coordinatewise pairing with the embedded trace
+    # form, through v^{d_J} pi(J): a module whose pi(J) is off by one fails
+    # both checks that read the form, each counterexample under its J.
+    for J in verify.finitary_subsets(a2):
+        run = verify.Run(a2)
+        mod = run.module(J)
+        monkeypatch.setattr(mod, "pi", mod.pi + ONE)
+        res = run.check("suite", "name", check)
+        assert res.status == "FAIL" and res.failures, J
+        assert all(msg.startswith(f"J={sorted(J)}, ") for msg in res.failures), J
