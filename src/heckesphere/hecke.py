@@ -9,12 +9,12 @@ walks the same tree for the delta_e coefficient alone (linear.trace_walk),
 a row at a time: pairing_trace_row(a, bs) reads <a, b> for every b of the
 row from one walk of the union of their keys, and pairing_trace is its
 one-element case.
-The Kazhdan-Lusztig basis is linear.kl_step, the recursion b_{xs} * b_s minus
+The Kazhdan-Lusztig basis is linear.kl, the recursion b_{xs} * b_s minus
 mu-corrections that every spherical module shares.  bar(delta_x) and b_x
 are memoized by linear.along, each from its value at xs, x = (xs)s along
-x's word.  Only the characterizing properties (bar-invariance,
-unitriangularity, coefficients in vZ[v]) are asserted.  b_{w_J} is built in
-closed form and certified by |J| eigen-steps b delta_s = v^-1 b, linear in |W_J|.
+x's word.  kl asserts unitriangularity and coefficients in vZ[v], and verify's
+kl-wellformed checks bar-invariance.  b_{w_J} is built in closed form and
+certified by |J| eigen-steps b delta_s = v^-1 b, linear in |W_J|.
 """
 
 from __future__ import annotations
@@ -69,9 +69,8 @@ class HeckeAlgebra:
     # -- Kazhdan-Lusztig basis -----------------------------------------------------
 
     def kl_basis(self, x: Word) -> HeckeElt:
-        """b_x, each from b_{xs} by linear.kl_step, memoized by linear.along."""
-        return linear.along(self.system, NO_J, self._kl_memo, x, lambda p, prev: linear.kl_step(
-            self.system, NO_J, p, prev, self.kl_basis, "KL"))
+        """b_x, by linear.kl on the algebra's memo."""
+        return linear.kl(self.system, NO_J, self._kl_memo, x)
 
     # -- trace, anti-involution, bilinear form -----------------------------------------
 

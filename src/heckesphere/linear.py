@@ -12,9 +12,8 @@ under any key the new node serves, which it reads from the sorted keys.
 `along` is the one fill of a memo keyed by ^J W: the value at x = x's is
 made from the one at x', prefix by prefix, shortest first.  The bar,
 Kazhdan-Lusztig and phi memos fill through it: `bar` is the bar involution,
-and `kl_step` the one Kazhdan-Lusztig recursion, for the algebra's basis b_x
-and every module's basis c_x: the element at x' times b_s, mu-corrected by
-`kl_correct`.
+and `kl` the one Kazhdan-Lusztig basis, the algebra's b_x and every module's
+c_x: the element at x' times b_s, mu-corrected by `kl_correct`.
 
 Every sum of combinations is one keyed sum of laurent's (`add_products`,
 then `finish`), and `Combo.dot` is one `sum_of_products`; the polynomials'
@@ -280,7 +279,7 @@ def bar(system: CoxeterSystem, J: frozenset[int], memo: dict[Word, Combo],
     return a.wrap(finish(raw))
 
 
-def kl_correct(cand: Combo, x: Word, lower: Callable[[Word], Combo], what: str) -> Combo:
+def kl_correct(cand: Combo, x: Word, lower: Callable[[Word], Combo]) -> Combo:
     """Subtract mu * lower(y) wherever cand's coefficient at y has constant
     term mu, longest y first so each correction is final; then assert
     coefficient 1 at x and coefficients in vZ[v] elsewhere."""
@@ -291,17 +290,18 @@ def kl_correct(cand: Combo, x: Word, lower: Callable[[Word], Combo], what: str) 
             add_products(raw, lower(y).support, LaurentPoly.from_int(-mu))
     cand = cand.wrap(finish(raw))
     if cand.coeff(x) != ONE:
-        raise InternalInconsistency(f"{what} recursion lost unitriangularity at {x}")
+        raise InternalInconsistency(f"KL recursion lost unitriangularity at {x}")
     for y, c in cand.support.items():
         if y != x and not c.in_v_times_nonneg():
             raise InternalInconsistency(
-                f"{what} coefficient at {y} of the element at {x} = {c} escapes vZ[v]"
+                f"KL coefficient at {y} of the element at {x} = {c} escapes vZ[v]"
             )
     return cand
 
 
-def kl_step(system: CoxeterSystem, J: frozenset[int], x: Word, prev: Combo,
-            lower: Callable[[Word], Combo], what: str) -> Combo:
-    """The KL element at x != e from prev, the one at xs, s = x[-1]: the
-    candidate prev * b_s = prev delta_s + v prev, mu-corrected by `lower`."""
-    return kl_correct(step_plus(system, J, prev, x[-1], V), x, lower, what)
+def kl(system: CoxeterSystem, J: frozenset[int], memo: dict[Word, Combo], x: Word) -> Combo:
+    """memo[x], the Kazhdan-Lusztig element at x in ^J W, filled by `along`:
+    at x = x's, memo[x'] * b_s mu-corrected by `kl_correct`, with `kl` on the
+    same memo below.  Self-duality is verify's to check."""
+    return along(system, J, memo, x, lambda p, prev: kl_correct(
+        step_plus(system, J, prev, p[-1], V), p, lambda y: kl(system, J, memo, y)))

@@ -12,11 +12,11 @@ and b_s = delta_s + v acts as delta_s plus v times the identity.  Elements
 are SphericalElt, the linear.Combo over the basis m_x.  An mcr x = x's has
 x' an mcr and m_x = m_{x'} delta_s, so each table keyed by ^J W is filled by
 linear.along from its value at x': bar(m_x) = bar(m_{x'}) delta_s^-1 (the
-bar involution, computed in the module by linear.bar); c_x by
-linear.kl_step, the recursion c_{x'} * b_s minus mu-corrections that the
-algebra's KL basis also uses, each c_x then checked to be bar-invariant;
-and phi(m_x) = phi(m_{x'}) delta_s, one step in the algebra from
-phi(m_e) = b_{w_J}.
+bar involution, computed in the module by linear.bar); c_x by linear.kl,
+the recursion c_{x'} * b_s minus mu-corrections that also gives the
+algebra's b_x (c_x's self-duality is checked by verify's spherical-kl, as
+b_x's is by kl-wellformed); and phi(m_x) = phi(m_{x'}) delta_s, one step in
+the algebra from phi(m_e) = b_{w_J}.
 
 The pairing <a, b>_M is the coordinatewise form, in which the m_x are
 orthonormal.  Under the embedding m_x -> b_{w_J} delta_x, v^{d_J} pi(J)
@@ -31,7 +31,7 @@ from collections.abc import Iterable
 
 from . import linear
 from .coxeter import IDENTITY, Word
-from .errors import InternalInconsistency, PreconditionViolated
+from .errors import PreconditionViolated
 from .hecke import NO_J, HeckeAlgebra, HeckeElt
 from .laurent import LaurentPoly, ONE, V, add_products, finish
 
@@ -88,15 +88,8 @@ class SphericalModule:
     # -- KL basis ---------------------------------------------------------------------
 
     def kl_c(self, x: Word) -> SphericalElt:
-        """c_x, each from c_{xs} by linear.kl_step and checked to be self-dual
-        before it is stored, memoized by linear.along."""
-        return linear.along(self.system, self.J, self._kl_memo, x, self._kl_c_step)
-
-    def _kl_c_step(self, x: Word, prev: SphericalElt) -> SphericalElt:
-        got = linear.kl_step(self.system, self.J, x, prev, self.kl_c, "spherical KL")
-        if self.bar(got) != got:
-            raise InternalInconsistency(f"c_{x} is not self-dual")
-        return got
+        """c_x, by linear.kl on the module's memo; it never calls the bar."""
+        return linear.kl(self.system, self.J, self._kl_memo, x)
 
     # -- form and embedding ---------------------------------------------------------------
 

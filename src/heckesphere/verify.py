@@ -1,7 +1,7 @@
 """Machine verification of the algebraic identities the package implements.
 
 Each suite is a list of named checks over one Coxeter system.  A check is a
-function of a `Run` that yields failure messages, or only raises; the `Run`
+generator function of a `Run` that yields failure messages; the `Run`
 holds what the checks of one `run_suites` call share: one Hecke algebra,
 the finitary subsets of S, one spherical module per J, and the case
 counters of the running check.  Each case a check covers is a
@@ -69,7 +69,7 @@ def finitary_subsets(system: CoxeterSystem) -> list[frozenset[int]]:
     return out
 
 
-Check = Callable[["Run"], "Iterable[str] | None"]
+Check = Callable[["Run"], Iterator[str]]
 
 
 class Run:
@@ -150,7 +150,7 @@ class Run:
         self.failures = []
         self.where = ()
         try:
-            for msg in fn(self) or ():
+            for msg in fn(self):
                 self.failures.append(_case_name(self.where) + msg)
         except BudgetExceeded:
             raise
@@ -297,12 +297,15 @@ def check_phi_equivariance(run: Run) -> Iterator[str]:
                         yield "phi not equivariant at (m_x, s)"
 
 
-def check_spherical_kl(run: Run) -> None:
+def check_spherical_kl(run: Run) -> Iterator[str]:
+    """c_x is self-dual; kl_c itself asserts unitriangularity and vZ[v]."""
     for J in run.subsets:
         mod = run.module(J)
         for x in run.mcrs(J):
             with run.case(J, x):
-                mod.kl_c(x)  # self-duality and degree bounds checked inside
+                c = mod.kl_c(x)
+                if mod.bar(c) != c:
+                    yield "c_x is not bar-invariant"
 
 
 def check_spherical_orthonormal(run: Run) -> Iterator[str]:

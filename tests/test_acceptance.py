@@ -42,8 +42,10 @@ def _failures(systems, names, suite, check):
 
 
 def test_criterion_1_kl_wellformed(systems):
-    _verdict(1, "KL basis elements are bar-invariant with coefficients in vZ[v]",
-             _failures(systems, ALL_SYSTEMS, "hecke", "kl-wellformed"))
+    _verdict(1, "KL basis elements of the algebra and of every M(J) are "
+                "bar-invariant with coefficients in vZ[v]",
+             _failures(systems, ALL_SYSTEMS, "hecke", "kl-wellformed")
+             + _failures(systems, ALL_SYSTEMS, "spherical", "spherical-kl"))
 
 
 def test_criterion_2_bwj_pi(systems):

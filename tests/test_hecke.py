@@ -120,7 +120,7 @@ def _left_recursion(alg):
         if x not in memo:
             s = x[0]
             cand = alg.multiply(alg.b_s(s), b(alg.system.left_mult(s, x)))
-            memo[x] = linear.kl_correct(cand, x, b, "reference KL")
+            memo[x] = linear.kl_correct(cand, x, b)
         return memo[x]
 
     return b

@@ -122,20 +122,28 @@ class TestKLC:
         assert got == SphericalElt({y: LaurentPoly.monomial(len(x) - len(y))
                                     for y in system.min_coset_reps({S}, len(x))})
 
-    def test_no_prefix_that_fails_self_duality_is_stored(self, a2, monkeypatch):
+    def test_kl_c_never_calls_the_bar(self, a2, monkeypatch):
+        # Self-duality is verify's to check, so a broken bar cannot reach kl_c.
         mod = SphericalModule(HeckeAlgebra(a2), {S})
-        monkeypatch.setattr(mod, "bar", lambda a: a + a if (T,) in a.support else a)
-        with pytest.raises(InternalInconsistency, match=r"c_\(1,\) is not self-dual"):
-            mod.kl_c((T, S))
-        assert list(mod._kl_memo) == [IDENTITY]
+        monkeypatch.setattr(mod, "bar", lambda a: pytest.fail("kl_c called the bar"))
+        assert mod.kl_c((T, S)) == SphericalElt({(T, S): ONE, (T,): V, IDENTITY: V * V})
+
+    def test_a_bar_broken_at_t_fails_spherical_kl(self, a2, monkeypatch):
+        run = verify.Run(a2)
+        mod = run.module(frozenset({S}))
+        real = mod.bar
+        monkeypatch.setattr(mod, "bar", lambda a: a + a if (T,) in a.support else real(a))
+        res = run.check("spherical", "spherical-kl", verify.check_spherical_kl)
+        assert res.status == "FAIL"
+        assert res.failures == [f"J=[0], {x}: c_x is not bar-invariant" for x in [(T,), (T, S)]]
 
     @pytest.mark.parametrize("basis", ["hecke", "spherical"])
     def test_skipped_correction_is_caught(self, a2, monkeypatch, basis):
         """b_sts = b_s b_ts - b_s and c_ts = c_t b_s - c_e each need one
         mu-correction; leaving it out must trip the vZ[v] check."""
         real = linear.kl_correct
-        monkeypatch.setattr(linear, "kl_correct", lambda cand, x, lower, what: real(
-            cand, x, lambda y: type(cand)(), what))
+        monkeypatch.setattr(linear, "kl_correct", lambda cand, x, lower: real(
+            cand, x, lambda y: type(cand)()))
         alg = HeckeAlgebra(a2)  # fresh memos
         with pytest.raises(InternalInconsistency, match="escapes vZ"):
             if basis == "hecke":
@@ -143,13 +151,16 @@ class TestKLC:
             else:
                 SphericalModule(alg, {S}).kl_c((T, S))
 
-    def test_characterizing_properties_b2(self, b2_algebra):
-        for J in map(frozenset, [set(), {S}, {T}, {S, T}]):
-            mod = SphericalModule(b2_algebra, J)
-            sys = b2_algebra.system
-            for x in sys.min_coset_reps(J):
+    @pytest.mark.parametrize("name", ["b2", "a3", "b3", "h3"])
+    def test_characterizing_properties(self, request, name):
+        # The oracle for verify's spherical-kl on every c_x of every M(J).
+        system = request.getfixturevalue(name)
+        alg = HeckeAlgebra(system)
+        for J in finitary_subsets(system):
+            mod = SphericalModule(alg, J)
+            for x in system.min_coset_reps(J):
                 c = mod.kl_c(x)
-                assert mod.bar(c) == c
+                assert mod.bar(c) == c, (J, x)
                 assert c.coeff(x) == ONE
                 for y, p in c.support.items():
                     if y != x:
