@@ -47,7 +47,3 @@ class EndpointMismatch(HeckesphereError):
 
 class TargetMismatch(HeckesphereError):
     """A pinned target expression does not match the construction's endpoint."""
-
-
-class InternalInconsistency(HeckesphereError):
-    """Two independent computation paths disagreed; signals a bug."""

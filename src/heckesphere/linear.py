@@ -13,7 +13,9 @@ under any key the new node serves, which it reads from the sorted keys.
 made from the one at x', prefix by prefix, shortest first.  The bar,
 Kazhdan-Lusztig and phi memos fill through it: `bar` is the bar involution,
 and `kl` the one Kazhdan-Lusztig basis, the algebra's b_x and every module's
-c_x: the element at x' times b_s, mu-corrected by `kl_correct`.
+c_x: the element at x' times b_s, mu-corrected by `kl_correct`.  Each is
+computed by one path and checked by none here; verify compares them with
+their characterizations.
 
 Every sum of combinations is one keyed sum of laurent's (`add_products`,
 then `finish`), and `Combo.dot` is one `sum_of_products`; the polynomials'
@@ -29,7 +31,7 @@ from __future__ import annotations
 from collections.abc import Callable, Iterable, Iterator, Mapping
 
 from .coxeter import IDENTITY, CoxeterSystem, Word
-from .errors import InternalInconsistency, PreconditionViolated
+from .errors import PreconditionViolated
 from .laurent import (LaurentPoly, MINUS_ONE, ONE, V, VINV, add_products, finish,
                       sum_of_products, total)
 
@@ -281,27 +283,19 @@ def bar(system: CoxeterSystem, J: frozenset[int], memo: dict[Word, Combo],
 
 def kl_correct(cand: Combo, x: Word, lower: Callable[[Word], Combo]) -> Combo:
     """Subtract mu * lower(y) wherever cand's coefficient at y has constant
-    term mu, longest y first so each correction is final; then assert
-    coefficient 1 at x and coefficients in vZ[v] elsewhere."""
+    term mu, longest y first so each correction is final.  Unitriangularity,
+    vZ[v] and self-duality are verify's to check."""
     raw = dict(cand.support)
     for y in sorted(cand.support, key=len, reverse=True):
         mu = total(raw[y])[0]  # as the corrections at longer keys left it
         if mu and y != x:
             add_products(raw, lower(y).support, LaurentPoly.from_int(-mu))
-    cand = cand.wrap(finish(raw))
-    if cand.coeff(x) != ONE:
-        raise InternalInconsistency(f"KL recursion lost unitriangularity at {x}")
-    for y, c in cand.support.items():
-        if y != x and not c.in_v_times_nonneg():
-            raise InternalInconsistency(
-                f"KL coefficient at {y} of the element at {x} = {c} escapes vZ[v]"
-            )
-    return cand
+    return cand.wrap(finish(raw))
 
 
 def kl(system: CoxeterSystem, J: frozenset[int], memo: dict[Word, Combo], x: Word) -> Combo:
     """memo[x], the Kazhdan-Lusztig element at x in ^J W, filled by `along`:
     at x = x's, memo[x'] * b_s mu-corrected by `kl_correct`, with `kl` on the
-    same memo below.  Self-duality is verify's to check."""
+    same memo below."""
     return along(system, J, memo, x, lambda p, prev: kl_correct(
         step_plus(system, J, prev, p[-1], V), p, lambda y: kl(system, J, memo, y)))

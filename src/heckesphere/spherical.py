@@ -14,9 +14,10 @@ x' an mcr and m_x = m_{x'} delta_s, so each table keyed by ^J W is filled by
 linear.along from its value at x': bar(m_x) = bar(m_{x'}) delta_s^-1 (the
 bar involution, computed in the module by linear.bar); c_x by linear.kl,
 the recursion c_{x'} * b_s minus mu-corrections that also gives the
-algebra's b_x (c_x's self-duality is checked by verify's spherical-kl, as
-b_x's is by kl-wellformed); and phi(m_x) = phi(m_{x'}) delta_s, one step in
-the algebra from phi(m_e) = b_{w_J}.
+algebra's b_x; and phi(m_x) = phi(m_{x'}) delta_s, one step in the algebra
+from phi(m_e) = b_{w_J}.  The module computes each of these and checks none:
+verify's spherical-kl checks c_x's unitriangularity, vZ[v] and self-duality,
+as kl-wellformed checks b_x's.
 
 The pairing <a, b>_M is the coordinatewise form, in which the m_x are
 orthonormal.  Under the embedding m_x -> b_{w_J} delta_x, v^{d_J} pi(J)
@@ -49,7 +50,7 @@ class SphericalModule:
         # Checks J's letters and certifies J is finitary (BudgetExceeded otherwise).
         par = self.system.parabolic(J)
         self.J, self.d_J = par.J, par.d_J
-        # Certifies b_{w_J}, caches pi(J).
+        # The algebra's memoized closed forms; verify's bwj-pi-identity checks them.
         self.b_wJ, self.pi = algebra.b_wJ_and_pi(self.J)
         self._kl_memo: dict[Word, SphericalElt] = {IDENTITY: self.unit()}
         self._bar_memo: dict[Word, SphericalElt] = {IDENTITY: self.unit()}

@@ -1,5 +1,8 @@
 """Machine verification of the algebraic identities the package implements.
 
+The library computes each value by one path and checks none of them; these
+checks are the one place a computed value meets a second path.
+
 Each suite is a list of named checks over one Coxeter system.  A check is a
 generator function of a `Run` that yields failure messages; the `Run`
 holds what the checks of one `run_suites` call share: one Hecke algebra,
@@ -38,6 +41,7 @@ from .errors import BudgetExceeded, HeckesphereError, PreconditionViolated
 from .hecke import HeckeAlgebra, HeckeElt
 from .laurent import LaurentPoly, ONE, ZERO, sum_of_products
 from .lightleaf import NSStep, build_nsll, build_sll, find_sweep, glue
+from .linear import Combo
 from .spherical import SphericalModule
 
 
@@ -186,20 +190,31 @@ def _random_elts(rng: random.Random, pool: list[Word], count: int) -> list[Hecke
 # -- hecke suite ------------------------------------------------------------------
 
 
+def _kl_failures(elt: Combo, x: Word, bar: Callable[[Combo], Combo],
+                 name: str) -> Iterator[str]:
+    """The KL element at x, b_x or c_x, against its characterization
+    (Kazhdan-Lusztig): coefficient 1 at x, invariance under `bar`, and every
+    other coefficient in vZ[v]."""
+    if elt.coeff(x) != ONE:
+        yield f"{name} has coefficient {elt.coeff(x)} at x, not 1"
+    if bar(elt) != elt:
+        yield f"{name} is not bar-invariant"
+    for y, c in elt.support.items():
+        if y != x and not c.in_v_times_nonneg():
+            yield f"h_({y}, x) = {c} not in vZ[v]"
+
+
 def check_kl_wellformed(run: Run) -> Iterator[str]:
+    """b_x, as kl_basis computes it, against its characterization."""
     alg = run.algebra
     for x in run.elements():
         with run.case(x):
-            b = alg.kl_basis(x)
-            if alg.bar(b) != b:
-                yield "b_x is not bar-invariant"
-            for y, c in b.support.items():
-                if y != x and not c.in_v_times_nonneg():
-                    yield f"h_({y}, x) = {c} not in vZ[v]"
+            yield from _kl_failures(alg.kl_basis(x), x, alg.bar, "b_x")
 
 
 def check_bwj_pi(run: Run) -> Iterator[str]:
-    """b_wJ_and_pi's closed form, certified by eigen-steps, against kl_basis and multiply."""
+    """b_wJ_and_pi's closed form, unchecked by the library, against
+    kl_basis(w_J), and its square against pi(J) b_(w_J) through multiply."""
     for J in run.subsets:
         with run.case(J):
             b, pi = run.algebra.b_wJ_and_pi(J)
@@ -298,14 +313,13 @@ def check_phi_equivariance(run: Run) -> Iterator[str]:
 
 
 def check_spherical_kl(run: Run) -> Iterator[str]:
-    """c_x is self-dual; kl_c itself asserts unitriangularity and vZ[v]."""
+    """c_x, as kl_c computes it, against its characterization, as
+    kl-wellformed checks b_x."""
     for J in run.subsets:
         mod = run.module(J)
         for x in run.mcrs(J):
             with run.case(J, x):
-                c = mod.kl_c(x)
-                if mod.bar(c) != c:
-                    yield "c_x is not bar-invariant"
+                yield from _kl_failures(mod.kl_c(x), x, mod.bar, "c_x")
 
 
 def check_spherical_orthonormal(run: Run) -> Iterator[str]:

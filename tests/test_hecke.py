@@ -1,13 +1,12 @@
+import itertools
 import random
-import re
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from heckesphere import catalog, hecke, linear
-from heckesphere.coxeter import IDENTITY, CoxeterSystem
-from heckesphere.errors import (BudgetExceeded, InternalInconsistency, InvalidMatrix, NotDivisible,
-                               PreconditionViolated)
+from heckesphere import catalog, linear, verify
+from heckesphere.coxeter import IDENTITY, CoxeterMatrix, CoxeterSystem
+from heckesphere.errors import BudgetExceeded, InvalidMatrix, NotDivisible, PreconditionViolated
 from heckesphere.hecke import HeckeAlgebra, HeckeElt
 from heckesphere.laurent import LaurentPoly, ONE, V, VINV, ZERO
 from heckesphere.spherical import SphericalElt, SphericalModule
@@ -160,6 +159,48 @@ class TestKLAnchors:
                             if x == w or len(x) < len(w))
             assert alg.kl_basis(w) == want
 
+    @pytest.mark.parametrize("rank,smooth", [(3, 22), (4, 88), (5, 366)],
+                             ids=["a3", "a4", "a5"])
+    def test_p_e_w_is_one_exactly_at_the_smooth_permutations(self, rank, smooth):
+        # Three independent readings of "P_(e,w) = 1" on S_(rank+1): from the
+        # KL basis; by Carrell-Peterson, [e, w] has a palindromic
+        # rank-generating function; by Lakshmibai-Sandhya, w avoids 3412 and
+        # 4231.  The counts are Bousquet-Melou and Butler's.
+        matrix = CoxeterMatrix(tuple("stuvw"[:rank]), tuple(
+            tuple(1 if i == j else 3 if abs(i - j) == 1 else 2 for j in range(rank))
+            for i in range(rank)))
+        system = CoxeterSystem(matrix, rank * (rank + 1) // 2)
+        alg = HeckeAlgebra(system)
+        by_kl = {w for w in system.elements() if alg.kl_basis(w).coeff(IDENTITY) == V ** len(w)}
+
+        below = {IDENTITY: {IDENTITY}}  # [e, w] = [e, w'] u [e, w'] s for w = w's > w'
+        for w in system.elements():
+            if w:
+                lower = below[w[:-1]]
+                below[w] = lower | {system.right_mult(x, w[-1]) for x in lower}
+        by_palindromy = set()
+        for w, interval in below.items():
+            ranks = [0] * (len(w) + 1)
+            for x in interval:
+                ranks[len(x)] += 1
+            if ranks == ranks[::-1]:
+                by_palindromy.add(w)
+
+        def one_line(w):
+            perm = list(range(rank + 1))
+            for s in w:
+                perm[s], perm[s + 1] = perm[s + 1], perm[s]
+            return perm
+
+        def pattern(values):
+            return tuple(sorted(values).index(a) for a in values)
+
+        by_patterns = {w for w in system.elements() if not {
+            pattern(sub) for sub in itertools.combinations(one_line(w), 4)} & {
+            (2, 3, 0, 1), (3, 1, 2, 0)}}
+        assert by_kl == by_palindromy == by_patterns
+        assert len(by_kl) == smooth
+
 
 class TestPairing:
     def test_standard_orthonormal(self, a2_algebra):
@@ -199,29 +240,35 @@ class TestBwJ:
         _, pi = a2_algebra.b_wJ_and_pi({S, T})
         assert pi == LaurentPoly([(3, 1), (1, 2), (-1, 2), (-3, 1)])
 
-    def test_certified_once_per_J(self, a2, monkeypatch):
-        # M(J), schur_compose and check_bwj_pi share the first call's certificate;
-        # M(J) reads d_J from the memoized W_J, so the sentinel is the certificate's
-        # last step, the sum that pi(J) must equal.
+    def test_built_once_per_J(self, a2, monkeypatch):
+        # M(J), schur_compose and check_bwj_pi share the first call's closed
+        # form: once it is memoized, a W_J emptied of its members changes nothing.
         alg = HeckeAlgebra(a2)
-        b, _ = got = alg.b_wJ_and_pi({S, T})
-        monkeypatch.setattr(hecke, "sum_of_products",
-                            lambda pairs: pytest.fail("b_(w_J) certified again"))
+        b, pi = got = alg.b_wJ_and_pi({S, T})
+        real = CoxeterSystem.parabolic
+        monkeypatch.setattr(CoxeterSystem, "parabolic",
+                            lambda self, J: real(self, J)._replace(members=()))
         assert alg.b_wJ_and_pi((T, S)) is got
-        assert SphericalModule(alg, {S, T}).b_wJ is b
+        mod = SphericalModule(alg, {S, T})
+        assert mod.b_wJ is b and mod.pi is pi
         assert alg.schur_compose(b, b, {S, T}) == b
 
-    @pytest.mark.parametrize("bad,message", [
-        # b scaled by v: still an eigenvector, but it acts on itself by v pi(J).
-        (lambda par: par._replace(d_J=par.d_J + 1), "pi(J) != sum_w b_w v^-l(w)"),
-        (lambda par: par._replace(members=par.members[1:]),
-         "b_(w_J) delta_s != v^-1 b_(w_J) for s=0"),
+    @pytest.mark.parametrize("bad,squares", [
+        # d_J + 1 scales b by v and pi(J) by v^-1, so b^2 = v^2 pi(J) b at every J.
+        (lambda par: par._replace(d_J=par.d_J + 1), [[], [0], [1], [0, 1]]),
+        # With W_J's identity gone, b is 0 at J = {}, and 0^2 = pi(J) 0 holds there.
+        (lambda par: par._replace(members=par.members[1:]), [[0], [1], [0, 1]]),
     ], ids=["scaled", "identity-dropped"])
-    def test_a_wrong_closed_form_is_caught(self, a2, monkeypatch, bad, message):
+    def test_a_wrong_closed_form_is_caught(self, a2, monkeypatch, bad, squares):
+        # The library builds b_(w_J) unchecked; bwj-pi-identity names each J it is wrong at.
         real = CoxeterSystem.parabolic
         monkeypatch.setattr(CoxeterSystem, "parabolic", lambda self, J: bad(real(self, J)))
-        with pytest.raises(InternalInconsistency, match=re.escape(f"{message}, J=[0, 1]")):
-            HeckeAlgebra(a2).b_wJ_and_pi({S, T})
+        res = verify.Run(a2).check("hecke", "bwj-pi-identity", verify.check_bwj_pi)
+        assert (res.status, res.cases) == ("FAIL", 4)
+        kl, square = ("closed form for b_(w_J) disagrees with the KL recursion",
+                      "b_(w_J)^2 != pi(J) b_(w_J)")
+        assert res.failures == [f"J={J}: {message}" for J in ([], [0], [1], [0, 1])
+                                for message in ([kl, square] if J in squares else [kl])]
 
 
 class TestInput:

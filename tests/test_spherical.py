@@ -1,18 +1,12 @@
 import itertools
 import random
-import re
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from heckesphere.coxeter import IDENTITY, CoxeterSystem
 from heckesphere import catalog, linear, verify
-from heckesphere.errors import (
-    BudgetExceeded,
-    InternalInconsistency,
-    InvalidMatrix,
-    PreconditionViolated,
-)
+from heckesphere.errors import BudgetExceeded, InvalidMatrix, PreconditionViolated
 from heckesphere.hecke import HeckeAlgebra, HeckeElt
 from heckesphere.laurent import LaurentPoly, ONE, V, VINV, ZERO, sum_of_products
 from heckesphere.spherical import SphericalElt, SphericalModule
@@ -137,19 +131,37 @@ class TestKLC:
         assert res.status == "FAIL"
         assert res.failures == [f"J=[0], {x}: c_x is not bar-invariant" for x in [(T,), (T, S)]]
 
-    @pytest.mark.parametrize("basis", ["hecke", "spherical"])
-    def test_skipped_correction_is_caught(self, a2, monkeypatch, basis):
-        """b_sts = b_s b_ts - b_s and c_ts = c_t b_s - c_e each need one
-        mu-correction; leaving it out must trip the vZ[v] check."""
+    @pytest.mark.parametrize("suite,check,failures", [
+        ("hecke", "kl-wellformed", ["(0, 1, 0): h_((0,), x) = 1 + v^2 not in vZ[v]"]),
+        ("spherical", "spherical-kl", ["J=[], (0, 1, 0): h_((0,), x) = 1 + v^2 not in vZ[v]",
+                                       "J=[0], (1, 0): h_((), x) = 1 + v^2 not in vZ[v]",
+                                       "J=[1], (0, 1): h_((), x) = 1 + v^2 not in vZ[v]"]),
+    ], ids=["hecke", "spherical"])
+    def test_skipped_correction_is_caught(self, a2, monkeypatch, suite, check, failures):
+        """b_sts = b_st b_s - b_s and c_ts = c_t b_s - c_e each need one
+        mu-correction.  Left out, the element is still bar-invariant, so
+        only the vZ[v] test of kl-wellformed and spherical-kl yields it."""
         real = linear.kl_correct
         monkeypatch.setattr(linear, "kl_correct", lambda cand, x, lower: real(
             cand, x, lambda y: type(cand)()))
-        alg = HeckeAlgebra(a2)  # fresh memos
-        with pytest.raises(InternalInconsistency, match="escapes vZ"):
-            if basis == "hecke":
-                alg.kl_basis((S, T, S))
-            else:
-                SphericalModule(alg, {S}).kl_c((T, S))
+        res = verify.Run(a2).check(suite, check, dict(verify.SUITES[suite])[check])
+        assert res.failures == failures
+
+    @pytest.mark.parametrize("suite,check,failures", [
+        ("hecke", "kl-wellformed", ["(1, 0): b_x has coefficient 2 at x, not 1"]),
+        ("spherical", "spherical-kl", ["J=[], (1, 0): c_x has coefficient 2 at x, not 1",
+                                       "J=[0], (1, 0): c_x has coefficient 2 at x, not 1"]),
+    ], ids=["hecke", "spherical"])
+    def test_a_broken_leading_coefficient_is_caught(self, a2, monkeypatch, suite, check,
+                                                    failures):
+        # No element is built from the one at ts, and twice it is still
+        # bar-invariant with coefficients in vZ[v] below ts: only its
+        # coefficient at x is wrong.
+        real = linear.kl_correct
+        monkeypatch.setattr(linear, "kl_correct", lambda cand, x, lower: (
+            real(cand, x, lower).scale(2) if x == (T, S) else real(cand, x, lower)))
+        res = verify.Run(a2).check(suite, check, dict(verify.SUITES[suite])[check])
+        assert res.failures == failures
 
     @pytest.mark.parametrize("name", ["b2", "a3", "b3", "h3"])
     def test_characterizing_properties(self, request, name):
@@ -184,19 +196,21 @@ def test_rank_4_kl_basis(request, name, J):
 
 
 @pytest.mark.parametrize("broken", [1, 2])
-def test_a_broken_step_fails_construction_naming_s_and_J(a3, monkeypatch, broken):
-    """b_{w_J} delta_s = v^-1 b_{w_J} is checked for each s in J as M(J) is
-    built: a step by one generator gone wrong fails exactly the J holding it."""
+def test_a_broken_step_fails_bwj_pi_identity_naming_J(a3, monkeypatch, broken):
+    """M(J) takes b_(w_J) unchecked, and a step by one generator gone wrong
+    fails bwj-pi-identity at exactly the J holding it: KL on w_J and the
+    square b_(w_J)^2 both step by it."""
     real = linear.delta_step
     monkeypatch.setattr(linear, "delta_step", lambda system, J, a, s: (
         real(system, J, a, s).scale(V) if s == broken else real(system, J, a, s)))
-    for J in finitary_subsets(a3):
-        if broken not in J:
-            SphericalModule(HeckeAlgebra(a3), J)
-            continue
-        want = f"b_(w_J) delta_s != v^-1 b_(w_J) for s={broken}, J={sorted(J)}"
-        with pytest.raises(InternalInconsistency, match=re.escape(want)):
-            SphericalModule(HeckeAlgebra(a3), J)
+    run = verify.Run(a3)
+    for J in run.subsets:
+        run.module(J)
+    res = run.check("hecke", "bwj-pi-identity", verify.check_bwj_pi)
+    assert res.failures == [
+        f"J={sorted(J)}: {message}" for J in run.subsets if broken in J for message in (
+            "closed form for b_(w_J) disagrees with the KL recursion",
+            "b_(w_J)^2 != pi(J) b_(w_J)")]
 
 
 class TestPairing:
