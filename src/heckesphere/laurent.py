@@ -44,11 +44,11 @@ class LaurentPoly:
 
     @classmethod
     def zero(cls) -> "LaurentPoly":
-        return cls()
+        return _poly({})
 
     @classmethod
     def one(cls) -> "LaurentPoly":
-        return cls({0: 1})
+        return _poly({0: 1})
 
     @classmethod
     def monomial(cls, exp: int, coeff: int = 1) -> "LaurentPoly":
@@ -58,7 +58,7 @@ class LaurentPoly:
 
     @classmethod
     def from_int(cls, n: int) -> "LaurentPoly":
-        return cls({0: n})
+        return cls.monomial(0, n)
 
     # -- basic queries -----------------------------------------------------
 

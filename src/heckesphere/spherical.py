@@ -71,6 +71,7 @@ class SphericalModule:
     # -- the action and the bar involution ------------------------------------------
 
     def act_bs(self, a: SphericalElt, s: int) -> SphericalElt:
+        self.system.check_letters((s,))
         return linear.step_plus(self.system, self.J, a, s, V)
 
     def act(self, a: SphericalElt, h: HeckeElt) -> SphericalElt:
@@ -78,9 +79,11 @@ class SphericalModule:
 
     def expand_expression(self, word: Iterable[int]) -> SphericalElt:
         """1 (x) b_{x_} = m_e b_{s_1} ... b_{s_n}."""
+        word = tuple(word)
+        self.system.check_letters(word)
         out = self.unit()
         for s in word:
-            out = self.act_bs(out, s)
+            out = linear.step_plus(self.system, self.J, out, s, V)
         return out
 
     def bar(self, a: SphericalElt) -> SphericalElt:

@@ -18,9 +18,9 @@ the step rule `_step`, which `decorate` follows along one path.  The
 double-leaf index pairs `join` two words' decorations by endpoint; rank_poly
 sums v^{deg} over them as the form of two defect expansions (endpoint_polys,
 in M(J)), which keep their own walk as the reference the pairs are checked by.
-Each degree is summed once, where its record is built: a decoration's sdef
-by `decorate`, or from its parent's by `decorations`, and a pair's degree by
-`join`.
+Each degree is summed once, where its record is built: a decoration's sdef by
+`decorate`, or from its parent's by `decorations`, a pair's degree by `join`,
+and P_w(z) by endpoint_polys, once per endpoint z, from its counted leaves.
 """
 
 from __future__ import annotations
@@ -165,7 +165,7 @@ def endpoint_polys(system: CoxeterSystem, J: frozenset[int],
     end and defect so far, with a bit-0 and a bit-1 child by the step rule of
     `decorate`.  Equal nodes are never merged, which would make this the
     module action that `strolls/defect-expansion` checks it against; the 2^n
-    leaves are counted by end and defect."""
+    leaves are counted by end and defect, and P_w(z) summed once per end z."""
     system.check_letters(word)
     J = system.check_J(J)
     nodes = [(IDENTITY, 0)]
@@ -178,7 +178,10 @@ def endpoint_polys(system: CoxeterSystem, J: frozenset[int],
             else:  # X0, X1
                 nxt += ((z, d + 1), (z, d - 1))
         nodes = nxt
-    return SphericalElt((z, LaurentPoly({d: n})) for (z, d), n in Counter(nodes).items())
+    polys: dict[Word, dict[int, int]] = {}
+    for (z, d), n in Counter(nodes).items():
+        polys.setdefault(z, {})[d] = n
+    return SphericalElt.wrap({z: LaurentPoly(terms) for z, terms in polys.items()})
 
 
 def rank_poly(system: CoxeterSystem, J: frozenset[int],

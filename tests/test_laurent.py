@@ -165,6 +165,11 @@ class TestRendering:
         with pytest.raises(PreconditionViolated, match="must be integers"):
             LaurentPoly.monomial(exp, coeff)
 
+    @pytest.mark.parametrize("n", [True, 1.5], ids=["bool", "float"])
+    def test_only_an_int_builds_a_constant(self, n):
+        with pytest.raises(PreconditionViolated, match="must be integers"):
+            LaurentPoly.from_int(n)
+
     def test_getitem_and_exponents(self):
         p = poly((2, 3), (-1, 1))
         assert p[2] == 3 and p[0] == 0

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from heckesphere.coxeter import IDENTITY, CoxeterSystem
-from heckesphere import catalog, linear, verify
+from heckesphere import catalog, linear, strolls, verify
 from heckesphere.errors import BudgetExceeded, InvalidMatrix, PreconditionViolated
 from heckesphere.hecke import HeckeAlgebra, HeckeElt
 from heckesphere.laurent import LaurentPoly, ONE, V, VINV, ZERO, sum_of_products
@@ -59,6 +59,23 @@ class TestAction:
             mod_a2_s.act_bs(mod_a2_s.m((T,)), 5)
         with pytest.raises(InvalidMatrix, match=r"^J=\[7\]: letter 7 out of range$"):
             SphericalModule(a2_algebra, {7})
+
+    @pytest.mark.parametrize("letter", [True, 1.0, -1], ids=["bool", "float", "negative"])
+    def test_a_bad_letter_is_rejected_on_a_grown_ball(self, letter):
+        # Once the ball is grown, right_mult finds True and 1.0 among its
+        # cached products under the key 1; the module checks its letters as
+        # endpoint_polys does, also where no term would step along them.
+        system = CoxeterSystem(catalog.A2, 10)
+        system.elements()
+        mod = SphericalModule(HeckeAlgebra(system), {S})
+        for word in ((letter,), (T, letter), (letter, S, T)):
+            with pytest.raises(InvalidMatrix, match="letter"):
+                strolls.endpoint_polys(system, mod.J, word)
+            with pytest.raises(InvalidMatrix, match="letter"):
+                mod.expand_expression(word)
+        for m in (mod.unit(), mod.m((T, S)), mod.zero()):
+            with pytest.raises(InvalidMatrix, match="letter"):
+                mod.act_bs(m, letter)
 
 
 class TestBar:

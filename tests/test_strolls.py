@@ -150,7 +150,8 @@ class TestDefectExpansion:
 
 
 def decorated_expansion(system, J, word):
-    """sum of v^sdef m_end over every subexpression, one `decorate` each."""
+    """sum of v^sdef m_end over every subexpression, one `decorate` each,
+    with the (end, sdef) counts merged by SphericalElt's constructor."""
     count = Counter()
     for bits in strolls.subexpressions(len(word)):
         dec = strolls.decorate(system, J, word, bits)
