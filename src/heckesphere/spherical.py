@@ -79,11 +79,9 @@ class SphericalModule:
 
     def expand_expression(self, word: Iterable[int]) -> SphericalElt:
         """1 (x) b_{x_} = m_e b_{s_1} ... b_{s_n}."""
-        word = tuple(word)
-        self.system.check_letters(word)
         out = self.unit()
         for s in word:
-            out = linear.step_plus(self.system, self.J, out, s, V)
+            out = self.act_bs(out, s)
         return out
 
     def bar(self, a: SphericalElt) -> SphericalElt:
