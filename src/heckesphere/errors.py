@@ -21,14 +21,6 @@ class DifferentElements(HeckesphereError):
     """Two words expected to represent the same group element do not."""
 
 
-class NotDivisible(HeckesphereError):
-    """Exact division failed over Z[v, v^-1]."""
-
-
-class DivisionByZero(HeckesphereError):
-    """Division by the zero Laurent polynomial."""
-
-
 class PreconditionViolated(HeckesphereError):
     """An operation was called outside its stated domain."""
 

@@ -106,7 +106,7 @@ class HeckeAlgebra:
         """b_{w_J} = sum_{w in W_J} v^{l(w_J)-l(w)} delta_w in closed form and its
         Hilbert polynomial pi(J) = sum_{w in W_J} v^{2l(w)-l(w_J)} (Soergel).
         verify's bwj-pi-identity compares b with kl_basis(w_J) and b^2 with
-        pi(J) b.  Memoized per J, so M(J), schur_compose and that check share one."""
+        pi(J) b.  Memoized per J, so M(J) and that check share one."""
         par = self.system.parabolic(J)  # checks J first: [True] would hit the memo of {1}
         J = par.J
         if J not in self._bwj_memo:
@@ -114,13 +114,6 @@ class HeckeAlgebra:
             pi = LaurentPoly((2 * len(w) - par.d_J, 1) for w in par.members)
             self._bwj_memo[J] = (b, pi)
         return self._bwj_memo[J]
-
-    def schur_compose(self, h1: HeckeElt, h2: HeckeElt, J: Iterable[int]) -> HeckeElt:
-        """h1 *_J h2 = h1 h2 / pi(J); NotDivisible flags inputs outside the
-        ideals H b_{w_J} and b_{w_J} H."""
-        _, pi = self.b_wJ_and_pi(J)
-        prod = self.multiply(h1, h2)
-        return HeckeElt.wrap({x: c.divide_exact(pi) for x, c in prod.support.items()})
 
     # -- rendering -----------------------------------------------------------------------
 

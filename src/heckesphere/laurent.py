@@ -1,60 +1,75 @@
 """Exact arithmetic in the ring Z[v, v^-1], and the only module that reads
-or builds its exponent maps.
+or builds its packed form: one Python int in signed digits (Kronecker
+substitution).  sum c_e v^e is (lo, n), n = sum c_e 2^(width (e - lo)), each
+|c_e| < 2^(width - 1) and the digit at lo nonzero; zero is (0, 0).  The width
+is the least 64 * 2^k that holds the largest coefficient, so equal
+polynomials have equal (width, lo, n).  Each carries a bound L >= sum |c_e|:
+exact when built, L_a + L_b under +, L_a L_b under * (the l1 norm is
+submultiplicative), kept by a shift, a negation and the bar.  While the
+result's bound stays below 2^63 no 64-bit digit can overflow, so a sum is one
+aligned int +, v^k moves lo, c (v^-1 - v) is n - (n << 128) one place lower
+and a product is n * m.  Otherwise an operation takes the exact path through
+exponent maps, which re-packs the result at its least width: coefficients
+of any size work, and no digit overflows silently.
 
-A Laurent polynomial is stored as a map from integer exponent to nonzero
-integer coefficient, so equality is plain map equality.  Coefficients are
-Python ints and therefore arbitrary precision; the merging constructor, for
-exponents that can repeat or terms from a caller, takes nothing else.
-
-Sums of products are formed in raw exponent maps, plain dict[int, int] that
-may hold zero coefficients while they accumulate; the zeros are dropped once
-at the end, so a sum of n products builds one polynomial, not 2n.
-`sum_of_products` is the scalar sum.  `add_products` is the keyed one, for
-linear combinations with polynomial coefficients: raw += c * support, one
-raw map per key, except that a key's first term stays a LaurentPoly until a
-second term arrives (a `Raw` entry); `total` reads one key and `finish`
-turns every key into its polynomial, dropping keys that summed to zero.
-p * q is one `sum_of_products`, and so are p + q and p - q, over ONE and MINUS_ONE.
+`sum_of_products` is the scalar sum of products; `add_products` the keyed
+one, raw += c * support with one polynomial per key, and `finish` drops the
+keys that summed to zero.
 """
 
 from __future__ import annotations
 
+import struct
 from collections.abc import Hashable, Iterable, Iterator, Mapping
 
-from .errors import DivisionByZero, NotDivisible, PreconditionViolated
+from .errors import PreconditionViolated
+
+HALF = 1 << 63  # a bound below this keeps every 64-bit digit exact
+MASK = (1 << 64) - 1
+_CODECS: dict[int, tuple[int, struct.Struct]] = {}  # digits -> (offset, layout) at width 64
 
 
 class LaurentPoly:
-    """An element of Z[v, v^-1] in canonical form (no zero coefficients)."""
+    """An element of Z[v, v^-1] in canonical packed form (see the module)."""
 
-    __slots__ = ("coeffs",)
+    __slots__ = ("lo", "packed", "bound", "width")
 
     def __init__(self, coeffs: Mapping[int, int] | Iterable[tuple[int, int]] = ()):
-        items = coeffs.items() if type(coeffs) is dict or isinstance(coeffs, Mapping) else coeffs
-        store: dict[int, int] = {}
+        mapping = type(coeffs) is dict or isinstance(coeffs, Mapping)
+        items = coeffs.items() if mapping else list(coeffs)
+        try:
+            lo = min(coeffs if mapping else [exp for exp, _ in items])
+        except (TypeError, ValueError):  # no terms, or a term the loop rejects
+            lo = 0
+        n = bound = 0
         for exp, c in items:
-            _check_term(exp, c)
-            if c:
-                store[exp] = store.get(exp, 0) + c
-                if not store[exp]:
-                    del store[exp]
-        self.coeffs = store
+            if type(exp) is not int or type(c) is not int:
+                raise PreconditionViolated(
+                    f"exponents and coefficients must be integers, got {exp!r}: {c!r}")
+            n += c << ((exp - lo) << 6)
+            bound += c if c > 0 else -c
+        if mapping and bound < HALF and n & MASK:  # canonical as packed
+            self.lo, self.packed, self.bound, self.width = lo, n, bound, 64
+        else:  # a zero at lo; or exponents that may repeat, merged for an exact bound
+            p = _strip(lo, n, bound) if mapping and bound < HALF else _from_terms(items)
+            self.lo, self.packed, self.bound, self.width = p.lo, p.packed, p.bound, p.width
 
     # -- constructors ------------------------------------------------------
 
     @classmethod
     def zero(cls) -> "LaurentPoly":
-        return _poly({})
+        return _make(0, 0, 0, 64)
 
     @classmethod
     def one(cls) -> "LaurentPoly":
-        return _poly({0: 1})
+        return _make(0, 1, 1, 64)
 
     @classmethod
     def monomial(cls, exp: int, coeff: int = 1) -> "LaurentPoly":
-        """coeff * v^exp: one term cannot repeat, so no merging loop."""
-        _check_term(exp, coeff)
-        return _poly({exp: coeff} if coeff else {})
+        """coeff * v^exp: one digit, whatever the width."""
+        if type(exp) is not int or type(coeff) is not int:
+            return cls([(exp, coeff)])  # which raises
+        return _make(exp, coeff, abs(coeff), _width(abs(coeff))) if coeff else ZERO
 
     @classmethod
     def from_int(cls, n: int) -> "LaurentPoly":
@@ -63,29 +78,24 @@ class LaurentPoly:
     # -- basic queries -----------------------------------------------------
 
     def __bool__(self) -> bool:
-        return bool(self.coeffs)
+        return self.packed != 0
 
     def __getitem__(self, exp: int) -> int:
-        """Coefficient of v^exp (0 if absent)."""
-        return self.coeffs.get(exp, 0)
-
-    def min_exp(self) -> int:
-        if not self.coeffs:
-            raise PreconditionViolated("zero polynomial has no exponents")
-        return min(self.coeffs)
-
-    def max_exp(self) -> int:
-        if not self.coeffs:
-            raise PreconditionViolated("zero polynomial has no exponents")
-        return max(self.coeffs)
+        """Coefficient of v^exp (0 if absent): n shifted to it, the digits below rounded off."""
+        i, w = exp - self.lo, self.width
+        if i < 0:
+            return 0
+        r = ((self.packed >> (w * i - 1)) + 1) >> 1 if i else self.packed
+        half = 1 << (w - 1)
+        return ((r + half) & ((half << 1) - 1)) - half
 
     def terms(self) -> Iterator[tuple[int, int]]:
         """(exponent, coefficient) pairs in ascending exponent order."""
-        return iter(sorted(self.coeffs.items()))
+        return iter([(e, c) for e, c in enumerate(_digits(self), self.lo) if c])
 
     def in_v_times_nonneg(self) -> bool:
         """True iff the polynomial lies in v*Z[v] (all exponents >= 1)."""
-        return all(e >= 1 for e in self.coeffs)
+        return self.lo >= 1 or not self.packed
 
     # -- ring operations ---------------------------------------------------
 
@@ -94,37 +104,43 @@ class LaurentPoly:
         if isinstance(other, LaurentPoly):
             return other
         if type(other) is int:
-            return _poly({0: other} if other else {})
+            return LaurentPoly.from_int(other)
         return NotImplemented
 
     def __add__(self, other) -> "LaurentPoly":
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        return sum_of_products(((self, ONE), (other, ONE)))
+        if self.bound >= HALF:
+            return _from_terms([*self.terms(), *other.terms()])
+        return _add(self.lo, self.packed, self.bound, other)
 
     __radd__ = __add__
 
     def __neg__(self) -> "LaurentPoly":
-        return _poly({e: -c for e, c in self.coeffs.items()})
+        return _make(self.lo, -self.packed, self.bound, self.width)
 
     def __sub__(self, other) -> "LaurentPoly":
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        return sum_of_products(((self, ONE), (other, MINUS_ONE)))
+        return self + -other
 
     def __rsub__(self, other) -> "LaurentPoly":
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        return sum_of_products(((other, ONE), (self, MINUS_ONE)))
+        return other + -self
 
     def __mul__(self, other) -> "LaurentPoly":
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        return sum_of_products(((self, other),))
+        bound = self.bound * other.bound
+        if bound >= HALF:
+            return _from_terms([(e1 + e2, c1 * c2) for e1, c1 in self.terms()
+                                for e2, c2 in other.terms()])
+        return _make(self.lo + other.lo, self.packed * other.packed, bound, 64) if bound else ZERO
 
     __rmul__ = __mul__
 
@@ -146,76 +162,23 @@ class LaurentPoly:
         """Multiply by v^k, k an int."""
         if type(k) is not int:
             raise PreconditionViolated(f"a shift must be an int, got {k!r}")
-        return _poly({e + k: c for e, c in self.coeffs.items()})
+        return _make(self.lo + k, self.packed, self.bound, self.width) if self.packed else self
 
     def mul_vinv_minus_v(self, plus: "LaurentPoly | None" = None) -> "LaurentPoly":
-        """plus + self * (v^-1 - v), the quadratic relation's term at a
-        descent (plus = 0 if omitted): shift down onto plus, then subtract
-        the shift up, deleting each coefficient that cancels."""
-        src = self.coeffs
-        if plus is None:
-            out = {e - 1: c for e, c in src.items()}
-        else:
-            out = dict(plus.coeffs)
-            for e, c in src.items():
-                e -= 1
-                d = out.get(e, 0) + c
-                if d:
-                    out[e] = d
-                else:
-                    del out[e]
-        for e, c in src.items():
-            e += 1
-            d = out.get(e, 0) - c
-            if d:
-                out[e] = d
-            else:
-                del out[e]
-        return _poly(out)
+        """plus + self * (v^-1 - v), the quadratic relation's term at a descent
+        (plus = 0 if omitted): n - (n << 128) one place below lo, added onto plus."""
+        n, bound, plus = self.packed, 2 * self.bound, ZERO if plus is None else plus
+        if bound >= HALF:
+            return plus + self * (VINV - V)
+        return _add(self.lo - 1, n - (n << 128), bound, plus)
 
-    # -- bar involution and division ---------------------------------------
+    # -- bar involution ------------------------------------------------------
 
     def bar(self) -> "LaurentPoly":
-        """The Kazhdan-Lusztig involution v -> v^-1."""
-        return _poly({-e: c for e, c in self.coeffs.items()})
-
-    def divide_exact(self, divisor: "LaurentPoly") -> "LaurentPoly":
-        """Return q with q * divisor == self, by leading-term elimination.
-
-        Raises NotDivisible if no such q exists over Z[v, v^-1], and
-        DivisionByZero if divisor is zero.
-        """
-        if not divisor:
-            raise DivisionByZero("division by the zero Laurent polynomial")
-        if not self:
-            return LaurentPoly.zero()
-        div = divisor.coeffs
-        top_b = max(div)
-        lead_b = div[top_b]
-        rem = dict(self.coeffs)  # canonical: a cancelled term is deleted
-        # Lowest exponents multiply to the lowest one, so an exact quotient
-        # has no exponent below low_q.
-        low_q = min(rem) - min(div)
-        quot: dict[int, int] = {}
-        top_r = max(rem)  # the remainder's top only falls
-        while rem:
-            e = top_r - top_b
-            if e < low_q:
-                raise NotDivisible(f"{self!r} is not divisible by {divisor!r}")
-            lead_r = rem.get(top_r)
-            if lead_r is not None:
-                if lead_r % lead_b:
-                    raise NotDivisible(f"{self!r} is not divisible by {divisor!r}")
-                c = quot[e] = lead_r // lead_b
-                for eb, cb in div.items():
-                    eb += e
-                    d = rem.get(eb, 0) - c * cb
-                    if d:
-                        rem[eb] = d
-                    else:
-                        del rem[eb]
-            top_r -= 1
-        return _poly(quot)
+        """The Kazhdan-Lusztig involution v -> v^-1: the digits reversed."""
+        digits = _digits(self)
+        return _make(1 - self.lo - len(digits), _encode(digits[::-1], self.width), self.bound,
+                     self.width) if self.packed else self
 
     # -- comparison, hashing, rendering -------------------------------------
 
@@ -223,25 +186,30 @@ class LaurentPoly:
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        return self.coeffs == other.coeffs
+        return self.packed == other.packed and self.lo == other.lo and self.width == other.width
 
     def __hash__(self) -> int:
-        return hash(frozenset(self.coeffs.items()))
+        return hash((self.lo, self.packed))
 
     def __str__(self) -> str:
-        if not self.coeffs:
+        if not self.packed:
             return "0"
         parts: list[str] = []
-        for exp, c in self.terms():
+        exp = self.lo - 1
+        for c in _digits(self):
+            exp += 1
+            if not c:
+                continue
+            sign = "+ "
+            if c < 0:
+                sign, c = "- ", -c
             if exp == 0:
-                body = str(abs(c))
+                parts.append(f"{sign}{c}")
+            elif exp == 1:
+                parts.append(f"{sign}v" if c == 1 else f"{sign}{c}v")
             else:
-                vpow = "v" if exp == 1 else f"v^{exp}"
-                body = vpow if abs(c) == 1 else f"{abs(c)}{vpow}"
-            if not parts:
-                parts.append(body if c > 0 else f"-{body}")
-            else:
-                parts.append(f"+ {body}" if c > 0 else f"- {body}")
+                parts.append(f"{sign}v^{exp}" if c == 1 else f"{sign}{c}v^{exp}")
+        parts[0] = parts[0][2:] if parts[0][0] == "+" else f"-{parts[0][2:]}"  # "-" or no sign
         return " ".join(parts)
 
     def __repr__(self) -> str:
@@ -251,7 +219,7 @@ class LaurentPoly:
 
     def to_json(self) -> list[list[int]]:
         """List of [exponent, coefficient] pairs sorted by exponent."""
-        return [[e, c] for e, c in self.terms()]
+        return [[e, c] for e, c in enumerate(_digits(self), self.lo) if c]
 
     @classmethod
     def from_json(cls, data: list[list[int]]) -> "LaurentPoly":
@@ -267,72 +235,152 @@ class LaurentPoly:
         return cls(data)
 
 
-def _poly(coeffs: dict[int, int]) -> LaurentPoly:
-    """The polynomial over `coeffs`, taken as is: it must hold no zero."""
+def _make(lo: int, packed: int, bound: int, width: int) -> LaurentPoly:
+    """The polynomial over these fields, taken as is: they must be canonical."""
     result = LaurentPoly.__new__(LaurentPoly)
-    result.coeffs = coeffs
+    result.lo, result.packed, result.bound, result.width = lo, packed, bound, width
     return result
 
 
-def _check_term(exp, c) -> None:
-    """A term from a caller: its exponent and coefficient must be ints."""
-    if type(exp) is not int or type(c) is not int:
-        raise PreconditionViolated(
-            f"exponents and coefficients must be integers, got {exp!r}: {c!r}")
+def _width(top: int) -> int:
+    """The least digit width 64 * 2^k whose signed digits hold |c| <= top."""
+    return 64 if top < HALF else 64 << (top.bit_length() >> 6).bit_length()
+
+
+def _offset(k: int, w: int) -> int:
+    """2^(w-1) in each of k digits: added, it makes every signed digit
+    nonnegative, and xor-ed into that, it leaves each digit's two's complement."""
+    return ((1 << (w * k)) - 1) // ((1 << w) - 1) << (w - 1)
+
+
+def _codec(k: int) -> tuple[int, struct.Struct]:
+    _CODECS[k] = got = (_offset(k, 64), struct.Struct(f"<{k}q"))
+    return got
+
+
+def _digits(p: LaurentPoly) -> tuple[int, ...] | list[int]:
+    """p's signed digits from lo up (the top one nonzero), from their bytes."""
+    w, n = p.width, p.packed
+    k = n.bit_length() // w + 1
+    if w == 64:
+        if k == 1:
+            return (n,)
+        off, layout = _CODECS.get(k) or _codec(k)
+        return layout.unpack(((n + off) ^ off).to_bytes(k << 3, "little"))
+    off, size = _offset(k, w), w // 8
+    image = ((n + off) ^ off).to_bytes(k * size, "little")
+    return [int.from_bytes(image[i:i + size], "little", signed=True)
+            for i in range(0, len(image), size)]
+
+
+def _encode(digits, w: int) -> int:
+    """The int whose signed base-2^w digits, from the lowest, are `digits`."""
+    if w == 64:
+        off, layout = _CODECS.get(len(digits)) or _codec(len(digits))
+        image = layout.pack(*digits)
+    else:
+        off = _offset(len(digits), w)
+        image = b"".join(c.to_bytes(w // 8, "little", signed=True) for c in digits)
+    return (int.from_bytes(image, "little") ^ off) - off
+
+
+def _from_terms(terms: Iterable[tuple[int, int]]) -> LaurentPoly:
+    """The exact path: the terms summed in an exponent map, packed at least width."""
+    merged: dict[int, int] = {}
+    for e, c in terms:
+        merged[e] = merged.get(e, 0) + c
+    coeffs = {e: c for e, c in merged.items() if c}
+    if not coeffs:
+        return ZERO
+    lo, bound = min(coeffs), sum(map(abs, coeffs.values()))
+    digits = [0] * (max(coeffs) - lo + 1)
+    for e, c in coeffs.items():
+        digits[e - lo] = c
+    w = 64 if bound < HALF else _width(max(map(abs, digits)))
+    return _make(lo, _encode(digits, w), bound, w)
+
+
+def _add(lo: int, n: int, bound: int, q: LaurentPoly) -> LaurentPoly:
+    """(lo, n) + q, for a canonical (lo, n) of width 64 whose bound is `bound`."""
+    bound += q.bound
+    if bound >= HALF:
+        return _from_terms([*_make(lo, n, 0, 64).terms(), *q.terms()])
+    if not n or not q.packed:
+        return _make(lo, n, bound, 64) if n else q
+    if q.lo == lo:  # only here can the low digits cancel
+        return _strip(lo, n + q.packed, bound)
+    if q.lo > lo:
+        return _make(lo, n + (q.packed << ((q.lo - lo) << 6)), bound, 64)
+    return _make(q.lo, (n << ((lo - q.lo) << 6)) + q.packed, bound, 64)
+
+
+def _strip(lo: int, n: int, bound: int) -> LaurentPoly:
+    """The width-64 polynomial (lo, n), its low zero digits stripped."""
+    if not n & MASK:
+        if not n:
+            return ZERO
+        zeros = ((n & -n).bit_length() - 1) >> 6
+        n >>= zeros << 6
+        lo += zeros
+    return _make(lo, n, bound, 64)
 
 
 def sum_of_products(pairs: Iterable[tuple[LaurentPoly, LaurentPoly]]) -> LaurentPoly:
-    """sum p * q over the pairs (p, q), in one raw exponent map."""
-    acc: dict[int, int] = {}
-    get = acc.get
+    """sum p * q over the pairs (p, q), each one packed product and one aligned
+    add; one that would take the bound past 2^63 goes to `spill` exactly."""
+    lo, n, bound, spill = 0, 0, 0, ZERO
     for p, q in pairs:
-        for e1, c1 in p.coeffs.items():
-            for e2, c2 in q.coeffs.items():
-                e = e1 + e2
-                acc[e] = get(e, 0) + c1 * c2
-    return _poly({e: c for e, c in acc.items() if c})
+        b = p.bound * q.bound
+        if bound + b >= HALF:
+            spill, lo, n, bound = spill + _strip(lo, n, bound) + p * q, 0, 0, 0
+            continue
+        m, e = p.packed * q.packed, p.lo + q.lo
+        if not n:
+            lo, n = e, m
+        elif e >= lo:
+            n += m << ((e - lo) << 6)
+        else:
+            n, lo = (n << ((lo - e) << 6)) + m, e
+        bound += b
+    acc = _strip(lo, n, bound)
+    return acc if spill is ZERO else spill + acc
 
 
-# key -> raw exponent map, or the LaurentPoly of a key's only term so far;
-# so a map of keys to polynomials is a keyed sum to add to.
-Raw = dict[Hashable, "dict[int, int] | LaurentPoly"]
-
-
-def add_products(raw: Raw, support: Mapping[Hashable, LaurentPoly], c: LaurentPoly) -> Raw:
-    """raw += c * support, key by key, one term m v^k of c at a time; returns
-    raw.  A key's first term is m v^k times its coefficient: for m v^k = 1
-    the coefficient itself, which a second term copies into a raw map, and
-    otherwise a shifted copy."""
-    for k, m in c.coeffs.items():
-        unit = k == 0 and m == 1
-        for x, d in support.items():
-            acc = raw.get(x)
-            if acc is None:
-                raw[x] = d if unit else {e + k: n * m for e, n in d.coeffs.items()}
+def add_products(raw: dict[Hashable, LaurentPoly], support: Mapping[Hashable, LaurentPoly],
+                 c: LaurentPoly) -> dict[Hashable, LaurentPoly]:
+    """raw += c * support, key by key; returns raw.  A key's first term is c
+    times its coefficient (for c = 1 that itself); each later one is `_add`, inlined."""
+    cn, clo, cb = c.packed, c.lo, c.bound
+    unit = cn == 1 and clo == 0
+    new = LaurentPoly.__new__
+    for x, d in support.items():
+        acc, b = raw.get(x), d.bound * cb
+        if acc is None or not acc.packed:  # the first term
+            raw[x] = d if unit else (_make(d.lo + clo, d.packed * cn, b, 64) if 0 < b < HALF
+                                     else c * d)
+            continue
+        b += acc.bound
+        n, lo, an, alo = d.packed * cn if cn != 1 else d.packed, d.lo + clo, acc.packed, acc.lo
+        if b >= HALF or not n:
+            raw[x] = acc + c * d if n else acc
+            continue
+        if alo > lo:
+            n += an << ((alo - lo) << 6)
+        elif alo < lo:
+            n, lo = (n << ((lo - alo) << 6)) + an, alo
+        else:
+            n += an
+            if not n & MASK:  # the low digits cancelled
+                raw[x] = _strip(lo, n, b)
                 continue
-            if type(acc) is LaurentPoly:
-                raw[x] = acc = dict(acc.coeffs)
-            get = acc.get
-            for e, n in d.coeffs.items():
-                e += k
-                acc[e] = get(e, 0) + n * m
+        acc = raw[x] = new(LaurentPoly)
+        acc.lo, acc.packed, acc.bound, acc.width = lo, n, b, 64
     return raw
 
 
-def total(acc: "dict[int, int] | LaurentPoly") -> LaurentPoly:
-    """The polynomial one key of a `Raw` sum has summed to so far."""
-    return acc if type(acc) is LaurentPoly else _poly({e: c for e, c in acc.items() if c})
-
-
-def finish(raw: Raw) -> dict[Hashable, LaurentPoly]:
-    """The canonical coefficients of a `Raw` sum: zero terms and zero keys dropped."""
-    out = {}
-    for x, acc in raw.items():
-        # total(acc), inlined: this runs once per key of every keyed sum.
-        c = acc if type(acc) is LaurentPoly else _poly({e: n for e, n in acc.items() if n})
-        if c.coeffs:
-            out[x] = c
-    return out
+def finish(raw: dict[Hashable, LaurentPoly]) -> dict[Hashable, LaurentPoly]:
+    """The coefficients of a keyed sum, keys that summed to zero dropped."""
+    return {x: p for x, p in raw.items() if p.packed}
 
 
 ZERO = LaurentPoly.zero()

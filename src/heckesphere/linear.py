@@ -19,7 +19,7 @@ their characterizations.
 
 Every sum of combinations is one keyed sum of laurent's (`add_products`,
 then `finish`), and `Combo.dot` is one `sum_of_products`; the polynomials'
-exponent maps are laurent's alone.  Terms that cannot meet are relabelled,
+packed ints are laurent's alone.  Terms that cannot meet are relabelled,
 not summed: a one-to-one image of the keys is built by `wrap`, and
 `delta_step` forms almost no sum: a generator moves the terms that cross no
 wall one to one, so each is one assignment, and only a descent adds
@@ -33,7 +33,7 @@ from collections.abc import Callable, Iterable, Iterator, Mapping
 from .coxeter import IDENTITY, CoxeterSystem, Word
 from .errors import PreconditionViolated
 from .laurent import (LaurentPoly, MINUS_ONE, ONE, V, VINV, add_products, finish,
-                      sum_of_products, total)
+                      sum_of_products)
 
 
 Coeffs = dict[tuple, LaurentPoly]
@@ -287,7 +287,7 @@ def kl_correct(cand: Combo, x: Word, lower: Callable[[Word], Combo]) -> Combo:
     vZ[v] and self-duality are verify's to check."""
     raw = dict(cand.support)
     for y in sorted(cand.support, key=len, reverse=True):
-        mu = total(raw[y])[0]  # as the corrections at longer keys left it
+        mu = raw[y][0]  # as the corrections at longer keys left it
         if mu and y != x:
             add_products(raw, lower(y).support, LaurentPoly.from_int(-mu))
     return cand.wrap(finish(raw))

@@ -6,7 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from heckesphere import catalog, linear, verify
 from heckesphere.coxeter import IDENTITY, CoxeterMatrix, CoxeterSystem
-from heckesphere.errors import BudgetExceeded, InvalidMatrix, NotDivisible, PreconditionViolated
+from heckesphere.errors import BudgetExceeded, InvalidMatrix, PreconditionViolated
 from heckesphere.hecke import HeckeAlgebra, HeckeElt
 from heckesphere.laurent import LaurentPoly, ONE, V, VINV, ZERO
 from heckesphere.spherical import SphericalElt, SphericalModule
@@ -241,8 +241,8 @@ class TestBwJ:
         assert pi == LaurentPoly([(3, 1), (1, 2), (-1, 2), (-3, 1)])
 
     def test_built_once_per_J(self, a2, monkeypatch):
-        # M(J), schur_compose and check_bwj_pi share the first call's closed
-        # form: once it is memoized, a W_J emptied of its members changes nothing.
+        # M(J) and check_bwj_pi share the first call's closed form: once it
+        # is memoized, a W_J emptied of its members changes nothing.
         alg = HeckeAlgebra(a2)
         b, pi = got = alg.b_wJ_and_pi({S, T})
         real = CoxeterSystem.parabolic
@@ -251,7 +251,6 @@ class TestBwJ:
         assert alg.b_wJ_and_pi((T, S)) is got
         mod = SphericalModule(alg, {S, T})
         assert mod.b_wJ is b and mod.pi is pi
-        assert alg.schur_compose(b, b, {S, T}) == b
 
     @pytest.mark.parametrize("bad,squares", [
         # d_J + 1 scales b by v and pi(J) by v^-1, so b^2 = v^2 pi(J) b at every J.
@@ -287,22 +286,6 @@ class TestInput:
     def test_delta_takes_only_a_group_element(self, a2_algebra, word):
         with pytest.raises(PreconditionViolated, match="canonical word"):
             a2_algebra.delta(word)
-
-
-class TestSchur:
-    def test_bs_star_bs(self, a2_algebra):
-        alg = a2_algebra
-        assert alg.schur_compose(alg.b_s(S), alg.b_s(S), {S}) == alg.b_s(S)
-
-    def test_empty_J_is_plain_product(self, a2_algebra):
-        alg = a2_algebra
-        h = alg.kl_basis((S, T))
-        assert alg.schur_compose(alg.unit(), h, set()) == h
-
-    def test_not_in_ideal(self, a2_algebra):
-        alg = a2_algebra
-        with pytest.raises(NotDivisible):
-            alg.schur_compose(alg.b_s(S), alg.unit(), {S})
 
 
 class TestSerialization:

@@ -7,9 +7,9 @@ import pytest
 from hypothesis import given, strategies as st
 
 from heckesphere import laurent
-from heckesphere.errors import DivisionByZero, NotDivisible, PreconditionViolated
+from heckesphere.errors import PreconditionViolated
 from heckesphere.laurent import (LaurentPoly, ONE, V, VINV, ZERO, add_products, finish,
-                                 sum_of_products, total)
+                                 sum_of_products)
 from heckesphere.linear import Combo
 
 
@@ -75,30 +75,6 @@ class TestBar:
         assert (p + q).bar() == p.bar() + q.bar()
 
 
-class TestDivision:
-    def test_basic(self):
-        assert poly((0, 1), (2, 1)).divide_exact(V + VINV) == V
-
-    def test_zero_dividend(self):
-        assert ZERO.divide_exact(V + VINV) == ZERO
-
-    def test_not_divisible(self):
-        with pytest.raises(NotDivisible):
-            (ONE + V).divide_exact(V + VINV)
-
-    def test_zero_divisor(self):
-        with pytest.raises(DivisionByZero):
-            ONE.divide_exact(ZERO)
-
-    def test_integer_coefficient_obstruction(self):
-        with pytest.raises(NotDivisible):
-            V.divide_exact(poly((0, 2)))
-
-    @given(laurents, nonzero_laurents)
-    def test_round_trip(self, a, b):
-        assert (a * b).divide_exact(b) == a
-
-
 class TestRendering:
     def test_ascending_text(self):
         assert str(poly((2, 1), (-2, 1), (0, 2))) == "v^-2 + 2 + v^2"
@@ -131,10 +107,8 @@ class TestRendering:
             LaurentPoly.from_json(data)
 
     @pytest.mark.parametrize("call", [
-        lambda: LaurentPoly.zero().min_exp(),
-        lambda: LaurentPoly.zero().max_exp(),
         lambda: V ** -1,
-    ], ids=["min_exp-of-zero", "max_exp-of-zero", "negative-power"])
+    ], ids=["negative-power"])
     def test_out_of_domain_calls_raise_a_typed_error(self, call):
         with pytest.raises(PreconditionViolated):
             call()
@@ -173,7 +147,6 @@ class TestRendering:
     def test_getitem_and_exponents(self):
         p = poly((2, 3), (-1, 1))
         assert p[2] == 3 and p[0] == 0
-        assert p.min_exp() == -1 and p.max_exp() == 2
         assert not p.in_v_times_nonneg()
         assert (V + V * V).in_v_times_nonneg()
 
@@ -214,6 +187,7 @@ class TestSums:
             for e, c in plain_product(p, q).items():
                 want[e] = want.get(e, 0) + c
         assert plain(sum_of_products(pairs)) == nonzero(want)
+        assert sum_of_products(pairs) == LaurentPoly(want)
 
     @given(st.lists(st.tuples(keyed, wide_laurents), max_size=5))
     def test_keyed_sum(self, steps):
@@ -225,7 +199,8 @@ class TestSums:
                 for e, n in plain_product(d, c).items():
                     acc[e] = acc.get(e, 0) + n
         for x in raw:
-            assert plain(total(raw[x])) == nonzero(want[x])
+            assert plain(raw[x]) == nonzero(want[x])
+            assert raw[x] == LaurentPoly(want[x]) and hash(raw[x]) == hash(LaurentPoly(want[x]))
         assert {x: plain(p) for x, p in finish(raw).items()} == {
             x: nonzero(acc) for x, acc in want.items() if nonzero(acc)}
 
@@ -243,20 +218,104 @@ class TestSums:
     def test_a_key_whose_terms_cancel_is_dropped(self):
         p = poly((-150, 2**65), (120, -3))
         raw = add_products(add_products({}, {"x": p, "y": V}, ONE), {"x": p}, poly((0, -1)))
-        assert total(raw["x"]) == ZERO
+        assert raw["x"] == ZERO
         assert finish(raw) == {"y": V}
 
     def test_a_single_unit_term_is_the_coefficient_itself(self):
         p = poly((-150, 2**65), (120, -3))
         raw = add_products({}, {"x": p}, ONE)
-        assert total(raw["x"]) is p and finish(raw)["x"] is p
+        assert raw["x"] is p and finish(raw)["x"] is p
         shifted = finish(add_products({}, {"x": p}, poly((101, -2**64))))["x"]
         assert shifted == poly((-49, -2**129), (221, 3 * 2**64))
 
 
-def test_only_laurent_reads_the_exponent_map():
+
+
+# -- the packed form at its boundaries, against plain dicts -----------------------------
+
+# A 64-bit signed digit holds |c| <= 2^63 - 1; 2^63 and 2^64 need the next width.
+EDGE = (2**63 - 1, 2**63, 2**64)
+edge_coefficients = st.one_of(st.sampled_from([s * c for c in EDGE for s in (1, -1)]),
+                              st.integers(-3, 3), st.integers(-2**200, 2**200))
+edge_exponents = st.one_of(st.sampled_from([-150, -149, 0, 149, 150]), st.integers(-4, 4))
+edge_laurents = st.dictionaries(edge_exponents, edge_coefficients, max_size=4).map(LaurentPoly)
+
+
+def fresh(d: dict) -> LaurentPoly:
+    """The polynomial of an exponent map, built anew."""
+    return LaurentPoly(nonzero(d))
+
+
+def plain_sum(*ds: dict) -> dict:
+    out = {}
+    for d in ds:
+        for e, c in d.items():
+            out[e] = out.get(e, 0) + c
+    return nonzero(out)
+
+
+class TestPacked:
+    @given(edge_laurents, edge_laurents)
+    def test_ring_operations_at_the_digit_edges(self, p, q):
+        want_sum, want_product = plain_sum(plain(p), plain(q)), nonzero(plain_product(p, q))
+        for got, want in [(p + q, want_sum), (p - q, plain_sum(plain(p), plain(-q))),
+                          (p * q, want_product), (sum_of_products([(p, q), (q, p)]),
+                                                  plain_sum(want_product, want_product)),
+                          (p.mul_vinv_minus_v(q), plain_sum(plain(q), plain_product(p, VINV - V))),
+                          (finish(add_products({"x": q}, {"x": p}, q)).get("x", ZERO),
+                           plain_sum(plain(q), want_product))]:
+            assert plain(got) == want
+            assert got == fresh(want) and hash(got) == hash(fresh(want))
+
+    @given(edge_laurents)
+    def test_every_coefficient_is_one_digit_read(self, p):
+        d = plain(p)
+        span = range(min(d, default=0) - 2, max(d, default=0) + 3)
+        assert [p[e] for e in span] == [d.get(e, 0) for e in span]
+
+    @given(edge_laurents)
+    def test_bar_and_json_round_trips_at_every_width(self, p):
+        assert plain(p.bar()) == {-e: c for e, c in plain(p).items()}
+        assert p.bar().bar() == p and hash(p.bar().bar()) == hash(p)
+        assert LaurentPoly.from_json(p.to_json()) == p
+        assert p.bar() == LaurentPoly.from_json(p.bar().to_json())
+
+    def test_a_product_whose_bound_crosses_2_63_below_the_digit_limit(self):
+        # Each factor's l1 norm times the other's is 2^63, but no two terms of
+        # the product meet: every coefficient is 2^61 and fits a 64-bit digit.
+        p, q = poly((0, 2**30), (10, 2**30)), poly((0, 2**31), (20, 2**31))
+        assert sum(abs(c) for _, c in p.terms()) * sum(abs(c) for _, c in q.terms()) == 2**63
+        want = {0: 2**61, 10: 2**61, 20: 2**61, 30: 2**61}
+        for got in (p * q, sum_of_products([(p, q)]), finish(add_products({}, {0: p}, q))[0]):
+            assert plain(got) == want
+            assert got == fresh(want) and hash(got) == hash(fresh(want))
+        # The exact bound of the re-packed product still sends a sum with it
+        # past 2^63 down the exact path.
+        assert plain(p * q + p * q - p * q) == want
+        assert plain((p * q) * (p * q)) == nonzero(plain_product(p * q, p * q))
+
+    @pytest.mark.parametrize("wide", [2**63, -2**64, 2**129], ids=["2^63", "-2^64", "2^129"])
+    def test_a_wide_value_that_cancels_back_is_a_fresh_build(self, wide):
+        a, b = poly((0, wide), (5, 3), (150, 2**63 - 1)), poly((0, -wide), (150, 1 - 2**63))
+        narrow = poly((5, 3))
+        assert a + b == narrow and hash(a + b) == hash(narrow)
+        assert sum_of_products([(a, ONE), (b, ONE)]) == narrow
+        assert finish(add_products({"x": a}, {"x": b}, ONE)) == {"x": narrow}
+        assert Combo({(0,): a}) + Combo({(0,): b}) == Combo({(0,): narrow})
+        assert hash(Combo({(0,): a}) + Combo({(0,): b})) == hash(Combo({(0,): narrow}))
+        assert str(a + b) == "3v^5"
+
+    def test_a_zero_term_leaves_a_key_as_it_was(self):
+        # A zero coefficient, or a zero c, adds nothing, wherever its lo lies.
+        for d, c in [(ZERO, ONE), (ZERO, V), (V, ZERO)]:
+            assert finish(add_products({"x": V * V}, {"x": d}, c)) == {"x": V * V}
+        assert Combo([((0,), V * V), ((0,), 0)]) == Combo({(0,): V * V})
+
+
+def test_only_laurent_reads_the_packed_fields():
     src = pathlib.Path(laurent.__file__).parent
+    fields = set(LaurentPoly.__slots__)
     readers = {path.name for path in src.glob("*.py")
                for node in ast.walk(ast.parse(path.read_text()))
-               if isinstance(node, ast.Attribute) and node.attr == "coeffs"}
+               if isinstance(node, ast.Attribute) and node.attr in fields}
     assert readers == {"laurent.py"}

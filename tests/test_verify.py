@@ -4,7 +4,7 @@ import pytest
 
 from heckesphere import catalog, cli, lightleaf, verify
 from heckesphere.coxeter import CoxeterSystem
-from heckesphere.errors import NotDivisible, PreconditionViolated
+from heckesphere.errors import DifferentElements, PreconditionViolated
 from heckesphere.laurent import ONE
 
 from conftest import AFFINE_A2
@@ -81,12 +81,12 @@ def test_a_failing_case_is_named_by_its_coordinates(inf_dihedral):
 def test_a_raised_package_error_is_named_by_its_case(monkeypatch, a2, target, attr,
                                                      suite, check, first):
     def broken(*args):
-        raise NotDivisible("broken")
+        raise DifferentElements("broken")
 
     monkeypatch.setattr(target, attr, broken)
     res = verify.Run(a2).check(suite, check, dict(verify.SUITES[suite])[check])
     assert res.status == "FAIL"
-    assert res.failures[0] == f"{first}: NotDivisible: broken"
+    assert res.failures[0] == f"{first}: DifferentElements: broken"
 
 
 @pytest.mark.parametrize("attr,message", [
@@ -138,7 +138,7 @@ def test_an_error_outside_every_case_fails_only_its_check(monkeypatch, capsys):
 
     def broken(self, algebra, J):
         if J:
-            raise NotDivisible("no module")
+            raise DifferentElements("no module")
         build(self, algebra, J)
 
     monkeypatch.setattr(verify.SphericalModule, "__init__", broken)
@@ -150,7 +150,7 @@ def test_an_error_outside_every_case_fails_only_its_check(monkeypatch, capsys):
     assert lines == (
         [f"PASS hecke/{name}" for name, _ in verify.SUITES["hecke"]]
         + [line for name in failing for line in (
-            f"FAIL spherical/{name}", "  counterexample: NotDivisible: no module")]
+            f"FAIL spherical/{name}", "  counterexample: DifferentElements: no module")]
         + ["PASS spherical/decomp-wallcross"])
 
 
@@ -248,7 +248,7 @@ def test_a_row_walk_that_raises_fails_only_its_check(monkeypatch, a2):
     # is one counterexample named by the row's coordinates, it ends its
     # check, and the checks that read no row pass.
     def broken(self, a, bs):
-        raise NotDivisible("no row")
+        raise DifferentElements("no row")
 
     monkeypatch.setattr(verify.HeckeAlgebra, "pairing_trace_row", broken)
     results = verify.run_suites(a2, ["hecke", "spherical", "strolls"])
@@ -257,7 +257,7 @@ def test_a_row_walk_that_raises_fails_only_its_check(monkeypatch, a2):
     for res in results:
         if res.name in first_row:
             assert (res.status, res.failures) == (
-                "FAIL", [first_row[res.name] + "NotDivisible: no row"])
+                "FAIL", [first_row[res.name] + "DifferentElements: no row"])
         else:
             assert res.status == "PASS", res
 
