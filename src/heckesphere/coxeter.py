@@ -2,14 +2,14 @@
 
 Elements are identified with their ShortLex-minimal reduced word (a tuple of
 generator indices).  The group is stored as a right-multiplication table,
-grown one length layer at a time, never past the budget, as queries first
-reach a layer: each layer depends only on the layers below it, so a call
-pays for the longest element it touches, not for the whole ball.  A lookup
-of a word, a product w*s, `elements`, `is_finite` and `parabolic`, which
-reads W_J off the layers, are where that growth happens.  Besides w*s for
-every generator s, each element keeps its inverse, set as it is added from the
-inverse of wd one layer down (d its least right descent), and, for every
-pair {s, t}, the length of the W_{s,t} factor in its decomposition
+one map w -> w*s per generator s (`right_table`), grown one length layer at
+a time, never past the budget, as queries first reach a layer: each layer
+depends only on the layers below it, so a call pays for the longest element
+it touches, not for the whole ball.  A lookup of a word, a product w*s,
+`elements`, `is_finite` and `parabolic`, which reads W_J off the layers, are
+where that growth happens.  Each element keeps its inverse, set as it is
+added from the inverse of wd one layer down (d its least right descent), and,
+for every pair {s, t}, the length of the W_{s,t} factor in its decomposition
 w = w^{st} w_{st} (w^{st} minimal in the coset w W_{s,t}).  Those lengths
 solve the word problem without searching: for x = w*s one layer up, t != s
 is a right descent of x exactly when the factor length of w for {s, t} is
@@ -110,12 +110,11 @@ class ParabolicData(NamedTuple):
 class _ElemData:
     # word: the element's key in the table; factor[s * rank + t]: length of
     # the W_{s,t} factor of the element; descents: its right descents.
-    __slots__ = ("word", "factor", "right_mult", "descents", "inverse")
+    __slots__ = ("word", "factor", "descents", "inverse")
 
-    def __init__(self, word: Word, factor: tuple[int, ...], right_mult: dict[int, Word],
-                 descents: frozenset[int], inverse: Word):
-        self.word, self.factor, self.right_mult = word, factor, right_mult
-        self.descents, self.inverse = descents, inverse
+    def __init__(self, word: Word, factor: tuple[int, ...], descents: frozenset[int],
+                 inverse: Word):
+        self.word, self.factor, self.descents, self.inverse = word, factor, descents, inverse
 
 
 class _Table(dict):
@@ -135,6 +134,20 @@ class _Table(dict):
         raise PreconditionViolated(
             f"{w} is not the canonical word of an element within the budget"
         )
+
+
+class _Products(_Table):
+    """w -> w*s for one s: a miss grows the group to one above w, or is past the budget."""
+
+    __slots__ = ()
+
+    def __missing__(self, w):
+        system = self._system()
+        system._elems[w]  # rejects a word that is not canonical
+        system._grow(len(w) + 1)
+        if w in self:
+            return self[w]
+        raise BudgetExceeded(f"product of length {len(w) + 1} exceeds budget {system.budget}")
 
 
 def _alternating(a: int, b: int, length: int) -> Word:
@@ -162,8 +175,9 @@ class CoxeterSystem:
         self.matrix = matrix
         self.budget = length_budget
         self._elems: dict[Word, _ElemData] = _Table(self)
-        self._elems[IDENTITY] = _ElemData(IDENTITY, (0,) * matrix.rank ** 2, {}, frozenset(),
+        self._elems[IDENTITY] = _ElemData(IDENTITY, (0,) * matrix.rank ** 2, frozenset(),
                                           IDENTITY)
+        self._rank, self._right = matrix.rank, [_Products(self) for _ in range(matrix.rank)]
         self._layers: list[list[Word]] = [[IDENTITY]]
         self._closed = False  # the top layer is the longest element
         self._bruhat_memo: dict[tuple[Word, Word], bool] = {}
@@ -182,7 +196,7 @@ class CoxeterSystem:
                     # An element's descents, and the products that reach it
                     # from one layer down, are filled in when it is added;
                     # so a missing w*s is an ascent to a new element.
-                    if s not in self._elems[w].right_mult:
+                    if w not in self._right[s]:
                         layer.append(self._add_product(w, s))
             layer.sort()
             self._layers.append(layer)
@@ -213,9 +227,9 @@ class CoxeterSystem:
         inv = (d,) + self._elems[down[d]].inverse
         if inv in self._elems:  # x^-1 came first in this layer: share its two tuples
             x, inv = self._elems[inv].inverse, self._elems[inv].word
-        self._elems[x] = _ElemData(x, tuple(grown), down, frozenset(down), inv)
+        self._elems[x] = _ElemData(x, tuple(grown), frozenset(down), inv)
         for d, u in down.items():
-            self._elems[u].right_mult[d] = x
+            self._right[d][u], self._right[d][x] = x, u
         return x
 
     # -- basic element operations --------------------------------------------
@@ -256,22 +270,18 @@ class CoxeterSystem:
                 raise InvalidMatrix(f"J={sorted(J)}: letter {s} out of range")
         return J
 
+    def right_table(self, s: int) -> dict[Word, Word]:
+        """The map w -> w*s, once s is checked; a miss grows the group or raises."""
+        if type(s) is not int or not 0 <= s < self._rank:
+            self.check_letters((s,))
+        return self._right[s]
+
     def right_mult(self, w: Word, s: int) -> Word:
         """Canonical word of w*s."""
-        out = self._elems[w].right_mult.get(s)
-        if out is None:
-            self.check_letters((s,))
-            self._grow(len(w) + 1)
-            out = self._elems[w].right_mult.get(s)
-            if out is None:
-                raise BudgetExceeded(
-                    f"product of length {len(w) + 1} exceeds budget {self.budget}"
-                )
-        return out
+        return self.right_table(s)[w]
 
     def normalize(self, word: Sequence[int]) -> tuple[Word, bool]:
         """Canonical element of a word, plus whether the word was reduced."""
-        self.check_letters(word)
         w = self.mult(IDENTITY, word)
         return w, len(w) == len(word)
 
@@ -279,10 +289,9 @@ class CoxeterSystem:
         return self.normalize(word)[0]
 
     def mult(self, x: Word, y: Word) -> Word:
-        w = x
         for s in y:
-            w = self.right_mult(w, s)
-        return w
+            x = self.right_table(s)[x]
+        return x
 
     def inverse(self, w: Word) -> Word:
         return self._elems[w].inverse
@@ -332,7 +341,7 @@ class CoxeterSystem:
         return out
 
     def left_mult(self, s: int, w: Word) -> Word:
-        return self.inverse(self.right_mult(self.inverse(w), s))
+        return self.inverse(self.right_table(s)[self.inverse(w)])
 
     # -- rex graph --------------------------------------------------------------
 

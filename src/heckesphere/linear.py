@@ -4,8 +4,9 @@
 coefficients.  Its subclass names the basis, `HeckeElt` (delta_x) or
 `SphericalElt` (m_x); elements of different bases never compare equal.
 `delta_step` is the one right action of a generator on a standard basis
-indexed by ^J W (the algebra is J = {}); over it, one walk of the prefix
-tree of a set of words y yields each a * delta_y: `prefix_tree_product`
+indexed by ^J W (the algebra is J = {}), a wrap of `_step` on plain maps of
+coefficients; one walk of the prefix tree of a set of words y steps such
+maps, no Combo per node, and yields each a * delta_y: `prefix_tree_product`
 sums them into a * b, and `trace_walk` reads each at the identity alone,
 dropping before each step the terms it would land too long to reach it
 under any key the new node serves, which it reads from the sorted keys.
@@ -155,18 +156,12 @@ class Combo:
         )
 
 
-def delta_step(system: CoxeterSystem, J: frozenset[int], a: Combo, s: int) -> Combo:
-    """a * delta_s: e_x goes to e_{xs} if xs > x, to e_{xs} + (v^-1 - v) e_x
-    if xs < x, and to v^-1 e_x if xs leaves ^J W.
-
-    x -> xs, or x -> x at a wall, is one to one, so each term is one
-    assignment.  The one other term, (v^-1 - v) c at a descent x, meets at
-    key x only the image of the term at xs, whose step goes up to x; that
-    term is skipped, and the descent sums the two in one laurent operation."""
-    src = a.support
+def _step(system: CoxeterSystem, J: frozenset[int], src: Coeffs, s: int) -> Coeffs:
+    """The coefficients of `delta_step`, from those of a."""
+    table = system.right_table(s)
     out: Coeffs = {}
     for x, c in src.items():
-        xs = system.right_mult(x, s)
+        xs = table[x]
         if len(xs) < len(x):
             out[xs] = c
             p = c.mul_vinv_minus_v(src.get(xs))
@@ -176,37 +171,49 @@ def delta_step(system: CoxeterSystem, J: frozenset[int], a: Combo, s: int) -> Co
             out[x] = c.shift(-1)
         elif xs not in src:
             out[xs] = c
-    return a.wrap(out)
+    return out
+
+
+def delta_step(system: CoxeterSystem, J: frozenset[int], a: Combo, s: int) -> Combo:
+    """a * delta_s: e_x goes to e_{xs} if xs > x, to e_{xs} + (v^-1 - v) e_x
+    if xs < x, and to v^-1 e_x if xs leaves ^J W.
+
+    x -> xs, or x -> x at a wall, is one to one, so each term is one
+    assignment.  The one other term, (v^-1 - v) c at a descent x, meets at
+    key x only the image of the term at xs, whose step goes up to x; that
+    term is skipped, and the descent sums the two in one laurent operation."""
+    return a.wrap(_step(system, J, a.support, s))
 
 
 def step_plus(system: CoxeterSystem, J: frozenset[int], a: Combo, s: int,
               c: LaurentPoly) -> Combo:
     """a * (delta_s + c) = a delta_s + c a, summed in one raw pass: c = v is
     b_s, and c = v - v^-1 is delta_s^-1."""
-    return a.wrap(finish(add_products(delta_step(system, J, a, s).support, a.support, c)))
+    return a.wrap(finish(add_products(_step(system, J, a.support, s), a.support, c)))
 
 
 def _shared_prefixes(keys: list[Word]) -> list[int]:
     """For each sorted key, the length of the prefix it shares with the one before."""
     out = [0]
     for u, v in zip(keys, keys[1:]):
-        k = 0
-        while k < len(u) and k < len(v) and u[k] == v[k]:
+        k, n = 0, min(len(u), len(v))
+        while k < n and u[k] == v[k]:
             k += 1
         out.append(k)
     return out
 
 
-def _landing_within(system: CoxeterSystem, a: Combo, s: int, r: int) -> Combo:
+def _landing_within(system: CoxeterSystem, a: Coeffs, s: int, r: int) -> Coeffs:
     """The terms x of a, in the algebra, whose step along s lands no longer than r."""
-    return a.wrap({x: c for x, c in a.support.items()
-                   if len(x) < r or len(x) <= r + 1 and s in system.right_descents(x)})
+    return {x: c for x, c in a.items()
+            if len(x) < r or len(x) <= r + 1 and s in system.right_descents(x)}
 
 
-def _prefix_walk(system: CoxeterSystem, J: frozenset[int], a: Combo, keys: list[Word],
-                 trace: bool = False) -> Iterator[tuple[Word, Combo]]:
-    """(y, a * delta_y) for each of the sorted reduced words `keys`, walking
-    their prefix tree depth first: path[k] = a * delta_{y[:k]} is cut back to
+def _prefix_walk(system: CoxeterSystem, J: frozenset[int], a: Coeffs, keys: list[Word],
+                 trace: bool = False) -> Iterator[tuple[Word, Coeffs]]:
+    """(y, a * delta_y) for each of the sorted reduced words `keys`, a and
+    each a * delta_y a map of coefficients, walking their prefix tree depth
+    first by `_step`: path[k] = a * delta_{y[:k]} is cut back to
     the prefix y shares with the key before and extended one step per new
     letter, so each prefix product is computed once.  With `trace`, the step
     along y[k] of key i first drops the terms it lands longer than R - k - 1,
@@ -224,7 +231,7 @@ def _prefix_walk(system: CoxeterSystem, J: frozenset[int], a: Combo, keys: list[
                 while j < len(keys) and shared[j] > k:
                     reach, j = max(reach, len(keys[j])), j + 1
                 node = _landing_within(system, node, y[k], reach - k - 1)
-            path.append(delta_step(system, J, node, y[k]))
+            path.append(_step(system, J, node, y[k]))
         yield y, path[-1]
 
 
@@ -233,8 +240,8 @@ def prefix_tree_product(system: CoxeterSystem, J: frozenset[int], a: Combo,
     """a * b, b in the algebra: b's coefficient at y times a * delta_y,
     summed over the prefix walk of b's keys."""
     raw = {}
-    for y, node in _prefix_walk(system, J, a, sorted(b.support)):
-        add_products(raw, node.support, b.support[y])
+    for y, node in _prefix_walk(system, J, a.support, sorted(b.support)):
+        add_products(raw, node, b.support[y])
     return a.wrap(finish(raw))
 
 
@@ -249,8 +256,8 @@ def trace_walk(system: CoxeterSystem, a: Combo, keys: Iterable[Word]) -> Combo:
     no key and is dropped first (`_prefix_walk` with `trace`).  So no term
     passes the longest key, and a walk whose a and keys lie in the ball
     never leaves it."""
-    walk = _prefix_walk(system, frozenset(), a, sorted(keys), trace=True)
-    return a.wrap({y: node.support[IDENTITY] for y, node in walk if IDENTITY in node.support})
+    walk = _prefix_walk(system, frozenset(), a.support, sorted(keys), trace=True)
+    return a.wrap({y: node[IDENTITY] for y, node in walk if IDENTITY in node})
 
 
 def along(system: CoxeterSystem, J: frozenset[int], memo: dict[Word, Combo], x: Word,

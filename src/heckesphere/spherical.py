@@ -71,7 +71,6 @@ class SphericalModule:
     # -- the action and the bar involution ------------------------------------------
 
     def act_bs(self, a: SphericalElt, s: int) -> SphericalElt:
-        self.system.check_letters((s,))
         return linear.step_plus(self.system, self.J, a, s, V)
 
     def act(self, a: SphericalElt, h: HeckeElt) -> SphericalElt:

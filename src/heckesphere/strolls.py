@@ -51,9 +51,10 @@ class Decoration(NamedTuple):
         return self.stroll[-1]
 
 
-def _step(system: CoxeterSystem, J: frozenset[int], z: Word, s: int) -> tuple[str, Word]:
-    """The letter of stepping the stroll at z along s, and where bit 1 takes it."""
-    zs = system.right_mult(z, s)
+def _step(system: CoxeterSystem, J: frozenset[int], z: Word, table: dict) -> tuple[str, Word]:
+    """The letter of stepping the stroll at z along s, and where bit 1 takes
+    it; `table` is s's product table, w -> w*s."""
+    zs = table[z]
     if not system.is_mcr(zs, J):
         return "X", z
     return ("U" if len(zs) > len(z) else "D"), zs
@@ -70,7 +71,7 @@ def decorate(system: CoxeterSystem, J: frozenset[int],
     stroll = [IDENTITY]
     labels = []
     for s, b in zip(word, bits):
-        letter, up = _step(system, J, stroll[-1], s)
+        letter, up = _step(system, J, stroll[-1], system.right_table(s))
         labels.append(f"{letter}{b}")
         stroll.append(up if b else stroll[-1])
     return Decoration(word, bits, tuple(labels), tuple(stroll),
@@ -87,7 +88,8 @@ def decorations(system: CoxeterSystem, J: frozenset[int],
     J = system.check_J(J)
     nodes = [Decoration(word, (), (), (IDENTITY,), 0)]
     for s in word:
-        steps = [_step(system, J, dec.endpoint, s) for dec in nodes]
+        table = system.right_table(s)
+        steps = [_step(system, J, dec.endpoint, table) for dec in nodes]
         nodes = [Decoration(word, dec.bits + (b,), dec.labels + (label,),
                             dec.stroll + (up if b else dec.endpoint,),
                             dec.sdef + STEP_DEGREE[label])
@@ -170,9 +172,9 @@ def endpoint_polys(system: CoxeterSystem, J: frozenset[int],
     J = system.check_J(J)
     nodes = [(IDENTITY, 0)]
     for s in word:
-        nxt = []
+        nxt, table = [], system.right_table(s)
         for z, d in nodes:
-            zs = system.right_mult(z, s)
+            zs = table[z]
             if system.is_mcr(zs, J):  # U0 or D0, then U1 or D1
                 nxt += ((z, d + 1 if len(zs) > len(z) else d - 1), (zs, d))
             else:  # X0, X1
@@ -194,10 +196,10 @@ def rank_poly(system: CoxeterSystem, J: frozenset[int],
 
 def localized_summands(system: CoxeterSystem, word: Sequence[int]) -> Counter:
     """The multiset of subexpression products {w^e : e in w}, 2^n entries."""
-    system.check_letters(word)
     products = [IDENTITY]
     for s in word:
-        products += [system.right_mult(w, s) for w in products]
+        table = system.right_table(s)
+        products += [table[w] for w in products]
     return Counter(products)
 
 

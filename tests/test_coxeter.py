@@ -557,6 +557,26 @@ class TestLazyGrowth:
             sys.right_mult(IDENTITY, 2)
         assert sys._layers == [[IDENTITY]]
 
+    @pytest.mark.parametrize("grown", [False, True], ids=["fresh", "grown"])
+    @pytest.mark.parametrize("letter,message", [
+        (True, "letter True is not an int"), (1.0, "letter 1.0 is not an int"),
+        (-1, "letter -1 out of range"), (2, "letter 2 out of range")],
+        ids=["bool", "float", "negative", "rank"])
+    @pytest.mark.parametrize("call", [
+        lambda a2, s: a2.right_table(s),
+        lambda a2, s: a2.right_mult((T, S), s),
+        lambda a2, s: a2.mult(IDENTITY, (T, s)),
+        lambda a2, s: a2.left_mult(s, (S,)),
+        lambda a2, s: a2.wall_cross(IDENTITY, s, frozenset({T})),
+    ], ids=["right_table", "right_mult", "mult", "left_mult", "wall_cross"])
+    def test_a_bad_letter_is_rejected_fresh_or_grown(self, call, letter, message, grown):
+        # True == 1.0 == 1 as a dict key, so the check cannot be a lookup.
+        system = CoxeterSystem(catalog.A2, 10)
+        if grown:
+            system.elements()
+        with pytest.raises(InvalidMatrix, match=f"^{re.escape(message)}$"):
+            call(system, letter)
+
     def test_a_short_kl_query_builds_only_the_layers_it_reaches(self):
         # The h4 fixture's group, built fresh: the session fixture is grown in
         # full by the tests that enumerate its cosets.

@@ -312,6 +312,77 @@ class TestPacked:
         assert Combo([((0,), V * V), ((0,), 0)]) == Combo({(0,): V * V})
 
 
+# -- the descent term plus + p (v^-1 - v) in one call, against the sum it replaces ----
+
+def descent_reference(p, plus):
+    return (ZERO if plus is None else plus) + p * (VINV - V)
+
+
+def assert_descent_term(p, plus):
+    got, want = p.mul_vinv_minus_v(plus), descent_reference(p, plus)
+    assert got == want and hash(got) == hash(want) and got.bound == want.bound
+    assert plain(got) == plain_sum(plain(plus or ZERO), plain_product(p, VINV - V))
+    assert got == fresh(plain(got))
+
+
+def m(exp, coeff=1):
+    return LaurentPoly.monomial(exp, coeff)
+
+
+H = 2**63
+# Pairs (p, plus) whose bound 2 L_p + L_plus lies just under 2^63 or on it.
+DESCENT_EDGES = [
+    (m(0, H // 2 - 1), None), (m(0, H // 2), None),
+    (m(0, -(H // 4)), m(-1, -(H // 2 - 1))), (m(0, H // 4), m(-1, H // 2)),
+    (m(0, H // 4), m(-1, -(H // 4)) + m(3, H // 4 - 1)),
+    (m(0, H // 4), m(-1, -(H // 4)) + m(3, H // 4)),
+    (m(-3, H // 8) + m(4, -(H // 8)), m(7, H // 2 - 1)),
+    (m(-3, H // 8) + m(4, -(H // 8)), m(-9, H // 2)),
+]
+
+
+class TestDescentTerm:
+    @pytest.mark.parametrize("plus", [None, ZERO, V, VINV, m(-1, 2), m(-5) + m(4, -2),
+                                      m(0, 2**64)],
+                             ids=["none", "zero", "above", "at", "at-2", "below", "wide"])
+    def test_a_zero_p_gives_plus(self, plus):
+        got = ZERO.mul_vinv_minus_v(plus)
+        assert got == (ZERO if plus is None else plus)
+        assert_descent_term(ZERO, plus)
+
+    @given(laurents)
+    def test_no_plus_is_a_zero_plus(self, p):
+        assert p.mul_vinv_minus_v() == p.mul_vinv_minus_v(ZERO) == p.mul_vinv_minus_v(None)
+        assert_descent_term(p, None)
+        assert_descent_term(p, ZERO)
+
+    @given(nonzero_laurents, laurents, st.integers(-3, 3))
+    def test_plus_one_below_p_cancels_the_low_digits(self, p, tail, k):
+        # plus starts at p.lo - 1 with minus p's lowest coefficient, so the
+        # lowest digit of the sum cancels, and with k = 0 more may.
+        low = m(p.lo - 1, -p[p.lo])
+        plus = low + tail.shift(p.lo - tail.lo + 1 + abs(k)) if tail else low
+        assert plus.lo == p.lo - 1
+        assert_descent_term(p, plus)
+        assert_descent_term(p, -p.mul_vinv_minus_v() + tail.shift(k))
+        assert p.mul_vinv_minus_v(-p.mul_vinv_minus_v()) == ZERO
+
+    @pytest.mark.parametrize("p,plus", DESCENT_EDGES, ids=[
+        "p-under", "p-at", "same-lo-under", "same-lo-at", "cancel-under", "cancel-at",
+        "above-under", "below-at"])
+    def test_bounds_at_2_63(self, p, plus):
+        bound = 2 * p.bound + (0 if plus is None else plus.bound)
+        assert bound in (H - 1, H - 2, H)
+        assert_descent_term(p, plus)
+
+    @given(st.dictionaries(st.integers(-3, 3), st.sampled_from(
+        [1, 3, H // 8, H // 4 - 1, H // 4, H // 2 - 1, H // 2, H - 1]).flatmap(
+            lambda c: st.sampled_from([c, -c])), max_size=3).map(LaurentPoly),
+           st.one_of(st.none(), edge_laurents))
+    def test_against_the_sum_near_2_63(self, p, plus):
+        assert_descent_term(p, plus)
+
+
 def test_only_laurent_reads_the_packed_fields():
     src = pathlib.Path(laurent.__file__).parent
     fields = set(LaurentPoly.__slots__)

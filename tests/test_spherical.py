@@ -62,9 +62,9 @@ class TestAction:
 
     @pytest.mark.parametrize("letter", [True, 1.0, -1], ids=["bool", "float", "negative"])
     def test_a_bad_letter_is_rejected_on_a_grown_ball(self, letter):
-        # Once the ball is grown, right_mult finds True and 1.0 among its
-        # cached products under the key 1; the module checks its letters as
-        # endpoint_polys does, also where no term would step along them.
+        # Once the ball is grown, True and 1.0 are the key 1 of a cached
+        # product; the step checks its letter as it reads the product table,
+        # also where no term would step along it.
         system = CoxeterSystem(catalog.A2, 10)
         system.elements()
         mod = SphericalModule(HeckeAlgebra(system), {S})
@@ -216,10 +216,12 @@ def test_rank_4_kl_basis(request, name, J):
 def test_a_broken_step_fails_bwj_pi_identity_naming_J(a3, monkeypatch, broken):
     """M(J) takes b_(w_J) unchecked, and a step by one generator gone wrong
     fails bwj-pi-identity at exactly the J holding it: KL on w_J and the
-    square b_(w_J)^2 both step by it."""
-    real = linear.delta_step
-    monkeypatch.setattr(linear, "delta_step", lambda system, J, a, s: (
-        real(system, J, a, s).scale(V) if s == broken else real(system, J, a, s)))
+    square b_(w_J)^2 both step by it.  The mutant is the coefficient-map step
+    under delta_step, which every product, KL and phi step goes through."""
+    real = linear._step
+    monkeypatch.setattr(linear, "_step", lambda system, J, a, s: (
+        {x: c * V for x, c in real(system, J, a, s).items()} if s == broken
+        else real(system, J, a, s)))
     run = verify.Run(a3)
     for J in run.subsets:
         run.module(J)

@@ -1,11 +1,14 @@
 import itertools
+import random
+from collections import Counter
 
 import pytest
 
 from heckesphere import catalog, cli, lightleaf, verify
 from heckesphere.coxeter import CoxeterSystem
 from heckesphere.errors import DifferentElements, PreconditionViolated
-from heckesphere.laurent import ONE
+from heckesphere.hecke import HeckeElt
+from heckesphere.laurent import ONE, LaurentPoly
 
 from conftest import AFFINE_A2
 
@@ -275,3 +278,42 @@ def test_a_wrong_pi_fails_the_form_checks_under_its_J_alone(monkeypatch, a2, che
         res = run.check("suite", "name", check)
         assert res.status == "FAIL" and res.failures, J
         assert all(msg.startswith(f"J={sorted(J)}, ") for msg in res.failures), J
+
+
+def reference_random_elts(rng, pool, count):
+    """The draws as first written, with the two terms each element sums:
+    randint for each exponent and coefficient, monomial, and the merging
+    constructor."""
+    out = []
+    for _ in range(count):
+        terms = []
+        for _ in range(2):
+            x = rng.choice(pool)
+            c = LaurentPoly.monomial(rng.randint(-2, 2), rng.randint(-3, 3))
+            terms.append((x, c))
+        out.append((terms, HeckeElt(terms)))
+    return out
+
+
+@pytest.mark.parametrize("matrix,budget", [(catalog.A2, 10), (catalog.I2_7, 14),
+                                           (catalog.A3, 12)], ids=["a2", "i2_7", "a3"])
+def test_random_elements_are_the_reference_draws(matrix, budget):
+    # The pools of associativity, anti-involution and module-action; the
+    # checks see the same elements, term order included, and the stream
+    # stays in step after them.
+    run = verify.Run(CoxeterSystem(matrix, budget))
+    pools = [run.elements(max(2, (budget - 1) // 3), factors=3),
+             run.elements(max(2, (budget - 1) // 2), factors=2),
+             run.mcrs(frozenset({0}), max(2, (budget - 1) // 3), factors=3)]
+    seen = Counter()
+    for pool, seed in itertools.product(pools, (0, 1, 2)):
+        rng, ref_rng = random.Random(seed), random.Random(seed)
+        got = verify._random_elts(rng, pool, 1000)
+        for elt, (terms, want) in zip(got, reference_random_elts(ref_rng, pool, 1000)):
+            assert list(elt.support.items()) == list(want.support.items())
+            (x, c), (y, d) = terms
+            seen["one key"] += x == y
+            seen["cancelled"] += x == y and bool(c) and not c + d
+            seen["a zero term"] += not c or not d
+        assert rng.getstate() == ref_rng.getstate()
+    assert min(seen["one key"], seen["cancelled"], seen["a zero term"]) > 0, seen
