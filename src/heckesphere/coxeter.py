@@ -282,6 +282,7 @@ class CoxeterSystem:
 
     def normalize(self, word: Sequence[int]) -> tuple[Word, bool]:
         """Canonical element of a word, plus whether the word was reduced."""
+        self.check_letters(word)
         w = self.mult(IDENTITY, word)
         return w, len(w) == len(word)
 

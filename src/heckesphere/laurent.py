@@ -166,24 +166,11 @@ class LaurentPoly:
 
     def mul_vinv_minus_v(self, plus: "LaurentPoly | None" = None) -> "LaurentPoly":
         """plus + self * (v^-1 - v), the quadratic relation's term at a descent
-        (plus = 0 if omitted): n - (n << 128) one place below lo, added onto
-        plus as `_add` does, in one call."""
-        n, lo, plus = self.packed, self.lo - 1, ZERO if plus is None else plus
-        bound, q = 2 * self.bound + plus.bound, plus.packed
+        (plus = 0 if omitted): n - (n << 128) one place below lo, added onto plus."""
+        n, bound, plus = self.packed, 2 * self.bound, ZERO if plus is None else plus
         if bound >= HALF:
             return plus + self * (VINV - V)
-        if not n:
-            return plus
-        n -= n << 128
-        if q and plus.lo == lo:  # only here can the low digits cancel
-            return _strip(lo, n + q, bound)
-        if q and plus.lo > lo:
-            n += q << ((plus.lo - lo) << 6)
-        elif q:
-            n, lo = (n << ((lo - plus.lo) << 6)) + q, plus.lo
-        out = LaurentPoly.__new__(LaurentPoly)
-        out.lo, out.packed, out.bound, out.width = lo, n, bound, 64
-        return out
+        return _add(self.lo - 1, n - (n << 128), bound, plus)
 
     # -- bar involution ------------------------------------------------------
 
@@ -369,25 +356,23 @@ def add_products(raw: dict[Hashable, LaurentPoly], support: Mapping[Hashable, La
     for x, d in support.items():
         acc, b = raw.get(x), d.bound * cb
         if acc is None or not acc.packed:  # the first term
-            if unit or not 0 < b < HALF:
-                raw[x] = d if unit else c * d
-                continue
-            n, lo = d.packed * cn, d.lo + clo
+            raw[x] = d if unit else (_make(d.lo + clo, d.packed * cn, b, 64) if 0 < b < HALF
+                                     else c * d)
+            continue
+        b += acc.bound
+        n, lo, an, alo = d.packed * cn if cn != 1 else d.packed, d.lo + clo, acc.packed, acc.lo
+        if b >= HALF or not n:
+            raw[x] = acc + c * d if n else acc
+            continue
+        if alo > lo:
+            n += an << ((alo - lo) << 6)
+        elif alo < lo:
+            n, lo = (n << ((lo - alo) << 6)) + an, alo
         else:
-            b += acc.bound
-            n, lo, an, alo = d.packed * cn if cn != 1 else d.packed, d.lo + clo, acc.packed, acc.lo
-            if b >= HALF or not n:
-                raw[x] = acc + c * d if n else acc
+            n += an
+            if not n & MASK:  # the low digits cancelled
+                raw[x] = _strip(lo, n, b)
                 continue
-            if alo > lo:
-                n += an << ((alo - lo) << 6)
-            elif alo < lo:
-                n, lo = (n << ((lo - alo) << 6)) + an, alo
-            else:
-                n += an
-                if not n & MASK:  # the low digits cancelled
-                    raw[x] = _strip(lo, n, b)
-                    continue
         acc = raw[x] = new(LaurentPoly)
         acc.lo, acc.packed, acc.bound, acc.width = lo, n, b, 64
     return raw

@@ -196,8 +196,8 @@ def _shared_prefixes(keys: list[Word]) -> list[int]:
     """For each sorted key, the length of the prefix it shares with the one before."""
     out = [0]
     for u, v in zip(keys, keys[1:]):
-        k, n = 0, min(len(u), len(v))
-        while k < n and u[k] == v[k]:
+        k = 0
+        while k < len(u) and k < len(v) and u[k] == v[k]:
             k += 1
         out.append(k)
     return out

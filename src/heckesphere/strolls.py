@@ -196,6 +196,7 @@ def rank_poly(system: CoxeterSystem, J: frozenset[int],
 
 def localized_summands(system: CoxeterSystem, word: Sequence[int]) -> Counter:
     """The multiset of subexpression products {w^e : e in w}, 2^n entries."""
+    system.check_letters(word)
     products = [IDENTITY]
     for s in word:
         table = system.right_table(s)

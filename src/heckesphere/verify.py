@@ -175,19 +175,14 @@ def _case_name(where: tuple) -> str:
     return ", ".join(parts) + ": " if parts else ""
 
 
-# c v^e at [e + 2][c + 3], for -2 <= e <= 2 and -3 <= c <= 3.  A choice of a row,
-# then of an entry, draws e and c as randint(-2, 2) and randint(-3, 3) do:
-# each takes a + _randbelow(b - a + 1).
-_MONOMIALS = [[LaurentPoly.monomial(e, c) for c in range(-3, 4)] for e in range(-2, 3)]
-
-
 def _random_elts(rng: random.Random, pool: list[Word], count: int) -> list[HeckeElt]:
     """Each the sum of two terms c v^e delta_x, with x, e and c drawn in turn."""
-    choice = rng.choice
     out = []
     for _ in range(count):
-        x, c = choice(pool), choice(choice(_MONOMIALS))
-        y, d = choice(pool), choice(choice(_MONOMIALS))
+        x = rng.choice(pool)
+        c = LaurentPoly.monomial(rng.randint(-2, 2), rng.randint(-3, 3))
+        y = rng.choice(pool)
+        d = LaurentPoly.monomial(rng.randint(-2, 2), rng.randint(-3, 3))
         if x == y:
             c, d = c + d, ZERO
         out.append(HeckeElt.wrap({k: p for k, p in ((x, c), (y, d)) if p}))

@@ -557,6 +557,18 @@ class TestLazyGrowth:
             sys.right_mult(IDENTITY, 2)
         assert sys._layers == [[IDENTITY]]
 
+    @pytest.mark.parametrize("call", [
+        lambda system, word: system.normalize(word),
+        lambda system, word: strolls.localized_summands(system, word),
+        lambda system, word: strolls.decorate(system, frozenset(), word, (0,) * len(word)),
+        lambda system, word: strolls.endpoint_polys(system, frozenset(), word),
+    ], ids=["normalize", "localized_summands", "decorate", "endpoint_polys"])
+    def test_a_bad_letter_in_a_word_wins_over_the_budget(self, call):
+        # Every letter is checked before the first step, which would leave the ball.
+        system = CoxeterSystem(catalog.INF_DIHEDRAL, 3)
+        with pytest.raises(InvalidMatrix, match="^letter 5 out of range$"):
+            call(system, (S, T, S, T, 5))
+
     @pytest.mark.parametrize("grown", [False, True], ids=["fresh", "grown"])
     @pytest.mark.parametrize("letter,message", [
         (True, "letter True is not an int"), (1.0, "letter 1.0 is not an int"),

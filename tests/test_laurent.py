@@ -312,7 +312,7 @@ class TestPacked:
         assert Combo([((0,), V * V), ((0,), 0)]) == Combo({(0,): V * V})
 
 
-# -- the descent term plus + p (v^-1 - v) in one call, against the sum it replaces ----
+# -- the descent term plus + p (v^-1 - v), against the sum it stands for -------------
 
 def descent_reference(p, plus):
     return (ZERO if plus is None else plus) + p * (VINV - V)
