@@ -126,9 +126,16 @@ class _Table(dict):
     def __init__(self, system: "CoxeterSystem"):
         self._system = weakref.ref(system)  # no cycle: a system dies with its last user
 
+    def _owner(self) -> "CoxeterSystem":
+        system = self._system()
+        if system is None:
+            raise PreconditionViolated(
+                "the CoxeterSystem of this table is gone; keep it while reading the table")
+        return system
+
     def __missing__(self, w):
         if isinstance(w, tuple):
-            self._system()._grow(len(w))
+            self._owner()._grow(len(w))
             if w in self:
                 return self[w]
         raise PreconditionViolated(
@@ -142,7 +149,7 @@ class _Products(_Table):
     __slots__ = ()
 
     def __missing__(self, w):
-        system = self._system()
+        system = self._owner()
         system._elems[w]  # rejects a word that is not canonical
         system._grow(len(w) + 1)
         if w in self:
@@ -527,10 +534,6 @@ class RexMove(NamedTuple):
         if word != self.target:
             raise DifferentElements(f"replay ended at {word}, expected {self.target}")
         return trail
-
-    @property
-    def is_identity(self) -> bool:
-        return not self.applications
 
     def to_json(self) -> list[list[int]]:
         return [list(app) for app in self.applications]

@@ -1,19 +1,17 @@
 """The Hecke algebra of a Coxeter system over Z[v, v^-1].
 
-Elements are HeckeElt, the linear.Combo over the standard basis delta_x:
-a map from group element (canonical reduced word) to nonzero LaurentPoly.
-The multiply and the bar are linear's, shared with the spherical modules
-(the algebra is J = {}): a * b walks the prefix tree of b's support, one
-generator at a time by delta_s^2 = 1 + (v^-1 - v) delta_s.  The trace form
-walks the same tree for the delta_e coefficient alone (linear.trace_walk),
-a row at a time: pairing_trace_row(a, bs) reads <a, b> for every b of the
-row from one walk of the union of their keys, and pairing_trace is its
-one-element case.
-The Kazhdan-Lusztig basis is linear.kl, the recursion b_{xs} * b_s minus
-mu-corrections that every spherical module shares.  bar(delta_x) and b_x
-are memoized by linear.along, each from its value at xs, x = (xs)s along
-x's word.  b_{w_J} and pi(J) are built in closed form.  The module computes
-each of these and checks none: verify's kl-wellformed checks b_x's
+HeckeAlgebra is linear.Module with J = {}: elements are HeckeElt, the
+linear.Combo over the standard basis delta_x, and the zero, unit, delta_x,
+bar, Kazhdan-Lusztig basis b_x (`kl_basis`, linear's one KL recursion:
+b_{xs} * b_s minus mu-corrections), coordinatewise pairing and format are
+the module's, shared with every spherical module.  The algebra adds its
+product: a * b walks the prefix tree of b's support, one generator at a
+time by delta_s^2 = 1 + (v^-1 - v) delta_s.  The trace form walks the same
+tree for the delta_e coefficient alone (linear.trace_walk), a row at a
+time: pairing_trace_row(a, bs) reads <a, b> for every b of the row from one
+walk of the union of their keys, and pairing_trace is its one-element case.
+b_{w_J} and pi(J) are built in closed form.  The module computes each of
+these and checks none: verify's kl-wellformed checks b_x's
 unitriangularity, vZ[v] and bar-invariance, and bwj-pi-identity compares
 b_{w_J} with kl_basis(w_J) and b_{w_J}^2 with pi(J) b_{w_J}.
 """
@@ -23,7 +21,7 @@ from __future__ import annotations
 from collections.abc import Iterable, Sequence
 
 from . import linear
-from .coxeter import IDENTITY, CoxeterSystem, Word
+from .coxeter import IDENTITY, CoxeterSystem
 from .laurent import LaurentPoly, ONE, V
 
 NO_J: frozenset[int] = frozenset()  # the algebra's standard basis is indexed by all of W
@@ -35,42 +33,27 @@ class HeckeElt(linear.Combo):
     __slots__ = ()
 
 
-class HeckeAlgebra:
+class HeckeAlgebra(linear.Module):
+    """H, the module M(J) with J = {}: linear.Module's zero, unit, bar, KL
+    basis, coordinatewise pairing and format, with the product and the trace form."""
+
+    elt, letter = HeckeElt, "d"
+
     def __init__(self, system: CoxeterSystem):
-        self.system = system
-        self._kl_memo: dict[Word, HeckeElt] = {IDENTITY: self.unit()}
-        self._bar_memo: dict[Word, HeckeElt] = {IDENTITY: self.unit()}
+        super().__init__(system, NO_J)
         self._bwj_memo: dict[frozenset[int], tuple[HeckeElt, LaurentPoly]] = {}
 
-    # -- basis elements -------------------------------------------------------
-
-    def zero(self) -> HeckeElt:
-        return HeckeElt()
-
-    def delta(self, x: Word, coeff: LaurentPoly | int = 1) -> HeckeElt:
-        self.system.check_mcr(x, NO_J)
-        return HeckeElt.single(x, coeff)
-
-    def unit(self) -> HeckeElt:
-        return HeckeElt.wrap({IDENTITY: ONE})
+    delta = linear.Module.basis
+    kl_basis = linear.Module.kl
 
     def b_s(self, s: int) -> HeckeElt:
         self.system.check_letters((s,))
         return HeckeElt.wrap({(s,): ONE, IDENTITY: V})
 
-    # -- ring structure and bar involution ------------------------------------------
+    # -- ring structure -----------------------------------------------------------------
 
     def multiply(self, a: HeckeElt, b: HeckeElt) -> HeckeElt:
         return linear.prefix_tree_product(self.system, NO_J, a, b)
-
-    def bar(self, a: HeckeElt) -> HeckeElt:
-        return linear.bar(self.system, NO_J, self._bar_memo, a)
-
-    # -- Kazhdan-Lusztig basis -----------------------------------------------------
-
-    def kl_basis(self, x: Word) -> HeckeElt:
-        """b_x, by linear.kl on the algebra's memo."""
-        return linear.kl(self.system, NO_J, self._kl_memo, x)
 
     # -- trace, anti-involution, bilinear form -----------------------------------------
 
@@ -96,10 +79,6 @@ class HeckeAlgebra:
         """<a, b> = trace(i(a) * b), the one-element row of pairing_trace_row."""
         return self.pairing_trace_row(a, (b,))[0]
 
-    def pairing(self, a: HeckeElt, b: HeckeElt) -> LaurentPoly:
-        """<a, b> computed coordinatewise (the standard basis is orthonormal)."""
-        return a.dot(b)
-
     # -- parabolic data ------------------------------------------------------------------
 
     def b_wJ_and_pi(self, J: Iterable[int]) -> tuple[HeckeElt, LaurentPoly]:
@@ -114,8 +93,3 @@ class HeckeAlgebra:
             pi = LaurentPoly((2 * len(w) - par.d_J, 1) for w in par.members)
             self._bwj_memo[J] = (b, pi)
         return self._bwj_memo[J]
-
-    # -- rendering -----------------------------------------------------------------------
-
-    def format(self, a: HeckeElt) -> str:
-        return a.format(self.system, "d")

@@ -221,19 +221,6 @@ class LaurentPoly:
         """List of [exponent, coefficient] pairs sorted by exponent."""
         return [[e, c] for e, c in enumerate(_digits(self), self.lo) if c]
 
-    @classmethod
-    def from_json(cls, data: list[list[int]]) -> "LaurentPoly":
-        """The inverse of to_json; anything but a list of [exponent,
-        coefficient] pairs of integers is rejected."""
-        if not isinstance(data, list) or not all(
-            isinstance(p, list) and len(p) == 2 and all(type(n) is int for n in p)
-            for p in data
-        ):
-            raise PreconditionViolated(
-                f"expected [[exponent, coefficient], ...] of integers, got {data!r}"
-            )
-        return cls(data)
-
 
 def _make(lo: int, packed: int, bound: int, width: int) -> LaurentPoly:
     """The polynomial over these fields, taken as is: they must be canonical."""

@@ -326,34 +326,6 @@ def recipe_to_json(system: CoxeterSystem, recipe: LLRecipe) -> dict:
     return out
 
 
-def parse_recipe_json(system: CoxeterSystem, J: frozenset[int], data: dict) -> LLRecipe:
-    """Rebuild a recipe from its JSON form (the steps are re-derived; the
-    serialized steps are checked to match, so parsing doubles as validation);
-    JSON of any other shape is rejected."""
-    steps = data.get("steps") if isinstance(data, dict) else None
-    if not (
-        isinstance(steps, list)
-        and isinstance(data.get("word"), str)
-        and isinstance(data.get("bits"), list)
-        and all(b in (0, 1) for b in data["bits"])
-        and all(isinstance(st, dict) and isinstance(st.get("intermediate"), str)
-                for st in steps)
-    ):
-        raise PreconditionViolated(
-            'expected {"word": "<word>", "bits": [0 or 1, ...], '
-            '"steps": [{"intermediate": "<word>", ...}, ...], ...}'
-        )
-    word = system.parse_word(data["word"])
-    bits = tuple(int(b) for b in data["bits"])
-    target = system.parse_word(steps[-1]["intermediate"]) if steps else None
-    recipe = build_sll(system, J, word, bits, target_rex=target)
-    if bool(data.get("flipped", False)):
-        recipe = recipe._replace(flipped=True)
-    if recipe_to_json(system, recipe) != data:
-        raise WordMismatch("serialized recipe does not match its reconstruction")
-    return recipe
-
-
 def double_leaf_to_json(system: CoxeterSystem, dl: DoubleLeafRecipe) -> dict:
     return {
         "lower": recipe_to_json(system, dl.lower),

@@ -11,12 +11,17 @@ sums them into a * b, and `trace_walk` reads each at the identity alone,
 dropping before each step the terms it would land too long to reach it
 under any key the new node serves, which it reads from the sorted keys.
 `along` is the one fill of a memo keyed by ^J W: the value at x = x's is
-made from the one at x', prefix by prefix, shortest first.  The bar,
-Kazhdan-Lusztig and phi memos fill through it: `bar` is the bar involution,
-and `kl` the one Kazhdan-Lusztig basis, the algebra's b_x and every module's
-c_x: the element at x' times b_s, mu-corrected by `kl_correct`.  Each is
-computed by one path and checked by none here; verify compares them with
-their characterizations.
+made from the one at x', prefix by prefix, shortest first.
+
+`Module(system, J)` is the one right H-module over such a basis: the
+algebra is J = {} and M(J) any other finitary J (Deodhar, J. Algebra 111,
+1987), each a subclass naming its element class and letter.  It holds what
+they share: the bar and Kazhdan-Lusztig memos, filled through `along`,
+`zero`, `unit`, the checked basis element, the bar involution, the
+Kazhdan-Lusztig basis `kl`, the algebra's b_x and every module's c_x (the
+element at x' times b_s, mu-corrected by `kl_correct`), the coordinatewise
+pairing and the text form.  Each is computed by one path and checked by
+none here; verify compares them with their characterizations.
 
 Every sum of combinations is one keyed sum of laurent's (`add_products`,
 then `finish`), and `Combo.dot` is one `sum_of_products`; the polynomials'
@@ -29,6 +34,7 @@ wall one to one, so each is one assignment, and only a descent adds
 
 from __future__ import annotations
 
+import itertools
 from collections.abc import Callable, Iterable, Iterator, Mapping
 
 from .coxeter import IDENTITY, CoxeterSystem, Word
@@ -124,13 +130,6 @@ class Combo:
     def __repr__(self) -> str:
         return f"{type(self).__name__}({dict(self.support)!r})"
 
-    def format(self, system: CoxeterSystem, letter: str) -> str:
-        """Terms "(c) <letter>_<word>" joined by " + ", or "0" for zero."""
-        if not self.support:
-            return "0"
-        return " + ".join(f"({c}) {letter}_{system.format_word(x) or 'e'}"
-                          for x, c in self.items())
-
     def to_json(self, system: CoxeterSystem) -> dict:
         return {
             "terms": [
@@ -138,22 +137,6 @@ class Combo:
                 for x, c in self.items()
             ]
         }
-
-    @classmethod
-    def from_json(cls, data: dict, system: CoxeterSystem):
-        """The inverse of to_json; JSON of any other shape is rejected."""
-        terms = data.get("terms") if isinstance(data, dict) else None
-        if not isinstance(terms, list) or not all(
-            isinstance(t, dict) and isinstance(t.get("elt"), str) and "coeff" in t
-            for t in terms
-        ):
-            raise PreconditionViolated(
-                'expected {"terms": [{"elt": "<word>", "coeff": [[exp, coeff], ...]}, ...]}'
-            )
-        coeffs = [LaurentPoly.from_json(t["coeff"]) for t in terms]
-        return cls(
-            (system.element(system.parse_word(t["elt"])), c) for t, c in zip(terms, coeffs)
-        )
 
 
 def _step(system: CoxeterSystem, J: frozenset[int], src: Coeffs, s: int) -> Coeffs:
@@ -275,19 +258,6 @@ def along(system: CoxeterSystem, J: frozenset[int], memo: dict[Word, Combo], x: 
     return got
 
 
-def bar(system: CoxeterSystem, J: frozenset[int], memo: dict[Word, Combo],
-        a: Combo) -> Combo:
-    """The bar involution, semilinear over memo[x] = bar(e_x), filled by
-    `along`: for x = x's, bar(e_x) = bar(e_{x'}) delta_s^-1 = bar(e_{x'})
-    (delta_s + v - v^-1).  A key that is not an mcr raises PreconditionViolated."""
-    raw = {}
-    for x, c in a.support.items():
-        bx = along(system, J, memo, x,
-                   lambda p, prev: step_plus(system, J, prev, p[-1], V_MINUS_VINV))
-        add_products(raw, bx.support, c.bar())
-    return a.wrap(finish(raw))
-
-
 def kl_correct(cand: Combo, x: Word, lower: Callable[[Word], Combo]) -> Combo:
     """Subtract mu * lower(y) wherever cand's coefficient at y has constant
     term mu, longest y first so each correction is final.  Unitriangularity,
@@ -300,9 +270,62 @@ def kl_correct(cand: Combo, x: Word, lower: Callable[[Word], Combo]) -> Combo:
     return cand.wrap(finish(raw))
 
 
-def kl(system: CoxeterSystem, J: frozenset[int], memo: dict[Word, Combo], x: Word) -> Combo:
-    """memo[x], the Kazhdan-Lusztig element at x in ^J W, filled by `along`:
-    at x = x's, memo[x'] * b_s mu-corrected by `kl_correct`, with `kl` on the
-    same memo below."""
-    return along(system, J, memo, x, lambda p, prev: kl_correct(
-        step_plus(system, J, prev, p[-1], V), p, lambda y: kl(system, J, memo, y)))
+class Module:
+    """A right H-module with standard basis e_x, x in ^J W, with its bar
+    involution, Kazhdan-Lusztig basis, form and rendering: the algebra is
+    J = {}, and a spherical module M(J) any other finitary J.  A subclass
+    names its element class `elt` and the basis `letter` it prints.  The bar
+    and the KL basis are memoized per mcr by `along`."""
+
+    elt: type[Combo]
+    letter: str
+
+    def __init__(self, system: CoxeterSystem, J: frozenset[int]):
+        self.system, self.J = system, J
+        self._kl_memo: dict[Word, Combo] = {IDENTITY: self.unit()}
+        self._bar_memo: dict[Word, Combo] = {IDENTITY: self.unit()}
+
+    def zero(self) -> Combo:
+        return self.elt.wrap({})
+
+    def unit(self) -> Combo:
+        return self.elt.wrap({IDENTITY: ONE})
+
+    def basis(self, x: Word, coeff: LaurentPoly | int = 1) -> Combo:
+        """coeff e_x; an x that is not an mcr raises PreconditionViolated."""
+        self.system.check_mcr(x, self.J)
+        return self.elt.single(x, coeff)
+
+    def bar(self, a: Combo) -> Combo:
+        """The bar involution, semilinear over memo[x] = bar(e_x): for
+        x = x's, bar(e_x) = bar(e_{x'}) delta_s^-1 = bar(e_{x'}) (delta_s + v - v^-1).
+        A key that is not an mcr raises PreconditionViolated."""
+        system, J = self.system, self.J
+        raw = {}
+        for x, c in a.support.items():
+            bx = along(system, J, self._bar_memo, x,
+                       lambda p, prev: step_plus(system, J, prev, p[-1], V_MINUS_VINV))
+            add_products(raw, bx.support, c.bar())
+        return a.wrap(finish(raw))
+
+    def kl(self, x: Word) -> Combo:
+        """The Kazhdan-Lusztig element at x in ^J W: at x = x's, the one at x'
+        times b_s, mu-corrected by `kl_correct` with `kl` below.  It never
+        calls the bar."""
+        system, J = self.system, self.J
+        return along(system, J, self._kl_memo, x, lambda p, prev: kl_correct(
+            step_plus(system, J, prev, p[-1], V), p, self.kl))
+
+    def pairing(self, a: Combo, b: Combo) -> LaurentPoly:
+        """<a, b>, coordinatewise (the e_x are orthonormal), for a and b with
+        every key an mcr (PreconditionViolated otherwise)."""
+        for x in itertools.chain(a.support, b.support):
+            self.system.check_mcr(x, self.J)
+        return a.dot(b)
+
+    def format(self, a: Combo) -> str:
+        """Terms "(c) <letter>_<word>" joined by " + ", or "0" for zero."""
+        if not a.support:
+            return "0"
+        return " + ".join(f"({c}) {self.letter}_{self.system.format_word(x) or 'e'}"
+                          for x, c in a.items())

@@ -124,15 +124,6 @@ def preceq(system: CoxeterSystem, J: frozenset[int],
     return strict
 
 
-def pair_preceq(system: CoxeterSystem, J: frozenset[int],
-                ef_low: tuple[Decoration, Decoration],
-                ef_high: tuple[Decoration, Decoration]) -> bool:
-    """Componentwise order on double-leaf index pairs."""
-    return preceq(system, J, ef_low[0], ef_high[0]) and preceq(
-        system, J, ef_low[1], ef_high[1]
-    )
-
-
 class DoubleLeafPair(NamedTuple):
     e: Decoration
     f: Decoration

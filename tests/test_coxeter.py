@@ -166,7 +166,7 @@ class TestRexGraph:
         assert move.replay(a2) == [(T, S, T), (S, T, S)]
 
     def test_identity_path(self, a2):
-        assert a2.rex_path((S, T), (S, T)).is_identity
+        assert a2.rex_path((S, T), (S, T)).applications == ()
 
     def test_b2_longest(self, b2):
         w0 = b2.element((S, T, S, T))
@@ -588,6 +588,12 @@ class TestLazyGrowth:
             system.elements()
         with pytest.raises(InvalidMatrix, match=f"^{re.escape(message)}$"):
             call(system, letter)
+
+    def test_a_table_kept_past_its_system_raises_a_library_error(self):
+        # The table reaches its system by a weak reference, dead once the system is.
+        t = CoxeterSystem(catalog.A2, 10).right_table(0)
+        with pytest.raises(PreconditionViolated, match="CoxeterSystem of this table is gone"):
+            t[(1, 0)]
 
     def test_a_short_kl_query_builds_only_the_layers_it_reaches(self):
         # The h4 fixture's group, built fresh: the session fixture is grown in

@@ -1,4 +1,7 @@
+import ast
 import itertools
+import json
+import pathlib
 import random
 
 import pytest
@@ -134,6 +137,44 @@ def test_kl_basis_matches_the_left_recursion(request, system):
         assert alg.kl_basis(x) == reference(x)
 
 
+@pytest.mark.parametrize("system", ["a3", "b3", "h3"])
+def test_the_algebra_is_the_module_of_the_empty_J(request, system):
+    """H is M({}): its b_x and bar(delta_x) have the terms of M({})'s c_x and
+    bar(m_x), in an element type of their own."""
+    system = request.getfixturevalue(system)
+    alg = HeckeAlgebra(system)
+    mod = SphericalModule(alg, ())
+    for x in system.elements():
+        assert mod.kl_c(x).support == alg.kl_basis(x).support
+        assert mod.bar(mod.m(x)).support == alg.bar(alg.delta(x)).support
+
+
+MODULE_API = {"zero", "unit", "bar", "kl", "pairing", "format"}
+
+
+def test_linear_module_is_the_one_implementation():
+    """Only linear.Module defines the module API and names its memos, and only
+    linear calls linear's bar and kl; LaurentPoly's zero and bar are the scalars'."""
+    src = pathlib.Path(linear.__file__).parent
+    for path in src.glob("*.py"):
+        tree = ast.parse(path.read_text())
+        for cls in (n for n in ast.walk(tree) if isinstance(n, ast.ClassDef)):
+            if (path.name, cls.name) not in {("linear.py", "Module"),
+                                             ("laurent.py", "LaurentPoly")}:
+                names = {n.name for n in cls.body if isinstance(n, ast.FunctionDef)} | {
+                    t.id for n in cls.body if isinstance(n, ast.Assign)
+                    for target in n.targets for t in ast.walk(target) if isinstance(t, ast.Name)}
+                assert not names & MODULE_API, (path.name, cls.name)
+        if path.name != "linear.py":
+            for node in ast.walk(tree):
+                assert not (isinstance(node, ast.Attribute)
+                            and node.attr in {"_kl_memo", "_bar_memo"}), path.name
+                assert not (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                            and node.func.attr in {"bar", "kl"}
+                            and isinstance(node.func.value, ast.Name)
+                            and node.func.value.id == "linear"), path.name
+
+
 class TestKLAnchors:
     """Published Kazhdan-Lusztig polynomials, read through
     b_w = sum_x v^(l(w)-l(x)) P_(x,w)(v^-2) delta_x."""
@@ -218,6 +259,15 @@ class TestPairing:
         alg = a2_algebra
         assert alg.pairing(alg.zero(), alg.b_s(S)) == ZERO
 
+    @pytest.mark.parametrize("word", [(T, S, T), (S, S), (5,)],
+                             ids=["not-canonical", "unreduced", "letter"])
+    def test_a_key_that_is_not_canonical_is_rejected(self, a2_algebra, word):
+        alg = a2_algebra
+        bad = HeckeElt.wrap({word: ONE})
+        for a, b in ((bad, alg.b_s(S)), (alg.b_s(S), bad)):
+            with pytest.raises(PreconditionViolated, match="canonical word"):
+                alg.pairing(a, b)
+
     def test_paths_agree_on_kl(self, a2_algebra, b2_algebra):
         for alg in (a2_algebra, b2_algebra):
             for x in alg.system.elements():
@@ -292,9 +342,12 @@ class TestSerialization:
     def test_json_round_trip(self, a2_algebra):
         alg = a2_algebra
         b = alg.kl_basis((S, T, S))
-        data = b.to_json(alg.system)
-        assert data["terms"][0]["elt"] == ""
-        assert HeckeElt.from_json(data, alg.system) == b
+        data = json.loads(json.dumps(b.to_json(alg.system)))
+        assert data == {"terms": [
+            {"elt": "", "coeff": [[3, 1]]}, {"elt": "s", "coeff": [[2, 1]]},
+            {"elt": "t", "coeff": [[2, 1]]}, {"elt": "st", "coeff": [[1, 1]]},
+            {"elt": "ts", "coeff": [[1, 1]]}, {"elt": "sts", "coeff": [[0, 1]]},
+        ]}
 
 
 # -- the prefix-tree multiply against the per-word fold ---------------------------

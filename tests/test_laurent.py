@@ -1,4 +1,5 @@
 import ast
+import json
 import pathlib
 import types
 from collections import Counter
@@ -17,9 +18,8 @@ def poly(*pairs):
     return LaurentPoly(pairs)
 
 
-laurents = st.dictionaries(
-    st.integers(-6, 6), st.integers(-9, 9), max_size=6
-).map(LaurentPoly)
+laurent_maps = st.dictionaries(st.integers(-6, 6), st.integers(-9, 9), max_size=6)
+laurents = laurent_maps.map(LaurentPoly)
 
 nonzero_laurents = laurents.filter(bool)
 
@@ -86,25 +86,12 @@ class TestRendering:
 
     def test_json_round_trip(self):
         p = poly((-3, 2), (0, -1), (5, 7))
-        assert p.to_json() == [[-3, 2], [0, -1], [5, 7]]
-        assert LaurentPoly.from_json(p.to_json()) == p
+        assert json.loads(json.dumps(p.to_json())) == [[-3, 2], [0, -1], [5, 7]]
 
-    @given(laurents)
-    def test_json_round_trip_random(self, p):
-        assert LaurentPoly.from_json(p.to_json()) == p
-
-    def test_json_sums_repeated_exponents_as_the_constructor_does(self):
-        summed = LaurentPoly.from_json([[0, 1], [0, 2]])
-        assert summed == LaurentPoly([(0, 1), (0, 2)]) == poly((0, 3))
-        assert LaurentPoly.from_json([[1, 2], [1, -2]]) == ZERO
-
-    @pytest.mark.parametrize("data", [[[1]], [[1, 2, 3]], "x", 5, [1, 2], [["1", 2]],
-                                      [[1.5, 2]], [[0, True]], None],
-                             ids=["short", "long", "string", "int", "flat", "str-exp",
-                                  "float-exp", "bool-coeff", "null"])
-    def test_malformed_json_is_rejected(self, data):
-        with pytest.raises(PreconditionViolated, match="exponent, coefficient"):
-            LaurentPoly.from_json(data)
+    @given(laurent_maps)
+    def test_json_round_trip_random(self, d):
+        want = sorted([e, c] for e, c in d.items() if c)
+        assert json.loads(json.dumps(LaurentPoly(d).to_json())) == want
 
     @pytest.mark.parametrize("call", [
         lambda: V ** -1,
@@ -238,7 +225,8 @@ EDGE = (2**63 - 1, 2**63, 2**64)
 edge_coefficients = st.one_of(st.sampled_from([s * c for c in EDGE for s in (1, -1)]),
                               st.integers(-3, 3), st.integers(-2**200, 2**200))
 edge_exponents = st.one_of(st.sampled_from([-150, -149, 0, 149, 150]), st.integers(-4, 4))
-edge_laurents = st.dictionaries(edge_exponents, edge_coefficients, max_size=4).map(LaurentPoly)
+edge_maps = st.dictionaries(edge_exponents, edge_coefficients, max_size=4)
+edge_laurents = edge_maps.map(LaurentPoly)
 
 
 def fresh(d: dict) -> LaurentPoly:
@@ -273,12 +261,13 @@ class TestPacked:
         span = range(min(d, default=0) - 2, max(d, default=0) + 3)
         assert [p[e] for e in span] == [d.get(e, 0) for e in span]
 
-    @given(edge_laurents)
-    def test_bar_and_json_round_trips_at_every_width(self, p):
+    @given(edge_maps)
+    def test_bar_and_json_round_trips_at_every_width(self, d):
+        p = LaurentPoly(d)
         assert plain(p.bar()) == {-e: c for e, c in plain(p).items()}
         assert p.bar().bar() == p and hash(p.bar().bar()) == hash(p)
-        assert LaurentPoly.from_json(p.to_json()) == p
-        assert p.bar() == LaurentPoly.from_json(p.bar().to_json())
+        assert p.to_json() == sorted([e, c] for e, c in d.items() if c)
+        assert p.bar().to_json() == sorted([-e, c] for e, c in d.items() if c)
 
     def test_a_product_whose_bound_crosses_2_63_below_the_digit_limit(self):
         # Each factor's l1 norm times the other's is 2^63, but no two terms of

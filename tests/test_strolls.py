@@ -76,12 +76,6 @@ class TestPreceq:
         with pytest.raises(WordMismatch):
             strolls.preceq(a2, J_S, e, other)
 
-    def test_pair_order_componentwise(self, a2):
-        e = self._dec(a2, (0, 1, 1, 1))
-        f = self._dec(a2, (0, 1, 1, 0))
-        assert strolls.pair_preceq(a2, J_S, (f, f), (e, e))
-        assert not strolls.pair_preceq(a2, J_S, (e, f), (f, e))
-
 
 class TestDoubleLeafIndex:
     def test_single_t(self, a2):
