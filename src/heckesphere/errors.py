@@ -35,7 +35,3 @@ class WordMismatch(HeckesphereError):
 
 class EndpointMismatch(HeckesphereError):
     """Double-leaf halves have different coset endpoints."""
-
-
-class TargetMismatch(HeckesphereError):
-    """A pinned target expression does not match the construction's endpoint."""

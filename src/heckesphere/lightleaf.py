@@ -14,13 +14,14 @@ s_k:
         left end by a rex move, and plug it into the wall.
 
 Each step records a pre_rex (braid moves before the elementary operation), the
-elementary operation, and a post_rex normalizing to the chosen reduced word of
-z_k (ShortLex-minimal, unless a target expression pins the last one).  A
-step's degree is read off its elementary operation: +1 for a dot, -1 for a
-merge or a wall plug-in, 0 otherwise.  On a correct leaf that is +1 for
-U0/X0, -1 for D0/X1 and 0 for U1/D1, so the degrees sum to the spherical
-defect, which `verify` compares them with.  Each degree is summed once, where
-its record is built: a recipe's as its steps are built, a double leaf's by `glue`.
+elementary operation, and a post_rex normalizing to the canonical
+(ShortLex-minimal) reduced word of z_k.  A step's degree is read off its
+elementary operation: +1 for a dot, -1 for a merge or a wall plug-in, 0
+otherwise.  On a correct leaf that is +1 for U0/X0, -1 for D0/X1 and 0 for
+U1/D1, so the degrees sum to the spherical defect; `verify`'s `degree-law`
+compares them, and the target with the endpoint's word.  Each degree is
+summed once, where its record is built: a recipe's as its steps are built, a
+double leaf's by `glue`.
 The five steps without a wall plug-in are written once, in `_strand_op`.
 Every rex move a step builds from smaller ones is a `_chain` of block moves,
 each applied at its offset in the current word.
@@ -46,7 +47,6 @@ from .errors import (
     BudgetExceeded,
     EndpointMismatch,
     PreconditionViolated,
-    TargetMismatch,
     WordMismatch,
 )
 from .strolls import Bits, decorate
@@ -121,28 +121,13 @@ def _strand_op(system: CoxeterSystem, label: str, cur: Word,
 
 
 def build_sll(system: CoxeterSystem, J: frozenset[int],
-              word: Sequence[int], bits: Sequence[int],
-              target_rex: Sequence[int] | None = None) -> LLRecipe:
+              word: Sequence[int], bits: Sequence[int]) -> LLRecipe:
     J = system.check_J(J)
     dec = decorate(system, J, word, bits)
-    word = dec.word
-    bits = dec.bits
-    n = len(word)
-    if target_rex is not None:
-        target_rex = tuple(target_rex)
-        elem, reduced = system.normalize(target_rex)
-        if not reduced or elem != dec.endpoint:
-            raise TargetMismatch(
-                f"{target_rex} is not a reduced word of the endpoint "
-                f"{dec.endpoint}"
-            )
     steps = []
     cur: Word = IDENTITY
     degree = 0
-    for k in range(1, n + 1):
-        s = word[k - 1]
-        label = dec.labels[k - 1]
-        chosen = target_rex if (k == n and target_rex is not None) else dec.stroll[k]
+    for k, (s, label) in enumerate(zip(dec.word, dec.labels), 1):
         if label == "X1":
             t = system.wall_cross(dec.stroll[k - 1], s, J)
             pre = system.find_rex(cur + (s,), lambda w: w[0] == t)
@@ -150,11 +135,10 @@ def build_sll(system: CoxeterSystem, J: frozenset[int],
             mid = pre.target[1:]
         else:
             pre, elementary, mid = _strand_op(system, label, cur, s)
-        post = system.rex_path(mid, chosen)
-        steps.append(LLStep(k, label, pre, elementary, post, chosen))
+        cur = dec.stroll[k]
+        steps.append(LLStep(k, label, pre, elementary, system.rex_path(mid, cur), cur))
         degree += OP_DEGREE[elementary.partition(":")[0]]
-        cur = chosen
-    return LLRecipe(word, bits, tuple(steps), cur, degree)
+    return LLRecipe(dec.word, dec.bits, tuple(steps), cur, degree)
 
 
 def build_sdl(system: CoxeterSystem, J: frozenset[int],

@@ -23,6 +23,8 @@ the trace form a row at a time: each x's row comes from one trace walk
 compared in its own case.  A row is read outside every case, with
 `run.where` set to its coordinates (J, x), so a row that raises is one
 counterexample named by them, and it ends that check.
+Each light leaf is checked once, by `degree-law`; `double-leaves` glues
+one pair of leaves per (J, endpoint).
 The CLI and the test suite share these so a green `verify` run and a green
 pytest run mean the same thing.
 """
@@ -511,6 +513,9 @@ def _replay_failures(system: CoxeterSystem, J: frozenset[int], recipe) -> Iterat
 
 
 def check_ll_degree_law(run: Run) -> Iterator[str]:
+    """Every light leaf of every word of length at most 5, against its
+    decoration: its degree is the spherical defect, it ends at the
+    endpoint's canonical word, and its steps replay."""
     system = run.system
     for J in run.subsets:
         for word in run.words(5):
@@ -519,25 +524,35 @@ def check_ll_degree_law(run: Run) -> Iterator[str]:
                     recipe = build_sll(system, J, word, dec.bits)
                     if recipe.degree != dec.sdef:
                         yield f"degree {recipe.degree} != sdef {dec.sdef}"
+                    if recipe.target != dec.endpoint:
+                        yield f"target {recipe.target} != endpoint {dec.endpoint}"
                     yield from _replay_failures(system, J, recipe)
 
 
 def check_double_leaves(run: Run) -> Iterator[str]:
+    """One double leaf per (J, endpoint z) of the words of length at most 4:
+    the first and the last decoration ending at z, glued through z, with the
+    two leaves as halves and degree e.sdef + f.sdef.  One pair is enough, as
+    `degree-law` checks every leaf of these words and `rank-symmetry` the
+    degrees `strolls.join` gives every index pair."""
     system = run.system
     for J in run.subsets:
-        # Decorations and light leaves are built once per J, then joined and glued.
-        decs = functools.cache(functools.partial(strolls.decorations, system, J))
-        leaf = functools.cache(functools.partial(build_sll, system, J))
-        for x_word, y_word in itertools.product(run.words(4), repeat=2):
-            # A fault in the index set is a counterexample, not the end of the run.
-            pairs = []
-            with run.case(J, x_word, y_word):
-                pairs = strolls.join(decs(x_word), decs(y_word))
-            for pair in pairs:
-                with run.case(J, x_word, pair.e.bits, y_word, pair.f.bits):
-                    dl = glue(leaf(x_word, pair.e.bits), leaf(y_word, pair.f.bits))
-                    if dl.degree != pair.degree:
-                        yield f"double-leaf degree {dl.degree} != index tag {pair.degree}"
+        ends: dict[Word, list[strolls.Decoration]] = {}
+        for word in run.words(4):
+            with run.case(J, word):  # a fault in the decorations is a counterexample
+                for dec in strolls.decorations(system, J, word):
+                    ends.setdefault(dec.endpoint, []).append(dec)
+        for z, decs in ends.items():
+            e, f = decs[0], decs[-1]
+            with run.case(J, e.word, e.bits, f.word, f.bits):
+                lower, upper = (build_sll(system, J, d.word, d.bits) for d in (e, f))
+                dl = glue(lower, upper)
+                if dl.through != z:
+                    yield f"double leaf goes through {dl.through}, not {z}"
+                if (dl.lower, dl.upper) != (lower, upper._replace(flipped=True)):
+                    yield "double-leaf halves are not its two light leaves"
+                if dl.degree != e.sdef + f.sdef:
+                    yield f"double-leaf degree {dl.degree} != sdef sum {e.sdef + f.sdef}"
 
 
 def check_nsll(run: Run) -> Iterator[str]:

@@ -12,7 +12,6 @@ from heckesphere.errors import (
     EndpointMismatch,
     InvalidMatrix,
     PreconditionViolated,
-    TargetMismatch,
     WordMismatch,
 )
 from heckesphere.lightleaf import (
@@ -68,17 +67,6 @@ class TestBuildSLL:
                             st.post_rex.replay(sys)
                             elem, reduced = sys.normalize(st.intermediate)
                             assert reduced and sys.is_mcr(elem, J_S)
-
-    def test_target_rex_pinning(self, a3):
-        # t s u = t u s (s and u commute); pin the non-minimal reduced word.
-        word, bits = (T, S, U), (1, 1, 1)
-        recipe = build_sll(a3, J_S, word, bits, target_rex=(T, U, S))
-        assert recipe.target == (T, U, S)
-        assert recipe.steps[-1].post_rex.applications == ((1, S, U, 2),)
-
-    def test_target_mismatch(self, a2):
-        with pytest.raises(TargetMismatch):
-            build_sll(a2, J_S, (T,), (1,), target_rex=(T, S))
 
 
 class TestBuildSDL:

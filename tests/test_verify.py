@@ -4,7 +4,7 @@ from collections import Counter
 
 import pytest
 
-from heckesphere import catalog, cli, lightleaf, verify
+from heckesphere import catalog, cli, lightleaf, strolls, verify
 from heckesphere.coxeter import CoxeterSystem
 from heckesphere.errors import DifferentElements, PreconditionViolated
 from heckesphere.hecke import HeckeElt
@@ -78,8 +78,8 @@ def test_a_failing_case_is_named_by_its_coordinates(inf_dihedral):
 @pytest.mark.parametrize("target,attr,suite,check,first", [
     # A check that never yields: its only counterexamples are raised.
     (verify.HeckeAlgebra, "b_wJ_and_pi", "hecke", "bwj-pi-identity", "J=[]"),
-    # The decorations a check joins into the index set it enumerates its cases from.
-    (verify.strolls, "decorations", "lightleaf", "double-leaves", "J=[], ()/()"),
+    # The decorations a check groups by endpoint before it glues its leaves.
+    (verify.strolls, "decorations", "lightleaf", "double-leaves", "J=[], ()"),
 ], ids=["bwj-pi-identity", "double-leaves"])
 def test_a_raised_package_error_is_named_by_its_case(monkeypatch, a2, target, attr,
                                                      suite, check, first):
@@ -173,6 +173,58 @@ def test_a_dot_recorded_as_a_merge_fails_the_degree_checks(monkeypatch, capsys):
     results = {r.name: r for r in verify.run_suites(CoxeterSystem(catalog.INF_DIHEDRAL, 2), ["lightleaf"])}
     assert results["degree-law"].status == results["double-leaves"].status == "FAIL"
     assert results["degree-law"].failures[0].endswith("degree -1 != sdef 1")
+
+
+@pytest.mark.parametrize("name", ["b2", "a3"])
+def test_a_glue_that_miscounts_fails_double_leaves(monkeypatch, request, name):
+    # glue sums its two leaves' degrees; one pair glued per endpoint sees a
+    # sum that is off on every double leaf through a non-identity endpoint.
+    glue = lightleaf.glue
+
+    def heavier(lower, upper):
+        dl = glue(lower, upper)
+        return dl._replace(degree=dl.degree + 1) if dl.through else dl
+
+    monkeypatch.setattr(verify, "glue", heavier)
+    res = verify.Run(request.getfixturevalue(name)).check(
+        "lightleaf", "double-leaves", verify.check_double_leaves)
+    assert res.status == "FAIL"
+    # Each glued pair is named as `sdl` takes it: J, then each word and its bits.
+    assert res.failures[0].startswith("J=[], (0,)/(1,)/")
+    assert all(" != sdef sum " in f for f in res.failures)
+
+
+@pytest.mark.parametrize("name", ["b2", "a3"])
+def test_a_leaf_that_ends_at_another_reduced_word_fails_degree_law(monkeypatch, request, name):
+    # A leaf ends at its endpoint's canonical (ShortLex-minimal) word.  One that
+    # ends at another reduced word of it still glues with a leaf changed alike,
+    # so only the leaf's own target check sees it.
+    build = lightleaf.build_sll
+
+    def last_rex(system, J, word, bits):
+        recipe = build(system, J, word, bits)
+        rexes = sorted(system.reduced_words(recipe.target))
+        if len(rexes) > 1 and bits[-1] == 1:
+            return recipe._replace(target=rexes[-1])
+        return recipe
+
+    monkeypatch.setattr(verify, "build_sll", last_rex)
+    res = verify.Run(request.getfixturevalue(name)).check(
+        "lightleaf", "degree-law", verify.check_ll_degree_law)
+    assert res.status == "FAIL"
+    assert all(" != endpoint " in f for f in res.failures)
+
+
+def test_double_leaves_glues_one_pair_per_endpoint(a3):
+    # One case per (J, word) walk and one per (J, endpoint), so a check that
+    # glues every index pair of the same words fails the pinned count.
+    run = verify.Run(a3)
+    res = run.check("lightleaf", "double-leaves", verify.check_double_leaves)
+    words = run.words(4)
+    ends = sum(len({dec.endpoint for word in words for dec in strolls.decorations(a3, J, word)})
+               for J in run.subsets)
+    assert (res.status, res.cases, res.skipped_budget) == ("PASS", 376, 0)
+    assert res.cases == len(run.subsets) * len(words) + ends
 
 
 @pytest.mark.parametrize("cases,failures,status", [
